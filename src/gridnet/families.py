@@ -7,15 +7,18 @@ to 0 mod N.  Manhattan digraphs live on Z_N with N a multiple of 4 and one
 odd step pair (a_j, b_j) per residue class mod 4.
 
 Steps are stored as canonical residues in 0..N-1 (negative inputs reduce
-on entry).  Compilation deduplicates coincident heads so the resulting
-Digraph never carries parallel arcs, even for degenerate step choices.
+on entry).  Each family's arcs are described once, by a row builder that
+maps (N, steps) to plain successor tuples; the search runs BFS on those
+rows directly.  Compilation deduplicates coincident heads of the same rows
+so the resulting Digraph never carries parallel arcs, even for degenerate
+step choices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .graphs import Digraph
 
@@ -182,7 +185,7 @@ def validate(p: FamilyParams) -> Validation:
     return validate_mh(p)
 
 
-def _dedup(heads: list[int]) -> tuple[int, ...]:
+def _dedup(heads: tuple[int, ...]) -> tuple[int, ...]:
     seen: list[int] = []
     for h in heads:
         if h not in seen:
@@ -197,46 +200,65 @@ def _check_strict(p: FamilyParams, strict: bool) -> None:
             raise FamilyError("; ".join(v.errors))
 
 
-def compile_ds(p: DoubleStepGraph, strict: bool = True) -> Digraph:
-    """Arc-symmetric digraph: i -> i+a, i-a, i+b, i-b (mod N)."""
-    _check_strict(p, strict)
-    n, a, b = p.n, p.a, p.b
-    out = tuple(
-        _dedup([(i + a) % n, (i - a) % n, (i + b) % n, (i - b) % n])
-        for i in range(n)
-    )
-    return Digraph(n, out)
+def _pair_rows(n: int, pairs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Out-rows on Z_n where vertex i steps by ``pairs[i % len(pairs)]``."""
+    p = len(pairs)
+    rows: list = [None] * n
+    for r, (x, y) in enumerate(pairs):
+        rows[r::p] = [((i + x) % n, (i + y) % n) for i in range(r, n, p)]
+    return rows
 
 
-def compile_na(p: NewAmsterdamDigraph, strict: bool = True) -> Digraph:
+def ds_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """i -> i+a, i-a, i+b, i-b (mod N); coincident heads are kept."""
+    a, b = steps
+    return [((i + a) % n, (i - a) % n, (i + b) % n, (i - b) % n) for i in range(n)]
+
+
+def na_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Even i -> i+alpha, i+beta; odd i -> i+gamma, i+delta (mod N)."""
-    _check_strict(p, strict)
-    n = p.n
-    out = tuple(
-        _dedup(
-            [(i + p.alpha) % n, (i + p.beta) % n]
-            if i % 2 == 0
-            else [(i + p.gamma) % n, (i + p.delta) % n]
-        )
-        for i in range(n)
-    )
-    return Digraph(n, out)
+    return _pair_rows(n, (steps[0:2], steps[2:4]))
 
 
-def compile_mh(p: ManhattanDigraph, strict: bool = True) -> Digraph:
+def mh_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
     """i in V_j -> i+a_j, i+b_j (mod N), with classes indexed by j = -i (mod 4).
 
     The clockwise class indexing is the one under which the step-translated
     Manhattan digraph coincides with the line digraph of its New Amsterdam
     digraph (and extends the parity convention there, since -i = i mod 2).
+    Residues i = 0, 1, 2, 3 (mod 4) therefore take the pairs of V_0, V_3,
+    V_2, V_1.
     """
+    return _pair_rows(n, (steps[0:2], steps[6:8], steps[4:6], steps[2:4]))
+
+
+# Family tag -> (row builder, translation period).  The out-steps of vertex
+# i depend only on i mod the period, so shifting every vertex by the period
+# is an automorphism and vertices 0..period-1 represent every translation
+# class: their eccentricities give the diameter.
+ROW_BUILDERS = {"ds": (ds_rows, 1), "na": (na_rows, 2), "mh": (mh_rows, 4)}
+
+
+def _digraph(n: int, rows: list[tuple[int, ...]]) -> Digraph:
+    return Digraph(n, tuple(_dedup(heads) for heads in rows))
+
+
+def compile_ds(p: DoubleStepGraph, strict: bool = True) -> Digraph:
+    """Arc-symmetric digraph: i -> i+a, i-a, i+b, i-b (mod N)."""
     _check_strict(p, strict)
-    n = p.n
-    out = []
-    for i in range(n):
-        aj, bj = p.step_pair((-i) % 4)
-        out.append(_dedup([(i + aj) % n, (i + bj) % n]))
-    return Digraph(n, tuple(out))
+    return _digraph(p.n, ds_rows(p.n, p.steps))
+
+
+def compile_na(p: NewAmsterdamDigraph, strict: bool = True) -> Digraph:
+    """Even i -> i+alpha, i+beta; odd i -> i+gamma, i+delta (mod N)."""
+    _check_strict(p, strict)
+    return _digraph(p.n, na_rows(p.n, p.steps))
+
+
+def compile_mh(p: ManhattanDigraph, strict: bool = True) -> Digraph:
+    """i in V_j -> i+a_j, i+b_j (mod N), with classes indexed by j = -i (mod 4)."""
+    _check_strict(p, strict)
+    return _digraph(p.n, mh_rows(p.n, p.steps))
 
 
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:

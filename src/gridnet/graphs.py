@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 ISO_ORDER_CAP = 128
 ORACLE_ORDER_CAP = 512
@@ -89,14 +89,15 @@ class DistanceProfile:
     """Single-source BFS result.
 
     ``dist`` entries are exact shortest-path lengths, with None marking
-    unreachable vertices.  ``farthest`` holds every vertex attaining the
-    eccentricity; for the degenerate case where nothing else is reachable
-    it is {source} with eccentricity 0.
+    unreachable vertices.  ``eccentricity`` is the largest distance, or None
+    when some vertex is unreachable (the convention of ``diameter``).
+    ``farthest`` holds every vertex attaining it: the unreachable vertices
+    in the None case, and {source} for the one-vertex digraph.
     """
 
     source: int
     dist: tuple[Optional[int], ...]
-    eccentricity: int
+    eccentricity: Optional[int]
     farthest: frozenset[int]
 
 
@@ -119,55 +120,56 @@ def bfs_profile(g: Digraph, source: int) -> DistanceProfile:
     if not 0 <= source < g.order:
         raise GraphError(f"source {source} out of range for order {g.order}")
     raw = _bfs_dist(g.out_arcs, g.order, source)
-    ecc = max(raw)
-    if ecc == 0:
-        farthest = frozenset((source,))
-    else:
-        farthest = frozenset(v for v, d in enumerate(raw) if d == ecc)
     dist = tuple(d if d >= 0 else None for d in raw)
+    ecc = None if None in dist else max(dist)
+    farthest = frozenset(v for v, d in enumerate(dist) if d == ecc)
     return DistanceProfile(source, dist, ecc, farthest)
 
 
 def diameter(g: Digraph) -> Optional[int]:
     """Max eccentricity over all sources, or None when not strongly connected."""
-    out_arcs = g.out_arcs
-    n = g.order
-    best = 0
-    for source in range(n):
-        raw = _bfs_dist(out_arcs, n, source)
-        ecc = 0
-        for d in raw:
-            if d < 0:
-                return None
-            if d > ecc:
-                ecc = d
-        if ecc > best:
-            best = ecc
-    return best
+    return bounded_diameter(g.out_arcs, g.order)
 
 
 def bounded_diameter(
-    g: Digraph, limit: Optional[int] = None
+    out_arcs: Sequence[Sequence[int]],
+    n: int,
+    limit: Optional[int] = None,
+    sources: Optional[Iterable[int]] = None,
 ) -> Optional[int]:
-    """Diameter, or None when not strongly connected OR exceeding ``limit``.
+    """Max eccentricity over ``sources`` (default: every vertex), or None.
 
-    The early exit once some eccentricity passes ``limit`` is what makes the
-    exhaustive step searches affordable; it never changes which candidates
-    attain the running minimum.
+    None means some source fails to reach every vertex, or some eccentricity
+    exceeds ``limit``.  With all sources that is the diameter.  When every
+    vertex is the image of a source under an automorphism, as with the
+    translation classes of the step families, the given sources suffice for
+    both the diameter and strong connectivity.  Rows may repeat a head.
+
+    BFS runs level by level and stops as soon as the next level would pass
+    ``limit``.  That early exit is what makes the exhaustive step searches
+    affordable; it never changes which candidates attain the running minimum.
     """
-    out_arcs = g.out_arcs
-    n = g.order
     best = 0
-    for source in range(n):
-        raw = _bfs_dist(out_arcs, n, source)
+    for source in range(n) if sources is None else sources:
+        seen = [False] * n
+        seen[source] = True
+        frontier = [source]
+        reached = 1
         ecc = 0
-        for d in raw:
-            if d < 0:
+        while reached < n:
+            if limit is not None and ecc >= limit:
                 return None
-            if d > ecc:
-                ecc = d
-        if limit is not None and ecc > limit:
-            return None
+            level = []
+            for u in frontier:
+                for v in out_arcs[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        level.append(v)
+            if not level:
+                return None
+            ecc += 1
+            reached += len(level)
+            frontier = level
         if ecc > best:
             best = ecc
     return best
@@ -292,11 +294,33 @@ def to_json(g: Digraph) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json(text: str) -> Digraph:
+    """Parse ``{"order": N, "arcs": [[heads of 0], [heads of 1], ...]}``.
+
+    Order and heads must be JSON integers (not booleans) and every row a
+    list; anything else raises GraphError, as do the Digraph checks.
+    """
     try:
         payload = json.loads(text)
         order = payload["order"]
         arcs = payload["arcs"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GraphError(f"malformed digraph JSON: {exc}") from exc
+    if not _is_int(order):
+        raise GraphError(f"malformed digraph JSON: order {order!r} is not an integer")
+    if not isinstance(arcs, list):
+        raise GraphError("malformed digraph JSON: arcs is not a list of rows")
+    for u, heads in enumerate(arcs):
+        if not isinstance(heads, list):
+            raise GraphError(f"malformed digraph JSON: row {u} is not a list")
+        for v in heads:
+            if not _is_int(v):
+                raise GraphError(
+                    f"malformed digraph JSON: head {v!r} of vertex {u} "
+                    "is not an integer"
+                )
     return Digraph.from_lists(order, arcs)

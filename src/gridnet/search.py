@@ -1,11 +1,17 @@
 """Exhaustive minimum-diameter search over step parameters.
 
-For a family and order, enumerate every valid step choice, compile, and
-take the minimum diameter; this is the independent oracle behind the
-optimality and non-attainability claims.  The candidate space is
-partitioned deterministically across workers and partial minima merge by
-(diameter, lexicographic witness), so results are byte-identical for any
-worker count.
+For a family and order, enumerate every valid step choice and take the
+minimum diameter; this is the independent oracle behind the optimality and
+non-attainability claims.  Each candidate is evaluated straight from its
+step arithmetic: the family's row builder gives the successor rows, and BFS
+runs only from one vertex per translation class (0 for DS, 0-1 for NA, 0-3
+for MH).  Only the reported witnesses are compiled into a ``Digraph``, and
+each is re-verified there by all-source BFS.
+
+The candidate space is cut into contiguous slices, one per worker.  Slice
+results merge in slice order, so the kept witnesses are the first
+``WITNESS_CAP`` optima in enumeration order, as in one serial pass, and
+results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,11 +21,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import bounds
 from .constructions import na_to_mh
 from .families import (
+    ROW_BUILDERS,
     DoubleStepGraph,
     FamilyParams,
     ManhattanDigraph,
@@ -30,12 +37,14 @@ from .families import (
     compile_params,
     format_params,
 )
-from .graphs import Digraph, bounded_diameter, diameter, line_digraph
+from .graphs import bounded_diameter, diameter, line_digraph
 
 WITNESS_CAP = 32
 DEFAULT_CAP_DS = 200
 DEFAULT_CAP_NA = 120
 DEFAULT_CAP_MH = 48
+# search_mh via NA searches order N/2, so it shares the NA cap.
+DEFAULT_CAP_MH_VIA_NA = 2 * DEFAULT_CAP_NA
 
 
 class SearchError(ValueError):
@@ -47,7 +56,8 @@ class SearchResult:
     family: str
     n: int
     min_diameter: Optional[int]  # None: no strongly connected instance
-    witnesses: tuple[FamilyParams, ...]  # capped at WITNESS_CAP, lexicographic
+    # The first WITNESS_CAP optima in enumeration order, listed sorted by steps.
+    witnesses: tuple[FamilyParams, ...]
     witness_total: int
     candidates_examined: int
     moore_bound_for_min: Optional[int]
@@ -72,6 +82,12 @@ def default_workers() -> int:
         return max(1, int(value))
     except ValueError:
         return 1
+
+
+def _worker_count(workers: Optional[int]) -> int:
+    """Requested workers (default ``GRIDNET_WORKERS``), clamped to 1..cpu_count."""
+    requested = default_workers() if workers is None else workers
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _ds_candidates(n: int) -> Iterator[tuple[int, int]]:
@@ -128,14 +144,6 @@ def _mh_candidates(
                         yield (a0, b0, a1, b1, a2, b2, a3, b3)
 
 
-def _compile_steps(family: str, n: int, steps: tuple[int, ...]) -> Digraph:
-    if family == "ds":
-        return compile_ds(DoubleStepGraph(n, *steps), strict=False)
-    if family == "na":
-        return compile_na(NewAmsterdamDigraph(n, *steps), strict=False)
-    return compile_mh(ManhattanDigraph(n, *steps), strict=False)
-
-
 def _candidates(family: str, n: int, mod4_filter: bool) -> Iterator[tuple[int, ...]]:
     if family == "ds":
         return _ds_candidates(n)
@@ -147,15 +155,20 @@ def _candidates(family: str, n: int, mod4_filter: bool) -> Iterator[tuple[int, .
 def _search_slice(
     family: str, n: int, start: int, stop: int, mod4_filter: bool
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """Evaluate candidates [start, stop); return (best, optima, n_optima, examined)."""
+    """Evaluate candidates [start, stop); return (best, optima, n_optima, examined).
+
+    ``optima`` holds the first WITNESS_CAP candidates attaining ``best``, in
+    enumeration order.
+    """
+    rows_of, period = ROW_BUILDERS[family]
+    sources = range(period)
     best: Optional[int] = None
     optima: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
     for steps in islice(_candidates(family, n, mod4_filter), start, stop):
         examined += 1
-        g = _compile_steps(family, n, steps)
-        d = bounded_diameter(g, best)
+        d = bounded_diameter(rows_of(n, steps), n, best, sources)
         if d is None:
             continue
         if best is None or d < best:
@@ -172,7 +185,7 @@ def _search_slice(
 def _run_search(
     family: str, n: int, workers: Optional[int], mod4_filter: bool = False
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    workers = default_workers() if workers is None else max(1, workers)
+    workers = _worker_count(workers)
     total = sum(1 for _ in _candidates(family, n, mod4_filter))
     if workers == 1 or total < 2 * workers:
         return _search_slice(family, n, 0, total, mod4_filter)
@@ -184,6 +197,19 @@ def _run_search(
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_search_slice_star, slices))
+    return _merge(parts)
+
+
+def _merge(
+    parts: Sequence[tuple[Optional[int], list[tuple[int, ...]], int, int]],
+) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
+    """Combine the results of contiguous slices, given in slice order.
+
+    Equals ``_search_slice`` over the union of the slices: each slice keeps
+    its first optima in enumeration order, so concatenating the slices that
+    attain the overall minimum and keeping the first WITNESS_CAP gives the
+    serial witnesses.
+    """
     best = min((p[0] for p in parts if p[0] is not None), default=None)
     optima: list[tuple[int, ...]] = []
     n_optima = 0
@@ -193,8 +219,7 @@ def _run_search(
         if p_best is not None and p_best == best:
             optima.extend(p_opt)
             n_optima += p_count
-    optima = sorted(optima)[:WITNESS_CAP]
-    return best, optima, n_optima, examined
+    return best, optima[:WITNESS_CAP], n_optima, examined
 
 
 def _search_slice_star(args):
@@ -283,7 +308,7 @@ def search_na(
 
 def search_mh(
     n: int,
-    cap: int = DEFAULT_CAP_MH,
+    cap: Optional[int] = None,
     workers: Optional[int] = None,
     direct: bool = False,
     mod4_filter: bool = False,
@@ -292,11 +317,14 @@ def search_mh(
 
     Default mode runs search_na(n/2) and lifts the optimum through the
     line-digraph relation (min diameter + 1, witnesses via na_to_mh);
-    direct mode enumerates the Manhattan step space itself.
+    direct mode enumerates the Manhattan step space itself.  ``cap`` bounds
+    n in either mode; it defaults to DEFAULT_CAP_MH_VIA_NA via NA and to
+    DEFAULT_CAP_MH in direct mode.
     """
     if n < 8 or n % 4 != 0:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
     if direct:
+        cap = DEFAULT_CAP_MH if cap is None else cap
         if n > cap:
             raise SearchError(f"order {n} exceeds direct-mode cap {cap}")
         best, optima, n_optima, examined = _run_search(
@@ -304,7 +332,10 @@ def search_mh(
         )
         return _finish("mh", n, best, optima, n_optima, examined)
 
-    inner = search_na(n // 2, cap=max(DEFAULT_CAP_NA, n // 2), workers=workers)
+    cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
+    if n > cap:
+        raise SearchError(f"order {n} exceeds via-NA cap {cap}")
+    inner = search_na(n // 2, cap=n // 2, workers=workers)
     if inner.min_diameter is None:
         return SearchResult(
             "mh", n, None, (), 0, inner.candidates_examined, None, "not-covered"

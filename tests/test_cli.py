@@ -6,6 +6,8 @@ from gridnet.cli import main
 from gridnet.families import DoubleStepGraph, compile_ds
 from gridnet.graphs import to_dot, to_json
 
+from test_graphs import MALFORMED_TYPES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -52,6 +54,15 @@ class TestDiameter:
     def test_missing_argument_usage_error(self, capsys):
         code, _, err = run(capsys, "diameter")
         assert code == 64
+
+    @pytest.mark.parametrize("text", MALFORMED_TYPES)
+    def test_mistyped_json_exit_1(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "diameter", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed digraph JSON")
 
     def test_malformed_params_usage_error(self, capsys):
         code, _, err = run(capsys, "diameter", "bogus")
@@ -116,6 +127,11 @@ class TestSearch:
     def test_cap_exceeded_exit_1(self, capsys):
         code, _, err = run(capsys, "search", "ds", "--n", "50", "--cap", "40")
         assert code == 1
+
+    def test_mh_via_na_cap_exceeded_exit_1(self, capsys):
+        code, _, err = run(capsys, "search", "mh", "--n", "28", "--cap", "24")
+        assert code == 1
+        assert "cap 24" in err
 
 
 class TestVerify:

@@ -22,6 +22,12 @@ def cycle(n):
 
 
 NA10 = NewAmsterdamDigraph(10, -1, 1, 3, -3)
+MALFORMED_TYPES = [
+    '{"order":2,"arcs":[[1],[0.5]]}',  # float head
+    '{"order":"2","arcs":[[1],[0]]}',  # string order
+    '{"order":2,"arcs":[1,0]}',  # rows that are not lists
+    '{"order":2,"arcs":[[true],[0]]}',  # bool head
+]
 MH20_STEPS = "mh:20,1,7,17,7,1,15,1,11"  # Manhattan digraph derived from NA10
 
 
@@ -56,6 +62,12 @@ class TestBfsProfile:
         g = Digraph.from_lists(3, [[1], [], []])
         p = bfs_profile(g, 0)
         assert p.dist == (0, 1, None)
+
+    def test_unreachable_vertex_makes_eccentricity_none(self):
+        # vertex 2 is unreachable from 0; the largest finite distance is 1
+        p = bfs_profile(Digraph.from_lists(3, [[1], [0], [0]]), 0)
+        assert p.eccentricity is None
+        assert p.farthest == frozenset({2})
 
     def test_source_out_of_range(self):
         with pytest.raises(GraphError):
@@ -214,3 +226,8 @@ class TestExports:
     def test_malformed_json(self):
         with pytest.raises(GraphError):
             from_json("{}")
+
+    @pytest.mark.parametrize("text", MALFORMED_TYPES)
+    def test_json_types_checked(self, text):
+        with pytest.raises(GraphError):
+            from_json(text)

@@ -1,11 +1,14 @@
 import json
+import os
 
 import pytest
 
+from gridnet import search
 from gridnet.bounds import moore_ds, moore_mh, moore_na
 from gridnet.families import compile_params, format_params
 from gridnet.graphs import diameter
 from gridnet.search import (
+    DEFAULT_CAP_MH_VIA_NA,
     SearchError,
     search_ds,
     search_mh,
@@ -123,6 +126,16 @@ class TestSearchMh:
         with pytest.raises(SearchError):
             search_mh(18)
 
+    def test_via_na_honours_cap(self):
+        with pytest.raises(SearchError, match="cap 24"):
+            search_mh(28, cap=24)
+        with pytest.raises(SearchError):
+            search_mh(DEFAULT_CAP_MH_VIA_NA + 4)
+
+    def test_via_na_default_cap_covers_theorem_43_sweep(self):
+        # verify 4.3 --exhaustive runs search_mh up to order 8(k+1)^2+4
+        assert DEFAULT_CAP_MH_VIA_NA >= 8 * 5 * 5 + 4
+
 
 class TestDeterminism:
     def test_worker_count_independence(self):
@@ -136,6 +149,53 @@ class TestDeterminism:
         r = search_na(16, workers=2)
         texts = [format_params(w) for w in r.witnesses]
         assert texts == sorted(texts, key=lambda t: [int(x) for x in t[3:].split(",")])
+
+
+class TestMerge:
+    @pytest.mark.parametrize(
+        "family,n,mod4_filter",
+        [("mh", 12, False), ("mh", 16, True), ("na", 16, False), ("ds", 40, False)],
+    )
+    def test_slices_merge_to_the_serial_result(self, family, n, mod4_filter):
+        serial = search._search_slice(family, n, 0, 10**9, mod4_filter)
+        total = serial[3]
+        for k in range(2, 9):
+            chunk = -(-total // k)
+            parts = [
+                search._search_slice(
+                    family, n, i * chunk, min((i + 1) * chunk, total), mod4_filter
+                )
+                for i in range(k)
+                if i * chunk < total
+            ]
+            assert search._merge(parts) == serial, k
+
+
+class TestWorkerClamp:
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no worker process may start")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert search._worker_count(64) == 3
+        assert search._worker_count(2) == 2
+        assert search._worker_count(0) == 1
+
+    def test_environment_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("GRIDNET_WORKERS", "64")
+        assert search._worker_count(None) == 1
+
+    def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert search._worker_count(8) == 1
+
+    def test_search_on_one_cpu_stays_in_process(self):
+        assert search_na(16, workers=64).min_diameter == 5
 
 
 class TestSweepVerify:
