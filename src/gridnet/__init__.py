@@ -47,8 +47,6 @@ from .graphs import (
     Digraph,
     DistanceProfile,
     GraphError,
-    all_pairs_oracle,
-    are_isomorphic,
     bfs_profile,
     diameter,
     from_json,

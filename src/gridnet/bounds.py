@@ -1,9 +1,8 @@
-"""Moore-like bounds and achievable-order ranges per diameter.
+"""Moore-like bounds, achievable-order ranges and theorem predictions.
 
-Every bound is implemented both as its closed form and as an independent
-summation form, cross-asserted in the tests instead of trusting the
-algebra.  The Manhattan summation form uses the line-digraph doubling of
-the New Amsterdam bound one diameter down.
+Each bound is its closed form.  The tests cross-assert it against an
+independent summation form (``tests/oracles.py``) instead of trusting the
+algebra.
 """
 
 from __future__ import annotations
@@ -23,13 +22,6 @@ def moore_ds(k: int) -> int:
     return 2 * k * k + 2 * k + 1
 
 
-def moore_ds_sum(k: int) -> int:
-    """Summation form 1 + sum_{n=1..k} 4n."""
-    if k < 0:
-        raise BoundsError(f"diameter must be non-negative, got {k}")
-    return 1 + sum(4 * n for n in range(1, k + 1))
-
-
 def moore_na(k: int) -> int:
     """Max order of a New Amsterdam digraph with diameter k.
 
@@ -38,17 +30,6 @@ def moore_na(k: int) -> int:
     if k < 1:
         raise BoundsError(f"diameter must be at least 1, got {k}")
     return k * k + 1 if k % 2 == 1 else k * k
-
-
-def moore_na_sum(k: int) -> int:
-    """Summation forms: 2(1 + sum 4m) for odd k = 2n+1, 2 sum (4m-2) for even k = 2n."""
-    if k < 1:
-        raise BoundsError(f"diameter must be at least 1, got {k}")
-    if k % 2 == 1:
-        n = (k - 1) // 2
-        return 2 * (1 + sum(4 * m for m in range(1, n + 1)))
-    n = k // 2
-    return 2 * sum(4 * m - 2 for m in range(1, n + 1))
 
 
 def moore_mh(k: int) -> int:
@@ -60,14 +41,6 @@ def moore_mh(k: int) -> int:
         raise BoundsError(f"diameter must be at least 2, got {k}")
     km1 = k - 1
     return 2 * km1 * km1 if k % 2 == 1 else 2 * (km1 * km1 + 1)
-
-
-def moore_mh_sum(k: int) -> int:
-    """Doubling form: a Manhattan digraph is a line digraph of a New
-    Amsterdam digraph one diameter down, so the bound is 2*moore_na(k-1)."""
-    if k < 2:
-        raise BoundsError(f"diameter must be at least 2, got {k}")
-    return 2 * moore_na_sum(k - 1)
 
 
 def na_missing_order(k: int) -> int:
@@ -134,6 +107,15 @@ def infer_k_mh(n_mh: int) -> int:
         raise BoundsError(f"order must be a positive multiple of 4, got {n_mh}")
     k = 1
     while 8 * (k + 1) ** 2 + 4 < n_mh:
+        k += 1
+    return k
+
+
+def theorem_41_expected_diameter(n: int) -> int:
+    """Diameter the double-step steps (k, k+1) achieve at order n: the
+    smallest k with moore_ds(k) >= n."""
+    k = 0
+    while moore_ds(k) < n:
         k += 1
     return k
 

@@ -8,6 +8,7 @@ validation failure, 2 verification mismatch, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Optional, Sequence
@@ -16,13 +17,11 @@ from . import bounds as bounds_mod
 from . import search as search_mod
 from .constructions import check_diameter_sandwich, ds_to_mh, ds_to_na, na_to_mh
 from .families import (
-    DoubleStepGraph,
+    FAMILIES,
     FamilyError,
-    NewAmsterdamDigraph,
     compile_params,
     format_params,
     parse_params,
-    validate,
 )
 from .graphs import GraphError, diameter, from_json, line_digraph, to_dot, to_json
 
@@ -107,7 +106,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_diameter(args) -> int:
     if args.input:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as f:
+                text = f.read()
         g = from_json(text)
     elif args.params:
         g = compile_params(_parse(args.params))
@@ -136,35 +139,28 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# (target, source family) -> step translation.
+_DERIVATIONS = {("na", "ds"): ds_to_na, ("mh", "ds"): ds_to_mh, ("mh", "na"): na_to_mh}
+
+
 def _cmd_derive(args) -> int:
     p = _parse(args.params)
-    if args.target == "na":
-        if not isinstance(p, DoubleStepGraph):
-            raise UsageError("derive na expects ds parameters")
-        out = ds_to_na(p)
-    else:
-        if isinstance(p, DoubleStepGraph):
-            out = ds_to_mh(p)
-        elif isinstance(p, NewAmsterdamDigraph):
-            out = na_to_mh(p)
-        else:
-            raise UsageError("derive mh expects ds or na parameters")
-    print(format_params(out))
+    derive = _DERIVATIONS.get((args.target, p.tag))
+    if derive is None:
+        sources = " or ".join(s for t, s in _DERIVATIONS if t == args.target)
+        raise UsageError(f"derive {args.target} expects {sources} parameters")
+    print(format_params(derive(p)))
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    kwargs = {"workers": args.workers}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    if args.family == "ds":
-        result = search_mod.search_ds(args.n, **kwargs)
-    elif args.family == "na":
-        result = search_mod.search_na(args.n, **kwargs)
-    else:
-        result = search_mod.search_mh(
-            args.n, direct=args.direct, mod4_filter=args.mod4_filter, **kwargs
-        )
+    search = getattr(search_mod, "search_" + args.family)
+    # A search gets the options it declares: --direct and --mod4-filter only
+    # mean something to search_mh, and the other searches ignore them.
+    options = {"cap": args.cap, "direct": args.direct, "mod4_filter": args.mod4_filter}
+    declared = inspect.signature(search).parameters
+    kwargs = {k: v for k, v in options.items() if k in declared and v is not None}
+    result = search(args.n, workers=args.workers, **kwargs)
     payload = result.to_json_dict()
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -205,38 +201,33 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _iter_valid_ds(n_max: int):
-    for n in range(3, n_max + 1):
-        for a in range(1, n // 2 + 1):
-            for b in range(a + 1, n // 2 + 1):
-                p = DoubleStepGraph(n, a, b)
-                if validate(p).ok:
-                    yield p
-
-
-def _verify_sandwich(n_max: int, csv: bool) -> int:
+def _verify_sandwich(n_max: int) -> int:
     failures = 0
     rows = 0
-    for p in _iter_valid_ds(n_max):
-        for kind in ("na-from-ds", "mh-from-ds"):
-            r = check_diameter_sandwich(kind, p)
-            rows += 1
-            if not r.passed:
-                failures += 1
-                print(
-                    f"FAIL {kind} {format_params(p)}: k={r.k} "
-                    f"derived={r.derived_diameter} not in [{r.low},{r.high}]"
-                )
+    ds = FAMILIES["ds"]
+    for n in range(3, n_max + 1):
+        for steps in ds.candidates(n):
+            p = ds.params(n, *steps)
+            for kind in ("na-from-ds", "mh-from-ds"):
+                r = check_diameter_sandwich(kind, p)
+                rows += 1
+                if not r.passed:
+                    failures += 1
+                    print(
+                        f"FAIL {kind} {format_params(p)}: k={r.k} "
+                        f"derived={r.derived_diameter} not in [{r.low},{r.high}]"
+                    )
     print(f"sandwich: {rows} checks, {failures} failures")
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
-def _verify_line_digraph(n_max: int, csv: bool) -> int:
+def _verify_line_digraph(n_max: int) -> int:
     failures = 0
     rows = 0
+    na = FAMILIES["na"]
     for n in range(4, n_max + 1, 2):
-        for steps in search_mod._na_candidates(n):
-            p = NewAmsterdamDigraph(n, *steps)
+        for steps in na.candidates(n):
+            p = na.params(n, *steps)
             g = compile_params(p, strict=False)
             d = diameter(g)
             if d is None or g.is_regular() != 2 or g.is_directed_cycle():
@@ -273,10 +264,13 @@ def _print_rows(rows, csv: bool) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.claim in ("sandwich", "line-digraph") and args.csv:
+        # These claims print only FAIL lines and a count: no rows for CSV.
+        raise UsageError(f"verify {args.claim} has no CSV output")
     if args.claim == "sandwich":
-        return _verify_sandwich(args.n_max or 40, args.csv)
+        return _verify_sandwich(args.n_max or 40)
     if args.claim == "line-digraph":
-        return _verify_line_digraph(args.n_max or 24, args.csv)
+        return _verify_line_digraph(args.n_max or 24)
     rows = search_mod.sweep_verify(
         args.claim, args.k_max, exhaustive=args.exhaustive, workers=args.workers
     )
@@ -314,7 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except (FamilyError, GraphError, bounds_mod.BoundsError,
-            search_mod.SearchError) as exc:
+            search_mod.SearchError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -7,19 +7,23 @@ to 0 mod N.  Manhattan digraphs live on Z_N with N a multiple of 4 and one
 odd step pair (a_j, b_j) per residue class mod 4.
 
 Steps are stored as canonical residues in 0..N-1 (negative inputs reduce
-on entry).  Each family's arcs are described once, by a row builder that
-maps (N, steps) to plain successor tuples; the search runs BFS on those
-rows directly.  Compilation deduplicates coincident heads of the same rows
-so the resulting Digraph never carries parallel arcs, even for degenerate
-step choices.
+on entry).  Each family is described once, by its ``Family`` record in
+``FAMILIES``: parameter class, validator, row builder (plain successor
+tuples for (N, steps), on which the search runs BFS directly), translation
+period, candidate generator, Moore bound and theorem predictor.  Callers
+look the record up by tag or by ``params.tag`` instead of branching on the
+family.  Compilation deduplicates coincident heads of the same rows so the
+resulting Digraph never carries parallel arcs, even for degenerate step
+choices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterator, Optional, Sequence, Union
 
+from . import bounds
 from .graphs import Digraph
 
 
@@ -43,6 +47,8 @@ def _reduce(step: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class DoubleStepGraph:
+    tag: ClassVar[str] = "ds"
+
     n: int
     a: int
     b: int
@@ -60,6 +66,8 @@ class DoubleStepGraph:
 
 @dataclass(frozen=True)
 class NewAmsterdamDigraph:
+    tag: ClassVar[str] = "na"
+
     n: int
     alpha: int
     beta: int
@@ -79,6 +87,8 @@ class NewAmsterdamDigraph:
 
 @dataclass(frozen=True)
 class ManhattanDigraph:
+    tag: ClassVar[str] = "mh"
+
     n: int
     a0: int
     b0: int
@@ -177,27 +187,12 @@ def validate_mh(p: ManhattanDigraph) -> Validation:
     return Validation(tuple(errors), tuple(warnings))
 
 
-def validate(p: FamilyParams) -> Validation:
-    if isinstance(p, DoubleStepGraph):
-        return validate_ds(p)
-    if isinstance(p, NewAmsterdamDigraph):
-        return validate_na(p)
-    return validate_mh(p)
-
-
 def _dedup(heads: tuple[int, ...]) -> tuple[int, ...]:
     seen: list[int] = []
     for h in heads:
         if h not in seen:
             seen.append(h)
     return tuple(seen)
-
-
-def _check_strict(p: FamilyParams, strict: bool) -> None:
-    if strict:
-        v = validate(p)
-        if not v.ok:
-            raise FamilyError("; ".join(v.errors))
 
 
 def _pair_rows(n: int, pairs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -232,60 +227,121 @@ def mh_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
     return _pair_rows(n, (steps[0:2], steps[6:8], steps[4:6], steps[2:4]))
 
 
-# Family tag -> (row builder, translation period).  The out-steps of vertex
-# i depend only on i mod the period, so shifting every vertex by the period
-# is an automorphism and vertices 0..period-1 represent every translation
-# class: their eccentricities give the diameter.
-ROW_BUILDERS = {"ds": (ds_rows, 1), "na": (na_rows, 2), "mh": (mh_rows, 4)}
+def ds_candidates(n: int) -> Iterator[tuple[int, int]]:
+    """Unordered valid step pairs 1 <= a < b <= N//2 (so a + b < N: a != -b)."""
+    for a in range(1, n // 2 + 1):
+        for b in range(a + 1, n // 2 + 1):
+            if math.gcd(n, a, b) == 1:
+                yield (a, b)
 
 
-def _digraph(n: int, rows: list[tuple[int, ...]]) -> Digraph:
-    return Digraph(n, tuple(_dedup(heads) for heads in rows))
+def na_candidates(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum."""
+    odds = range(1, n, 2)
+    for alpha in odds:
+        for beta in range(alpha + 2, n, 2):
+            for gamma in odds:
+                delta = (-(alpha + beta + gamma)) % n
+                if gamma <= delta:
+                    yield (alpha, beta, gamma, delta)
 
 
-def compile_ds(p: DoubleStepGraph, strict: bool = True) -> Digraph:
-    """Arc-symmetric digraph: i -> i+a, i-a, i+b, i-b (mod N)."""
-    _check_strict(p, strict)
-    return _digraph(p.n, ds_rows(p.n, p.steps))
+def mh_candidates(
+    n: int, mod4_filter: bool = False
+) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+    """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
+
+    Yields (a0,b0,a1,b1,a2,b2,a3,b3).  With mod4_filter, restricts to
+    a_j = 3, b_j = 1 (mod 4).
+    """
+    a_vals = range(3, n, 4) if mod4_filter else range(1, n, 2)
+    b_vals = range(1, n, 4) if mod4_filter else range(1, n, 2)
+    for a0 in a_vals:
+        for a2 in a_vals:
+            s = (a0 + a2) % n
+            for a1 in a_vals:
+                a3 = (-s - a1) % n
+                if mod4_filter and a3 % 4 != 3:
+                    continue
+                for b0 in b_vals:
+                    if b0 == a0:
+                        continue
+                    b2 = (s - b0) % n
+                    if b2 == a2 or (mod4_filter and b2 % 4 != 1):
+                        continue
+                    for b1 in b_vals:
+                        if b1 == a1:
+                            continue
+                        b3 = (-s - b1) % n
+                        if b3 == a3 or (mod4_filter and b3 % 4 != 1):
+                            continue
+                        yield (a0, b0, a1, b1, a2, b2, a3, b3)
 
 
-def compile_na(p: NewAmsterdamDigraph, strict: bool = True) -> Digraph:
-    """Even i -> i+alpha, i+beta; odd i -> i+gamma, i+delta (mod N)."""
-    _check_strict(p, strict)
-    return _digraph(p.n, na_rows(p.n, p.steps))
+@dataclass(frozen=True)
+class Family:
+    """Everything that differs between the three families, stated once.
+
+    ``rows(n, steps)`` lists the successors of each vertex.  The out-steps
+    of vertex i depend only on i mod ``period``, so shifting every vertex by
+    the period is an automorphism and vertices 0..period-1 represent every
+    translation class: their eccentricities give the diameter.
+    ``candidates(n)`` yields every valid step tuple of order n once, up to
+    the family's symmetry.  ``moore(k)`` is the largest order at diameter k;
+    ``predict(n)`` is the diameter the paper's theorem gives at order n, or
+    None where no case covers n.
+    """
+
+    params: type
+    validate: Callable[..., Validation]
+    rows: Callable[[int, tuple[int, ...]], list[tuple[int, ...]]]
+    period: int
+    candidates: Callable[..., Iterator[tuple[int, ...]]]
+    moore: Callable[[int], int]
+    predict: Callable[[int], Optional[int]]
+
+    @property
+    def tag(self) -> str:
+        return self.params.tag
 
 
-def compile_mh(p: ManhattanDigraph, strict: bool = True) -> Digraph:
-    """i in V_j -> i+a_j, i+b_j (mod N), with classes indexed by j = -i (mod 4)."""
-    _check_strict(p, strict)
-    return _digraph(p.n, mh_rows(p.n, p.steps))
+FAMILIES: dict[str, Family] = {
+    f.tag: f
+    for f in (
+        Family(DoubleStepGraph, validate_ds, ds_rows, 1, ds_candidates,
+               bounds.moore_ds, bounds.theorem_41_expected_diameter),
+        Family(NewAmsterdamDigraph, validate_na, na_rows, 2, na_candidates,
+               bounds.moore_na, bounds.theorem_42_expected_diameter),
+        Family(ManhattanDigraph, validate_mh, mh_rows, 4, mh_candidates,
+               bounds.moore_mh, bounds.theorem_43_expected_diameter),
+    )
+}
+
+
+def validate(p: FamilyParams) -> Validation:
+    return FAMILIES[p.tag].validate(p)
 
 
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
-    if isinstance(p, DoubleStepGraph):
-        return compile_ds(p, strict)
-    if isinstance(p, NewAmsterdamDigraph):
-        return compile_na(p, strict)
-    return compile_mh(p, strict)
+    """The family's rows, with coincident heads merged, as a Digraph.
+
+    With ``strict``, hard validity violations raise FamilyError first.
+    """
+    if strict:
+        v = validate(p)
+        if not v.ok:
+            raise FamilyError("; ".join(v.errors))
+    rows = FAMILIES[p.tag].rows(p.n, p.steps)
+    return Digraph(p.n, tuple(_dedup(heads) for heads in rows))
 
 
-def family_tag(p: FamilyParams) -> str:
-    if isinstance(p, DoubleStepGraph):
-        return "ds"
-    if isinstance(p, NewAmsterdamDigraph):
-        return "na"
-    return "mh"
+# Per-family names for the same compiler, for callers that name the family.
+compile_ds = compile_na = compile_mh = compile_params
 
 
 def format_params(p: FamilyParams) -> str:
     """Canonical text form, e.g. ``na:10,9,1,3,7`` (residues in 0..N-1)."""
-    if isinstance(p, DoubleStepGraph):
-        fields = (p.n, p.a, p.b)
-    elif isinstance(p, NewAmsterdamDigraph):
-        fields = (p.n,) + p.steps
-    else:
-        fields = (p.n,) + p.steps
-    return family_tag(p) + ":" + ",".join(str(x) for x in fields)
+    return p.tag + ":" + ",".join(str(x) for x in (p.n,) + p.steps)
 
 
 def parse_params(text: str) -> FamilyParams:
@@ -295,11 +351,7 @@ def parse_params(text: str) -> FamilyParams:
         values = [int(tok) for tok in rest.split(",")]
     except ValueError as exc:
         raise FamilyError(f"malformed parameter text {text!r}") from exc
-    tag = tag.strip().lower()
-    if tag == "ds" and len(values) == 3:
-        return DoubleStepGraph(*values)
-    if tag == "na" and len(values) == 5:
-        return NewAmsterdamDigraph(*values)
-    if tag == "mh" and len(values) == 9:
-        return ManhattanDigraph(*values)
-    raise FamilyError(f"malformed parameter text {text!r}")
+    family = FAMILIES.get(tag.strip().lower())
+    if family is None or len(values) != len(fields(family.params)):
+        raise FamilyError(f"malformed parameter text {text!r}")
+    return family.params(*values)

@@ -1,21 +1,18 @@
 """Generic digraph core.
 
 Immutable adjacency-list digraphs plus all distance machinery used by the
-step-graph families: BFS distance profiles, diameter, line digraph,
-small-instance isomorphism testing, an independent all-pairs distance
-oracle, and byte-deterministic DOT / JSON exports.
+step-graph families: BFS distance profiles, diameter, line digraph, and
+byte-deterministic DOT / JSON exports.  The independent all-pairs distance
+oracle and the isomorphism test that the suite checks these against live
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
-
-ISO_ORDER_CAP = 128
-ORACLE_ORDER_CAP = 512
-
 
 class GraphError(ValueError):
     """Raised for malformed digraphs or out-of-contract arguments."""
@@ -189,94 +186,6 @@ def line_digraph(g: Digraph) -> Digraph:
         for v in g.out_arcs[u]:
             new_out.append(tuple(offsets[v] + j for j in range(len(g.out_arcs[v]))))
     return Digraph(total, tuple(new_out))
-
-
-def all_pairs_oracle(g: Digraph) -> tuple[tuple[Optional[int], ...], ...]:
-    """Exact distance matrix by iterated arc relaxation (independent of BFS).
-
-    O(N^3)-ish; capped at order 512.
-    """
-    n = g.order
-    if n > ORACLE_ORDER_CAP:
-        raise GraphError(f"order {n} exceeds oracle cap {ORACLE_ORDER_CAP}")
-    inf = n  # any finite distance is < n
-    arcs = list(g.arcs())
-    rows = []
-    for i in range(n):
-        d = [inf] * n
-        d[i] = 0
-        changed = True
-        while changed:
-            changed = False
-            for u, v in arcs:
-                du = d[u]
-                if du + 1 < d[v]:
-                    d[v] = du + 1
-                    changed = True
-        rows.append(tuple(x if x < inf else None for x in d))
-    return tuple(rows)
-
-
-def _vertex_invariants(g: Digraph) -> list[tuple]:
-    indeg = g.in_degrees()
-    eccs = []
-    for v in range(g.order):
-        raw = _bfs_dist(g.out_arcs, g.order, v)
-        eccs.append(max(raw) if min(raw) >= 0 else -1)
-    return [
-        (len(g.out_arcs[v]), indeg[v], eccs[v]) for v in range(g.order)
-    ]
-
-
-def are_isomorphic(g1: Digraph, g2: Digraph, cap: int = ISO_ORDER_CAP) -> bool:
-    """Backtracking isomorphism test with invariant pruning; orders <= cap."""
-    if g1.order > cap or g2.order > cap:
-        raise GraphError(f"order exceeds isomorphism cap {cap}")
-    if g1.order != g2.order or g1.arc_count != g2.arc_count:
-        return False
-    inv1 = _vertex_invariants(g1)
-    inv2 = _vertex_invariants(g2)
-    if Counter(inv1) != Counter(inv2):
-        return False
-
-    n = g1.order
-    adj1 = [frozenset(h) for h in g1.out_arcs]
-    adj2 = [frozenset(h) for h in g2.out_arcs]
-    # Most-constrained-first: rarest invariant classes early.
-    class_size = Counter(inv1)
-    order1 = sorted(range(n), key=lambda v: (class_size[inv1[v]], v))
-    cands = {v: [w for w in range(n) if inv2[w] == inv1[v]] for v in order1}
-
-    mapping: dict[int, int] = {}
-    used = [False] * n
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order1[idx]
-        for w in cands[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if ((v in adj1[u]) != (w in adj2[x])) or (
-                    (u in adj1[v]) != (x in adj2[w])
-                ):
-                    ok = False
-                    break
-            if (v in adj1[v]) != (w in adj2[w]):
-                ok = False
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(idx + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
-
-    return extend(0)
 
 
 def to_dot(g: Digraph) -> str:

@@ -2,11 +2,13 @@
 
 For a family and order, enumerate every valid step choice and take the
 minimum diameter; this is the independent oracle behind the optimality and
-non-attainability claims.  Each candidate is evaluated straight from its
-step arithmetic: the family's row builder gives the successor rows, and BFS
-runs only from one vertex per translation class (0 for DS, 0-1 for NA, 0-3
-for MH).  Only the reported witnesses are compiled into a ``Digraph``, and
-each is re-verified there by all-source BFS.
+non-attainability claims.  The family's record in ``FAMILIES`` supplies
+the candidates, the Moore bound and the theorem prediction.  Each candidate
+is evaluated straight from its step arithmetic: the record's row builder
+gives the successor rows, and BFS runs only from one vertex per
+translation class (0 for DS, 0-1 for NA, 0-3 for MH).  Only the reported
+witnesses are compiled into a ``Digraph``, and each is re-verified there by
+all-source BFS.
 
 The candidate space is cut into contiguous slices, one per worker.  Slice
 results merge in slice order, so the kept witnesses are the first
@@ -16,7 +18,6 @@ results are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,8 +27,9 @@ from typing import Iterator, Optional, Sequence
 from . import bounds
 from .constructions import na_to_mh
 from .families import (
-    ROW_BUILDERS,
+    FAMILIES,
     DoubleStepGraph,
+    Family,
     FamilyParams,
     ManhattanDigraph,
     NewAmsterdamDigraph,
@@ -90,66 +92,10 @@ def _worker_count(workers: Optional[int]) -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _ds_candidates(n: int) -> Iterator[tuple[int, int]]:
-    """Unordered valid step pairs 1 <= a < b <= N//2."""
-    for a in range(1, n // 2 + 1):
-        for b in range(a + 1, n // 2 + 1):
-            if (a + b) % n == 0:  # a = -b
-                continue
-            if math.gcd(n, math.gcd(a, b)) != 1:
-                continue
-            yield (a, b)
-
-
-def _na_candidates(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum."""
-    odds = range(1, n, 2)
-    for alpha in odds:
-        for beta in range(alpha + 2, n, 2):
-            for gamma in odds:
-                delta = (-(alpha + beta + gamma)) % n
-                if gamma <= delta:
-                    yield (alpha, beta, gamma, delta)
-
-
-def _mh_candidates(
-    n: int, mod4_filter: bool = False
-) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
-    """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
-
-    Yields (a0,b0,a1,b1,a2,b2,a3,b3).  With mod4_filter, restricts to
-    a_j = 3, b_j = 1 (mod 4).
-    """
-    a_vals = range(3, n, 4) if mod4_filter else range(1, n, 2)
-    b_vals = range(1, n, 4) if mod4_filter else range(1, n, 2)
-    for a0 in a_vals:
-        for a2 in a_vals:
-            s = (a0 + a2) % n
-            for a1 in a_vals:
-                a3 = (-s - a1) % n
-                if mod4_filter and a3 % 4 != 3:
-                    continue
-                for b0 in b_vals:
-                    if b0 == a0:
-                        continue
-                    b2 = (s - b0) % n
-                    if b2 == a2 or (mod4_filter and b2 % 4 != 1):
-                        continue
-                    for b1 in b_vals:
-                        if b1 == a1:
-                            continue
-                        b3 = (-s - b1) % n
-                        if b3 == a3 or (mod4_filter and b3 % 4 != 1):
-                            continue
-                        yield (a0, b0, a1, b1, a2, b2, a3, b3)
-
-
-def _candidates(family: str, n: int, mod4_filter: bool) -> Iterator[tuple[int, ...]]:
-    if family == "ds":
-        return _ds_candidates(n)
-    if family == "na":
-        return _na_candidates(n)
-    return _mh_candidates(n, mod4_filter)
+def _enumerate(family: str, n: int, mod4_filter: bool) -> Iterator[tuple[int, ...]]:
+    generate = FAMILIES[family].candidates
+    # Only the Manhattan generator takes the filter; the others never see it.
+    return generate(n, mod4_filter=True) if mod4_filter else generate(n)
 
 
 def _search_slice(
@@ -160,13 +106,13 @@ def _search_slice(
     ``optima`` holds the first WITNESS_CAP candidates attaining ``best``, in
     enumeration order.
     """
-    rows_of, period = ROW_BUILDERS[family]
-    sources = range(period)
+    fam = FAMILIES[family]
+    rows_of, sources = fam.rows, range(fam.period)
     best: Optional[int] = None
     optima: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps in islice(_candidates(family, n, mod4_filter), start, stop):
+    for steps in islice(_enumerate(family, n, mod4_filter), start, stop):
         examined += 1
         d = bounded_diameter(rows_of(n, steps), n, best, sources)
         if d is None:
@@ -186,7 +132,7 @@ def _run_search(
     family: str, n: int, workers: Optional[int], mod4_filter: bool = False
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
     workers = _worker_count(workers)
-    total = sum(1 for _ in _candidates(family, n, mod4_filter))
+    total = sum(1 for _ in _enumerate(family, n, mod4_filter))
     if workers == 1 or total < 2 * workers:
         return _search_slice(family, n, 0, total, mod4_filter)
     chunk = -(-total // workers)
@@ -226,37 +172,11 @@ def _search_slice_star(args):
     return _search_slice(*args)
 
 
-def _steps_to_params(family: str, n: int, steps: tuple[int, ...]) -> FamilyParams:
-    if family == "ds":
-        return DoubleStepGraph(n, *steps)
-    if family == "na":
-        return NewAmsterdamDigraph(n, *steps)
-    return ManhattanDigraph(n, *steps)
-
-
-def _prediction(family: str, n: int, min_d: Optional[int]) -> str:
-    if min_d is None:
-        return "not-covered"
-    if family == "ds":
-        k = 0
-        while bounds.moore_ds(k) < n:
-            k += 1
-        return "yes" if min_d == k else "no"
-    if family == "na":
-        expected = bounds.theorem_42_expected_diameter(n)
-    else:
-        expected = bounds.theorem_43_expected_diameter(n)
+def _prediction(fam: Family, n: int, min_d: Optional[int]) -> str:
+    expected = None if min_d is None else fam.predict(n)
     if expected is None:
         return "not-covered"
     return "yes" if min_d == expected else "no"
-
-
-def _moore_at(family: str, d: int) -> int:
-    if family == "ds":
-        return bounds.moore_ds(d)
-    if family == "na":
-        return bounds.moore_na(d)
-    return bounds.moore_mh(d)
 
 
 def _finish(
@@ -267,11 +187,12 @@ def _finish(
     n_optima: int,
     examined: int,
 ) -> SearchResult:
-    witnesses = tuple(_steps_to_params(family, n, s) for s in sorted(optima))
+    fam = FAMILIES[family]
+    witnesses = tuple(fam.params(n, *s) for s in sorted(optima))
     for w in witnesses:  # re-verify on insert
         if diameter(compile_params(w, strict=False)) != best:
             raise SearchError(f"witness {format_params(w)} fails re-verification")
-    moore = _moore_at(family, best) if best is not None else None
+    moore = fam.moore(best) if best is not None else None
     return SearchResult(
         family=family,
         n=n,
@@ -280,7 +201,7 @@ def _finish(
         witness_total=n_optima,
         candidates_examined=examined,
         moore_bound_for_min=moore,
-        meets_theorem_prediction=_prediction(family, n, best),
+        meets_theorem_prediction=_prediction(fam, n, best),
     )
 
 
@@ -289,10 +210,7 @@ def search_ds(
 ) -> SearchResult:
     if n < 3:
         raise SearchError(f"order must be at least 3, got {n}")
-    if n > cap:
-        raise SearchError(f"order {n} exceeds cap {cap}")
-    best, optima, n_optima, examined = _run_search("ds", n, workers)
-    return _finish("ds", n, best, optima, n_optima, examined)
+    return _search_capped("ds", n, cap, workers)
 
 
 def search_na(
@@ -300,10 +218,15 @@ def search_na(
 ) -> SearchResult:
     if n < 4 or n % 2 != 0:
         raise SearchError(f"order must be an even integer >= 4, got {n}")
+    return _search_capped("na", n, cap, workers)
+
+
+def _search_capped(
+    family: str, n: int, cap: int, workers: Optional[int]
+) -> SearchResult:
     if n > cap:
         raise SearchError(f"order {n} exceeds cap {cap}")
-    best, optima, n_optima, examined = _run_search("na", n, workers)
-    return _finish("na", n, best, optima, n_optima, examined)
+    return _finish(family, n, *_run_search(family, n, workers))
 
 
 def search_mh(
@@ -327,10 +250,7 @@ def search_mh(
         cap = DEFAULT_CAP_MH if cap is None else cap
         if n > cap:
             raise SearchError(f"order {n} exceeds direct-mode cap {cap}")
-        best, optima, n_optima, examined = _run_search(
-            "mh", n, workers, mod4_filter=mod4_filter
-        )
-        return _finish("mh", n, best, optima, n_optima, examined)
+        return _finish("mh", n, *_run_search("mh", n, workers, mod4_filter))
 
     cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
     if n > cap:

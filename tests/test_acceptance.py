@@ -11,15 +11,13 @@ from contextlib import contextmanager
 
 from gridnet.bounds import (
     moore_ds,
-    moore_ds_sum,
     moore_mh,
-    moore_mh_sum,
     moore_na,
-    moore_na_sum,
     na_missing_order,
 )
 from gridnet.constructions import check_diameter_sandwich
 from gridnet.families import (
+    FAMILIES,
     DoubleStepGraph,
     ManhattanDigraph,
     NewAmsterdamDigraph,
@@ -29,15 +27,20 @@ from gridnet.families import (
     validate_mh,
     validate_na,
 )
-from gridnet.graphs import all_pairs_oracle, diameter, line_digraph
+from gridnet.graphs import diameter, line_digraph
 from gridnet.search import (
-    _na_candidates,
     search_na,
     sweep_verify,
     theorem_42_params,
 )
 
-from oracles import brute_na_minimum
+from oracles import (
+    all_pairs_oracle,
+    brute_na_minimum,
+    moore_ds_sum,
+    moore_mh_sum,
+    moore_na_sum,
+)
 
 
 @contextmanager
@@ -108,7 +111,7 @@ def test_criterion_06_line_digraph_law():
     with criterion(6, "line digraph doubles order, adds 1 to diameter", 60):
         checked = 0
         for n in range(4, 25, 2):
-            for steps in _na_candidates(n):
+            for steps in FAMILIES["na"].candidates(n):
                 g = compile_na(NewAmsterdamDigraph(n, *steps), strict=False)
                 d = diameter(g)
                 if d is None or g.is_regular() != 2 or g.is_directed_cycle():

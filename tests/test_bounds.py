@@ -9,15 +9,14 @@ from gridnet.bounds import (
     infer_k_na,
     mh_missing_order,
     moore_ds,
-    moore_ds_sum,
     moore_mh,
-    moore_mh_sum,
     moore_na,
-    moore_na_sum,
     na_missing_order,
     theorem_42_expected_diameter,
     theorem_43_expected_diameter,
 )
+
+from oracles import moore_ds_sum, moore_mh_sum, moore_na_sum
 
 
 class TestMooreBounds:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -64,6 +66,22 @@ class TestDiameter:
         assert out == ""
         assert err.startswith("error: malformed digraph JSON")
 
+    def test_non_utf8_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"order":1,"arcs":[[]]}')
+        code, out, err = run(capsys, "diameter", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_utf8_stdin_exit_1(self, capsys, monkeypatch):
+        raw = io.BytesIO(b'\xff\xfe{"order":1,"arcs":[[]]}')
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        code, out, err = run(capsys, "diameter", "--input", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_malformed_params_usage_error(self, capsys):
         code, _, err = run(capsys, "diameter", "bogus")
         assert code == 64
@@ -128,6 +146,15 @@ class TestSearch:
         code, _, err = run(capsys, "search", "ds", "--n", "50", "--cap", "40")
         assert code == 1
 
+    @pytest.mark.parametrize("family,n", [("ds", "13"), ("na", "10")])
+    def test_mh_only_options_ignored_by_other_families(self, capsys, family, n):
+        _, plain, _ = run(capsys, "search", family, "--n", n)
+        code, out, _ = run(
+            capsys, "search", family, "--n", n, "--direct", "--mod4-filter"
+        )
+        assert code == 0
+        assert out == plain
+
     def test_mh_via_na_cap_exceeded_exit_1(self, capsys):
         code, _, err = run(capsys, "search", "mh", "--n", "28", "--cap", "24")
         assert code == 1
@@ -154,6 +181,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "12")
         assert code == 0
         assert "0 failures" in out
+
+    @pytest.mark.parametrize("claim", ["sandwich", "line-digraph"])
+    def test_csv_rejected_where_there_are_no_rows(self, capsys, claim):
+        code, out, err = run(capsys, "verify", claim, "--n-max", "8", "--csv")
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: verify {claim} has no CSV output")
 
 
 class TestTable:

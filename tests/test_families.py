@@ -1,6 +1,12 @@
+from dataclasses import fields
+from itertools import product
+
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from gridnet.families import (
+    FAMILIES,
     DoubleStepGraph,
     FamilyError,
     ManhattanDigraph,
@@ -160,3 +166,88 @@ class TestParamText:
     def test_malformed(self, bad):
         with pytest.raises(FamilyError):
             parse_params(bad)
+
+
+# Each generator's symmetry: the canonical representative it yields for a
+# step tuple.  DS steps are unordered and signed (a < b <= N/2 under +-); the
+# two NA out-pairs are unordered (alpha < beta, gamma <= delta).  MH uses no
+# symmetry reduction (test_mh_generator_with_and_without_mod4_filter).
+CANONICAL = {
+    "ds": lambda n, s: tuple(sorted(min(x, n - x) for x in s)),
+    "na": lambda n, s: (*sorted(s[:2]), *sorted(s[2:])),
+}
+
+
+def arity(family):
+    return len(fields(family.params)) - 1  # the fields after the order n
+
+
+def brute_force_classes(family, n, values):
+    """Canonical forms of every step tuple over ``values`` that validates."""
+    return {
+        CANONICAL[family.tag](n, steps)
+        for steps in product(values, repeat=arity(family))
+        if family.validate(family.params(n, *steps)).ok
+    }
+
+
+class TestRegistry:
+    # validate_na and validate_mh reject every even step (TestValidateNa,
+    # TestValidateMh), so where all residues are too many to enumerate, odd
+    # residues cover every valid tuple.
+    @pytest.mark.parametrize(
+        "tag,orders,odd_only",
+        [
+            ("ds", range(1, 31), False),
+            ("na", range(2, 13, 2), False),
+            ("na", range(14, 23, 2), True),
+        ],
+    )
+    def test_generator_yields_each_valid_class_once(self, tag, orders, odd_only):
+        family = FAMILIES[tag]
+        for n in orders:
+            values = range(1, n, 2) if odd_only else range(n)
+            generated = list(family.candidates(n))
+            assert len(generated) == len(set(generated)), n
+            assert set(generated) == brute_force_classes(family, n, values), n
+
+    def test_mh_generator_with_and_without_mod4_filter(self):
+        # The filter keeps a_j = 3, b_j = 1 (mod 4): the valid tuples that
+        # validate_mh gives no warning.
+        valid, warning_free = set(), set()
+        for steps in product(range(1, 8, 2), repeat=8):
+            v = validate_mh(ManhattanDigraph(8, *steps))
+            if v.ok:
+                valid.add(steps)
+                if not v.warnings:
+                    warning_free.add(steps)
+        mh = FAMILIES["mh"]
+        for mod4_filter, expected, count in (
+            (False, valid, 576),
+            (True, warning_free, 32),
+        ):
+            generated = list(mh.candidates(8, mod4_filter=mod4_filter))
+            assert len(generated) == len(set(generated)) == count
+            assert set(generated) == expected
+
+    def test_records_are_keyed_by_their_params_tag(self):
+        for tag, family in FAMILIES.items():
+            assert family.tag == family.params.tag == tag
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 64), st.data())
+def test_format_parse_round_trip(tag, n, data):
+    family = FAMILIES[tag]
+    steps = data.draw(
+        st.lists(
+            st.integers(-(10**4), 10**4),
+            min_size=arity(family),
+            max_size=arity(family),
+        )
+    )
+    try:
+        p = family.params(n, *steps)
+    except FamilyError:  # order below the family's minimum
+        reject()
+    assert parse_params(format_params(p)) == p

@@ -6,8 +6,6 @@ from gridnet.families import DoubleStepGraph, NewAmsterdamDigraph, compile_ds, c
 from gridnet.graphs import (
     Digraph,
     GraphError,
-    all_pairs_oracle,
-    are_isomorphic,
     bfs_profile,
     diameter,
     from_json,
@@ -15,6 +13,8 @@ from gridnet.graphs import (
     to_dot,
     to_json,
 )
+
+from oracles import all_pairs_oracle, are_isomorphic
 
 
 def cycle(n):

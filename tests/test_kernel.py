@@ -10,20 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridnet.families import (
-    ROW_BUILDERS,
+    FAMILIES,
     DoubleStepGraph,
     ManhattanDigraph,
     NewAmsterdamDigraph,
     compile_params,
 )
 from gridnet.graphs import bounded_diameter, diameter
-from gridnet.search import _candidates
 
 PARAMS = {"ds": DoubleStepGraph, "na": NewAmsterdamDigraph, "mh": ManhattanDigraph}
 
 
 def assert_kernel_matches(family, n, steps):
-    rows_of, period = ROW_BUILDERS[family]
+    rows_of, period = FAMILIES[family].rows, FAMILIES[family].period
     rows = rows_of(n, steps)
     sources = range(period)
     expected = diameter(compile_params(PARAMS[family](n, *steps), strict=False))
@@ -46,7 +45,7 @@ def assert_kernel_matches(family, n, steps):
 )
 def test_every_small_candidate(family, orders):
     for n in orders:
-        for steps in _candidates(family, n, False):
+        for steps in FAMILIES[family].candidates(n):
             assert_kernel_matches(family, n, steps)
 
 
