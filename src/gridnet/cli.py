@@ -8,7 +8,6 @@ validation failure, 2 verification mismatch, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from typing import Optional, Sequence
@@ -154,12 +153,18 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # --direct and --mod4-filter are Manhattan options, and the filter acts
+    # only on the direct enumeration.
+    if args.family != "mh" and (args.direct or args.mod4_filter):
+        raise UsageError(
+            f"search {args.family} takes neither --direct nor --mod4-filter"
+        )
+    if args.mod4_filter and not args.direct:
+        raise UsageError("search mh --mod4-filter needs --direct")
     search = getattr(search_mod, "search_" + args.family)
-    # A search gets the options it declares: --direct and --mod4-filter only
-    # mean something to search_mh, and the other searches ignore them.
-    options = {"cap": args.cap, "direct": args.direct, "mod4_filter": args.mod4_filter}
-    declared = inspect.signature(search).parameters
-    kwargs = {k: v for k, v in options.items() if k in declared and v is not None}
+    kwargs = {} if args.cap is None else {"cap": args.cap}
+    if args.direct:
+        kwargs.update(direct=True, mod4_filter=args.mod4_filter)
     result = search(args.n, workers=args.workers, **kwargs)
     payload = result.to_json_dict()
     if args.format == "json":

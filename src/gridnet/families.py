@@ -10,17 +10,18 @@ Steps are stored as canonical residues in 0..N-1 (negative inputs reduce
 on entry).  Each family is described once, by its ``Family`` record in
 ``FAMILIES``: parameter class, validator, row builder (plain successor
 tuples for (N, steps), on which the search runs BFS directly), translation
-period, candidate generator, Moore bound and theorem predictor.  Callers
-look the record up by tag or by ``params.tag`` instead of branching on the
-family.  Compilation deduplicates coincident heads of the same rows so the
-resulting Digraph never carries parallel arcs, even for degenerate step
-choices.
+period, candidate generator, orbit map and memo slots, Moore bound and
+theorem predictor.  Callers look the record up by tag or by ``params.tag``
+instead of branching on the family.  Compilation deduplicates coincident
+heads of the same rows so the resulting Digraph never carries parallel arcs,
+even for degenerate step choices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, ClassVar, Iterator, Optional, Sequence, Union
 
 from . import bounds
@@ -278,6 +279,85 @@ def mh_candidates(
                         yield (a0, b0, a1, b1, a2, b2, a3, b3)
 
 
+@lru_cache(maxsize=8)
+def _units(n: int) -> tuple[int, ...]:
+    return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
+
+
+def ds_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """x -> ux for each unit u: steps (ua, ub), each folded to min(s, N-s)."""
+    a, b = steps
+    for u in _units(n):
+        x, y = u * a % n, u * b % n
+        x, y = min(x, n - x), min(y, n - y)
+        yield (x, y) if x < y else (y, x)
+
+
+def na_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+    """x -> ux for each unit u, with and without the shift x -> x+1.
+
+    The shift swaps the roles of the even and odd vertices:
+    (alpha, beta, gamma, delta) -> (gamma, delta, alpha, beta).  An image
+    with alpha = beta comes from gamma = delta and is no candidate.
+    """
+    alpha, beta, gamma, delta = steps
+    for u in _units(n):
+        a, b, c, d = u * alpha % n, u * beta % n, u * gamma % n, u * delta % n
+        if a > b:
+            a, b = b, a
+        if c > d:
+            c, d = d, c
+        yield (a, b, c, d)
+        if c != d:
+            yield (c, d, a, b)
+
+
+def mh_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """x -> ux + t for each unit u and t = 0..3, and the a/b swaps.
+
+    Residue r = i mod 4 steps by the pair of class -r mod 4 (see mh_rows).
+    The map sends residue r to ur + t and scales its pair by u.  Swapping
+    a and b in both even classes, or in both odd classes, keeps the sum
+    conditions and the digraph itself.
+    """
+    by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
+    for u in _units(n):
+        for t in range(4):
+            classes: list = [None] * 4
+            for r, (x, y) in enumerate(by_residue):
+                classes[-(u * r + t) % 4] = (u * x % n, u * y % n)
+            (a0, b0), (a1, b1), (a2, b2), (a3, b3) = classes
+            yield (a0, b0, a1, b1, a2, b2, a3, b3)
+            yield (b0, a0, a1, b1, b2, a2, a3, b3)
+            yield (a0, b0, b1, a1, a2, b2, b3, a3)
+            yield (b0, a0, b1, a1, b2, a2, b3, a3)
+
+
+# Memo slots: a candidate is fixed by the steps its generator chooses (the
+# others are forced), so those steps, read as digits, index a dense table.
+# Each returns (table size, slot of a candidate).
+
+
+def ds_slots(n: int) -> tuple[int, Callable[[tuple[int, ...]], int]]:
+    """Digits a, b in 1..N/2."""
+    h = n // 2 + 1
+    return h * h, lambda s: s[0] * h + s[1]
+
+
+def na_slots(n: int) -> tuple[int, Callable[[tuple[int, ...]], int]]:
+    """Digits alpha, beta, gamma (odd, so halved); delta is forced."""
+    h = n // 2
+    return h ** 3, lambda s: ((s[0] >> 1) * h + (s[1] >> 1)) * h + (s[2] >> 1)
+
+
+def mh_slots(n: int) -> tuple[int, Callable[[tuple[int, ...]], int]]:
+    """Digits a0, b0, a1, b1, a2 (odd, so halved); a3, b2, b3 are forced."""
+    h = n // 2
+    return h ** 5, lambda s: (
+        (((s[0] >> 1) * h + (s[1] >> 1)) * h + (s[2] >> 1)) * h + (s[3] >> 1)
+    ) * h + (s[4] >> 1)
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything that differs between the three families, stated once.
@@ -287,9 +367,14 @@ class Family:
     the period is an automorphism and vertices 0..period-1 represent every
     translation class: their eccentricities give the diameter.
     ``candidates(n)`` yields every valid step tuple of order n once, up to
-    the family's symmetry.  ``moore(k)`` is the largest order at diameter k;
-    ``predict(n)`` is the diameter the paper's theorem gives at order n, or
-    None where no case covers n.
+    the family's symmetry.  ``orbit(n, steps)`` yields, in candidate form,
+    the steps of digraphs isomorphic to that of ``steps`` under the maps
+    x -> ux (u a unit of Z_N), combined with translations; from any member
+    it yields the whole orbit, the member included, so one BFS serves every
+    candidate in it.  ``slots(n)`` gives the size of a dense table and the
+    index in it of a candidate step tuple.  ``moore(k)`` is the largest
+    order at diameter k; ``predict(n)`` is the diameter the paper's theorem
+    gives at order n, or None where no case covers n.
     """
 
     params: type
@@ -297,6 +382,8 @@ class Family:
     rows: Callable[[int, tuple[int, ...]], list[tuple[int, ...]]]
     period: int
     candidates: Callable[..., Iterator[tuple[int, ...]]]
+    orbit: Callable[[int, tuple[int, ...]], Iterator[tuple[int, ...]]]
+    slots: Callable[[int], tuple[int, Callable[[tuple[int, ...]], int]]]
     moore: Callable[[int], int]
     predict: Callable[[int], Optional[int]]
 
@@ -309,10 +396,13 @@ FAMILIES: dict[str, Family] = {
     f.tag: f
     for f in (
         Family(DoubleStepGraph, validate_ds, ds_rows, 1, ds_candidates,
+               ds_orbit, ds_slots,
                bounds.moore_ds, bounds.theorem_41_expected_diameter),
         Family(NewAmsterdamDigraph, validate_na, na_rows, 2, na_candidates,
+               na_orbit, na_slots,
                bounds.moore_na, bounds.theorem_42_expected_diameter),
         Family(ManhattanDigraph, validate_mh, mh_rows, 4, mh_candidates,
+               mh_orbit, mh_slots,
                bounds.moore_mh, bounds.theorem_43_expected_diameter),
     )
 }

@@ -6,9 +6,11 @@ non-attainability claims.  The family's record in ``FAMILIES`` supplies
 the candidates, the Moore bound and the theorem prediction.  Each candidate
 is evaluated straight from its step arithmetic: the record's row builder
 gives the successor rows, and BFS runs only from one vertex per
-translation class (0 for DS, 0-1 for NA, 0-3 for MH).  Only the reported
-witnesses are compiled into a ``Digraph``, and each is re-verified there by
-all-source BFS.
+translation class (0 for DS, 0-1 for NA, 0-3 for MH).  Candidates whose
+digraphs are isomorphic under a multiplier map x -> ux form an orbit (the
+record's orbit map lists it), and BFS runs once per orbit: the other members
+read its result from a memo.  Only the reported witnesses are compiled into
+a ``Digraph``, and each is re-verified there by all-source BFS.
 
 The candidate space is cut into contiguous slices, one per worker.  Slice
 results merge in slice order, so the kept witnesses are the first
@@ -19,6 +21,7 @@ results are byte-identical for any worker count.
 from __future__ import annotations
 
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -47,6 +50,9 @@ DEFAULT_CAP_NA = 120
 DEFAULT_CAP_MH = 48
 # search_mh via NA searches order N/2, so it shares the NA cap.
 DEFAULT_CAP_MH_VIA_NA = 2 * DEFAULT_CAP_NA
+# Memo value of a candidate pruned by the running minimum or not strongly
+# connected; the memo's 16-bit slots hold any diameter of an order below it.
+PRUNED = 0xFFFF
 
 
 class SearchError(ValueError):
@@ -99,23 +105,38 @@ def _enumerate(family: str, n: int, mod4_filter: bool) -> Iterator[tuple[int, ..
 
 
 def _search_slice(
-    family: str, n: int, start: int, stop: int, mod4_filter: bool
+    family: str, n: int, start: int, stop: Optional[int], mod4_filter: bool
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
     """Evaluate candidates [start, stop); return (best, optima, n_optima, examined).
 
     ``optima`` holds the first WITNESS_CAP candidates attaining ``best``, in
-    enumeration order.
+    enumeration order.  ``stop`` None runs to the end of the enumeration.
+
+    BFS runs once per multiplier orbit met in the slice.  Its result goes
+    to the memo slot of every image, and the later candidates of the orbit
+    read it there.  A slot holds 0 until evaluated (a candidate's diameter
+    is at least 1), an exact diameter, or PRUNED.  Storing "pruned" for good
+    is sound because the limit ``best`` only falls.  An exact value above
+    the current ``best`` neither beats nor ties it, so it counts as pruned,
+    as BFS with that limit would return.
     """
     fam = FAMILIES[family]
-    rows_of, sources = fam.rows, range(fam.period)
+    rows_of, sources, orbit = fam.rows, range(fam.period), fam.orbit
+    size, slot = fam.slots(n)
+    memo = array("H", bytes(2 * size))
     best: Optional[int] = None
     optima: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
     for steps in islice(_enumerate(family, n, mod4_filter), start, stop):
         examined += 1
-        d = bounded_diameter(rows_of(n, steps), n, best, sources)
-        if d is None:
+        d = memo[slot(steps)]
+        if not d:
+            found = bounded_diameter(rows_of(n, steps), n, best, sources)
+            d = PRUNED if found is None else found
+            for image in orbit(n, steps):
+                memo[slot(image)] = d
+        if d == PRUNED:
             continue
         if best is None or d < best:
             best = d
@@ -132,8 +153,10 @@ def _run_search(
     family: str, n: int, workers: Optional[int], mod4_filter: bool = False
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
     workers = _worker_count(workers)
+    if workers == 1:
+        return _search_slice(family, n, 0, None, mod4_filter)
     total = sum(1 for _ in _enumerate(family, n, mod4_filter))
-    if workers == 1 or total < 2 * workers:
+    if total < 2 * workers:
         return _search_slice(family, n, 0, total, mod4_filter)
     chunk = -(-total // workers)
     slices = [

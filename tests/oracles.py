@@ -1,6 +1,9 @@
 """Test-only reference implementations.
 
-``brute_na_minimum`` shares no code with ``gridnet``.  The summation forms
+``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
+is the search's slice loop without the orbit memo: one BFS per candidate,
+through gridnet's generators, row builders and ``bounded_diameter``.  The
+summation forms
 of the Moore bounds, the arc-relaxation distance oracle and the
 isomorphism test use only gridnet's error types, ``Digraph`` accessors and,
 for the isomorphism invariants, its plain BFS.
@@ -10,11 +13,13 @@ Import from test modules as ``from oracles import ...``; pytest puts the
 """
 
 from collections import Counter, deque
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from gridnet.bounds import BoundsError
-from gridnet.graphs import Digraph, GraphError, _bfs_dist
+from gridnet.families import FAMILIES
+from gridnet.graphs import Digraph, GraphError, _bfs_dist, bounded_diameter
+from gridnet.search import WITNESS_CAP
 
 ISO_ORDER_CAP = 128
 ORACLE_ORDER_CAP = 512
@@ -59,6 +64,32 @@ def brute_na_minimum(n):
         if dd is not None and (best is None or dd < best):
             best = dd
     return best
+
+
+def plain_search_slice(family, n, start, stop, mod4_filter):
+    """``search._search_slice`` without the orbit memo: BFS on every candidate."""
+    fam = FAMILIES[family]
+    generate = fam.candidates
+    candidates = generate(n, mod4_filter=True) if mod4_filter else generate(n)
+    sources = range(fam.period)
+    best = None
+    optima = []
+    n_optima = 0
+    examined = 0
+    for steps in islice(candidates, start, stop):
+        examined += 1
+        d = bounded_diameter(fam.rows(n, steps), n, best, sources)
+        if d is None:
+            continue
+        if best is None or d < best:
+            best = d
+            optima = [steps]
+            n_optima = 1
+        elif d == best:
+            n_optima += 1
+            if len(optima) < WITNESS_CAP:
+                optima.append(steps)
+    return best, optima, n_optima, examined
 
 
 def moore_ds_sum(k: int) -> int:

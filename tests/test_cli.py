@@ -146,14 +146,23 @@ class TestSearch:
         code, _, err = run(capsys, "search", "ds", "--n", "50", "--cap", "40")
         assert code == 1
 
-    @pytest.mark.parametrize("family,n", [("ds", "13"), ("na", "10")])
-    def test_mh_only_options_ignored_by_other_families(self, capsys, family, n):
-        _, plain, _ = run(capsys, "search", family, "--n", n)
-        code, out, _ = run(
-            capsys, "search", family, "--n", n, "--direct", "--mod4-filter"
-        )
-        assert code == 0
-        assert out == plain
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("ds", "--n", "13", "--direct", "--mod4-filter"),
+             "search ds takes neither --direct nor --mod4-filter"),
+            (("na", "--n", "10", "--direct", "--mod4-filter"),
+             "search na takes neither --direct nor --mod4-filter"),
+            (("mh", "--n", "16", "--mod4-filter"),
+             "search mh --mod4-filter needs --direct"),
+        ],
+        ids=["ds", "na", "mh-via-na"],
+    )
+    def test_options_that_do_not_apply_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_mh_via_na_cap_exceeded_exit_1(self, capsys):
         code, _, err = run(capsys, "search", "mh", "--n", "28", "--cap", "24")
