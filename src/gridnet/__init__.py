@@ -36,6 +36,7 @@ from .families import (
     compile_mh,
     compile_na,
     compile_params,
+    family_diameter,
     format_params,
     parse_params,
     validate,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import search as search_mod
@@ -19,6 +19,7 @@ from .families import (
     FAMILIES,
     FamilyError,
     compile_params,
+    family_diameter,
     format_params,
     parse_params,
 )
@@ -74,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "claim", choices=("4.1", "4.2", "4.3", "sandwich", "line-digraph")
     )
-    p.add_argument("--k-max", type=int, default=3)
+    p.add_argument("--k-max", type=int, help="largest k for 4.x (default 3)")
     p.add_argument("--n-max", type=int, help="order cap for sandwich/line-digraph")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--workers", type=int)
@@ -152,6 +153,12 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
+# The scalar fields of a search result, in text and CSV column order.
+_SEARCH_FIELDS = ("family", "n", "min_diameter", "witness_total",
+                  "candidates_examined", "moore_bound_for_min",
+                  "meets_theorem_prediction")
+
+
 def _cmd_search(args) -> int:
     # --direct and --mod4-filter are Manhattan options, and the filter acts
     # only on the direct enumeration.
@@ -165,85 +172,49 @@ def _cmd_search(args) -> int:
     kwargs = {} if args.cap is None else {"cap": args.cap}
     if args.direct:
         kwargs.update(direct=True, mod4_filter=args.mod4_filter)
-    result = search(args.n, workers=args.workers, **kwargs)
-    payload = result.to_json_dict()
+    payload = search(args.n, workers=args.workers, **kwargs).to_json_dict()
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        print(
-            "family,n,min_diameter,witness_total,candidates_examined,"
-            "moore_bound_for_min,meets_theorem_prediction,witnesses"
-        )
-        print(
-            ",".join(
-                [
-                    result.family,
-                    str(result.n),
-                    "" if result.min_diameter is None else str(result.min_diameter),
-                    str(result.witness_total),
-                    str(result.candidates_examined),
-                    ""
-                    if result.moore_bound_for_min is None
-                    else str(result.moore_bound_for_min),
-                    result.meets_theorem_prediction,
-                    ";".join(payload["witnesses"]),
-                ]
-            )
-        )
+        print(",".join(_SEARCH_FIELDS + ("witnesses",)))
+        cells = ["" if payload[key] is None else str(payload[key])
+                 for key in _SEARCH_FIELDS]
+        print(",".join(cells + [";".join(payload["witnesses"])]))
     else:
-        for key in (
-            "family",
-            "n",
-            "min_diameter",
-            "witness_total",
-            "candidates_examined",
-            "moore_bound_for_min",
-            "meets_theorem_prediction",
-        ):
+        for key in _SEARCH_FIELDS:
             print(f"{key:<26}{payload[key]}")
         for w in payload["witnesses"]:
             print(f"  witness  {w}")
     return EXIT_OK
 
 
-def _verify_sandwich(n_max: int) -> int:
-    failures = 0
-    rows = 0
+def _sandwich_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
     ds = FAMILIES["ds"]
-    for n in range(3, n_max + 1):
+    for n in range(first, n_max + 1):
         for steps in ds.candidates(n):
             p = ds.params(n, *steps)
             for kind in ("na-from-ds", "mh-from-ds"):
                 r = check_diameter_sandwich(kind, p)
-                rows += 1
-                if not r.passed:
-                    failures += 1
-                    print(
-                        f"FAIL {kind} {format_params(p)}: k={r.k} "
-                        f"derived={r.derived_diameter} not in [{r.low},{r.high}]"
-                    )
-    print(f"sandwich: {rows} checks, {failures} failures")
-    return EXIT_MISMATCH if failures else EXIT_OK
+                yield None if r.passed else (
+                    f"FAIL {kind} {format_params(p)}: k={r.k} "
+                    f"derived={r.derived_diameter} not in [{r.low},{r.high}]"
+                )
 
 
-def _verify_line_digraph(n_max: int) -> int:
-    failures = 0
-    rows = 0
+def _line_digraph_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
     na = FAMILIES["na"]
-    for n in range(4, n_max + 1, 2):
+    for n in range(first, n_max + 1, 2):
         for steps in na.candidates(n):
             p = na.params(n, *steps)
-            g = compile_params(p, strict=False)
-            d = diameter(g)
-            if d is None or g.is_regular() != 2 or g.is_directed_cycle():
+            d = family_diameter(p, strict=False)
+            if d is None:
                 continue
-            rows += 1
+            g = compile_params(p, strict=False)
+            if g.is_regular() != 2:
+                continue
             lg = line_digraph(g)
-            if lg.order != 2 * n or diameter(lg) != d + 1:
-                failures += 1
-                print(f"FAIL line-digraph {format_params(p)}")
-    print(f"line-digraph: {rows} checks, {failures} failures")
-    return EXIT_MISMATCH if failures else EXIT_OK
+            passed = lg.order == 2 * n and diameter(lg) == d + 1
+            yield None if passed else f"FAIL line-digraph {format_params(p)}"
 
 
 def _print_rows(rows, csv: bool) -> None:
@@ -268,16 +239,51 @@ def _print_rows(rows, csv: bool) -> None:
             )
 
 
+# Structural claim -> (its checks, first order checked, default --n-max).
+# The checks yield one item each: None for a pass, else the FAIL line.
+_STRUCTURAL_CLAIMS = {
+    "sandwich": (_sandwich_checks, 3, 40),
+    "line-digraph": (_line_digraph_checks, 4, 24),
+}
+
+
+def _check_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise UsageError(f"--k-max must be at least 1, got {k_max}")
+
+
 def _cmd_verify(args) -> int:
-    if args.claim in ("sandwich", "line-digraph") and args.csv:
-        # These claims print only FAIL lines and a count: no rows for CSV.
-        raise UsageError(f"verify {args.claim} has no CSV output")
-    if args.claim == "sandwich":
-        return _verify_sandwich(args.n_max or 40)
-    if args.claim == "line-digraph":
-        return _verify_line_digraph(args.n_max or 24)
+    if args.claim in _STRUCTURAL_CLAIMS:
+        if args.csv:
+            # These claims print only FAIL lines and a count: no rows for CSV.
+            raise UsageError(f"verify {args.claim} has no CSV output")
+        for flag, given in (
+            ("--exhaustive", args.exhaustive),
+            ("--workers", args.workers is not None),
+            ("--k-max", args.k_max is not None),
+        ):
+            if given:
+                raise UsageError(f"verify {args.claim} takes no {flag}")
+        checks, first, default = _STRUCTURAL_CLAIMS[args.claim]
+        n_max = default if args.n_max is None else args.n_max
+        if n_max < first:
+            raise UsageError(
+                f"verify {args.claim} --n-max must be at least {first}, got {n_max}"
+            )
+        rows = failures = 0
+        for line in checks(first, n_max):
+            rows += 1
+            if line is not None:
+                failures += 1
+                print(line)
+        print(f"{args.claim}: {rows} checks, {failures} failures")
+        return EXIT_MISMATCH if failures else EXIT_OK
+    if args.n_max is not None:
+        raise UsageError(f"verify {args.claim} takes no --n-max")
+    k_max = 3 if args.k_max is None else args.k_max
+    _check_k_max(k_max)
     rows = search_mod.sweep_verify(
-        args.claim, args.k_max, exhaustive=args.exhaustive, workers=args.workers
+        args.claim, k_max, exhaustive=args.exhaustive, workers=args.workers
     )
     _print_rows(rows, args.csv)
     failures = sum(1 for r in rows if not r.passed)
@@ -286,6 +292,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _check_k_max(args.k_max)
     theorem = "4.2" if args.family == "na" else "4.3"
     rows = search_mod.sweep_verify(theorem, args.k_max)
     _print_rows(rows, args.csv)

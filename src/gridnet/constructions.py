@@ -8,20 +8,17 @@ validate alternative solutions of the same systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .families import (
     DoubleStepGraph,
     FamilyError,
     ManhattanDigraph,
     NewAmsterdamDigraph,
-    compile_ds,
-    compile_mh,
-    compile_na,
+    family_diameter,
     validate_ds,
     validate_na,
 )
-from .graphs import diameter
+from .graphs import diameter  # noqa: F401  (not called; perfbench/layers.py traces it)
 
 
 def ds_to_na(p: DoubleStepGraph) -> NewAmsterdamDigraph:
@@ -160,14 +157,14 @@ def check_diameter_sandwich(kind: str, p: DoubleStepGraph) -> SandwichReport:
     """Check 2k <= D_NA <= 2k+1 (resp. 2k+1 <= D_MH <= 2k+2) for k = D(G)."""
     if kind not in ("na-from-ds", "mh-from-ds"):
         raise ValueError(f"unknown sandwich kind {kind!r}")
-    k: Optional[int] = diameter(compile_ds(p))
+    k = family_diameter(p)
     if k is None:
         raise FamilyError(f"double-step graph {p} is not strongly connected")
     if kind == "na-from-ds":
-        derived = diameter(compile_na(ds_to_na(p)))
+        derived = family_diameter(ds_to_na(p))
         low, high = 2 * k, 2 * k + 1
     else:
-        derived = diameter(compile_mh(ds_to_mh(p)))
+        derived = family_diameter(ds_to_mh(p))
         low, high = 2 * k + 1, 2 * k + 2
     if derived is None:
         raise FamilyError(f"derived digraph of {p} is not strongly connected")

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, ClassVar, Iterator, Optional, Sequence, Union
 
 from . import bounds
-from .graphs import Digraph
+from .graphs import Digraph, bounded_diameter
 
 
 class FamilyError(ValueError):
@@ -412,17 +412,33 @@ def validate(p: FamilyParams) -> Validation:
     return FAMILIES[p.tag].validate(p)
 
 
+def _family_of(p: FamilyParams, strict: bool) -> Family:
+    """The record of p's family; with ``strict``, hard violations raise."""
+    if strict:
+        v = validate(p)
+        if not v.ok:
+            raise FamilyError("; ".join(v.errors))
+    return FAMILIES[p.tag]
+
+
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
     """The family's rows, with coincident heads merged, as a Digraph.
 
     With ``strict``, hard validity violations raise FamilyError first.
     """
-    if strict:
-        v = validate(p)
-        if not v.ok:
-            raise FamilyError("; ".join(v.errors))
-    rows = FAMILIES[p.tag].rows(p.n, p.steps)
+    rows = _family_of(p, strict).rows(p.n, p.steps)
     return Digraph(p.n, tuple(_dedup(heads) for heads in rows))
+
+
+def family_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
+    """Diameter of p's digraph, or None when it is not strongly connected.
+
+    BFS runs on the family's rows from one vertex per translation class,
+    as in the search, without building a Digraph.  ``strict`` validates as
+    in compile_params.
+    """
+    fam = _family_of(p, strict)
+    return bounded_diameter(fam.rows(p.n, p.steps), p.n, None, range(fam.period))
 
 
 # Per-family names for the same compiler, for callers that name the family.

@@ -36,10 +36,8 @@ from .families import (
     FamilyParams,
     ManhattanDigraph,
     NewAmsterdamDigraph,
-    compile_ds,
-    compile_mh,
-    compile_na,
     compile_params,
+    family_diameter,
     format_params,
 )
 from .graphs import bounded_diameter, diameter, line_digraph
@@ -287,7 +285,7 @@ def search_mh(
     mapped = []
     for w in inner.witnesses:
         mh = na_to_mh(w)
-        if diameter(compile_mh(mh, strict=False)) == best:
+        if diameter(compile_params(mh, strict=False)) == best:
             mapped.append(mh.steps)
     return _finish("mh", n, best, mapped, len(mapped), inner.candidates_examined)
 
@@ -304,13 +302,11 @@ class SweepRow:
 
     @property
     def passed(self) -> bool:
-        if self.constructed != self.predicted:
-            return False
-        if self.via_na is not None and self.via_na != self.predicted:
-            return False
-        if self.searched_min is not None and self.searched_min != self.predicted:
-            return False
-        return True
+        """The constructed diameter, and each optional one given, is predicted."""
+        optional = (self.via_na, self.searched_min)
+        return self.constructed == self.predicted and all(
+            d is None or d == self.predicted for d in optional
+        )
 
 
 def theorem_41_params(n: int, k: int) -> DoubleStepGraph:
@@ -329,27 +325,17 @@ def theorem_43_params(n: int, k: int) -> ManhattanDigraph:
     )
 
 
-def _orders_42(k: int) -> list[tuple[int, int]]:
-    rows = [(4 * k * k + 2, 2 * k + 1)]
-    rows += [
-        (n, 2 * k + 1) for n in range(4 * k * k + 4, 4 * k * k + 4 * k + 3, 2)
-    ]
-    rows.append((4 * k * k + 4 * k + 4, 2 * k + 2))
-    rows += [
-        (n, 2 * k + 3)
-        for n in range(4 * k * k + 4 * k + 8, 4 * (k + 1) ** 2 + 3, 2)
-    ]
-    return rows
-
-
-def _orders_43(k: int) -> list[tuple[int, int]]:
-    rows = [(n, 2 * k + 2) for n in range(8 * k * k + 8, 8 * k * k + 8 * k + 5, 4)]
-    rows.append((8 * k * k + 8 * k + 8, 2 * k + 3))
-    rows += [
-        (n, 2 * k + 4)
-        for n in range(8 * k * k + 8 * k + 16, 8 * (k + 1) ** 2 + 5, 4)
-    ]
-    return rows
+# Theorem -> (family, its canonical steps at order n in case k, the orders
+# of case k).  The family's predict gives each order's diameter, and None
+# at the one order per case that the canonical steps do not reach.
+_THEOREMS = {
+    "4.1": ("ds", theorem_41_params,
+            lambda k: range(bounds.moore_ds(k - 1) + 1, bounds.moore_ds(k) + 1)),
+    "4.2": ("na", theorem_42_params,
+            lambda k: range(4 * k * k + 2, 4 * (k + 1) ** 2 + 3, 2)),
+    "4.3": ("mh", theorem_43_params,
+            lambda k: range(8 * k * k + 8, 8 * (k + 1) ** 2 + 5, 4)),
+}
 
 
 def sweep_verify(
@@ -360,42 +346,34 @@ def sweep_verify(
 ) -> list[SweepRow]:
     """BFS-verify a theorem's predicted diameters over its stated order ranges.
 
+    The canonical steps' diameter comes from family_diameter; theorem 4.3
+    also checks the line digraph of the canonical NA digraph of order N/2.
     With exhaustive=True also runs the full step search per order to confirm
     the prediction is the true minimum (slower; honors the family caps).
     """
-    if theorem not in ("4.1", "4.2", "4.3"):
+    if theorem not in _THEOREMS:
         raise SearchError(f"unknown theorem {theorem!r}")
+    family, params_at, orders = _THEOREMS[theorem]
+    predict = FAMILIES[family].predict
+    # Looked up by name on each call, so a wrapper swapped into this module
+    # sees the searches.
+    search = globals()["search_" + family]
     rows: list[SweepRow] = []
     for k in range(1, k_max + 1):
-        if theorem == "4.1":
-            lo = bounds.moore_ds(k - 1) + 1
-            hi = bounds.moore_ds(k)
-            for n in range(lo, hi + 1):
-                g = compile_ds(theorem_41_params(n, k), strict=False)
-                searched = (
-                    search_ds(n, workers=workers).min_diameter
-                    if exhaustive and n >= 3
-                    else None
-                )
-                rows.append(SweepRow("4.1", k, n, k, diameter(g), None, searched))
-        elif theorem == "4.2":
-            for n, predicted in _orders_42(k):
-                g = compile_na(theorem_42_params(n, k), strict=False)
-                searched = (
-                    search_na(n, workers=workers).min_diameter if exhaustive else None
-                )
-                rows.append(
-                    SweepRow("4.2", k, n, predicted, diameter(g), None, searched)
-                )
-        else:
-            for n, predicted in _orders_43(k):
-                g = compile_mh(theorem_43_params(n, k), strict=False)
-                na = theorem_42_params(n // 2, k)
-                via = diameter(line_digraph(compile_na(na, strict=False)))
-                searched = (
-                    search_mh(n, workers=workers).min_diameter if exhaustive else None
-                )
-                rows.append(
-                    SweepRow("4.3", k, n, predicted, diameter(g), via, searched)
-                )
+        for n in orders(k):
+            predicted = predict(n)
+            if predicted is None:
+                continue
+            constructed = family_diameter(params_at(n, k), strict=False)
+            via = None
+            if family == "mh":
+                na = compile_params(theorem_42_params(n // 2, k), strict=False)
+                via = diameter(line_digraph(na))
+            # Theorem 4.1 starts at order 2, below search_ds's least order.
+            searched = (
+                search(n, workers=workers).min_diameter
+                if exhaustive and n >= 3
+                else None
+            )
+            rows.append(SweepRow(theorem, k, n, predicted, constructed, via, searched))
     return rows

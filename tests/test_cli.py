@@ -198,6 +198,48 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"error: verify {claim} has no CSV output")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("sandwich", "--n-max", "0"),
+             "verify sandwich --n-max must be at least 3, got 0"),
+            (("sandwich", "--n-max", "2"),
+             "verify sandwich --n-max must be at least 3, got 2"),
+            (("line-digraph", "--n-max", "3"),
+             "verify line-digraph --n-max must be at least 4, got 3"),
+            (("4.1", "--k-max", "0"), "--k-max must be at least 1, got 0"),
+            (("4.3", "--k-max", "-2"), "--k-max must be at least 1, got -2"),
+        ],
+        ids=["sandwich-0", "sandwich-2", "line-digraph-3", "4.1-k0", "4.3-k-2"],
+    )
+    def test_vacuous_ranges_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("sandwich", "--n-max", "8", "--exhaustive"),
+             "verify sandwich takes no --exhaustive"),
+            (("sandwich", "--n-max", "8", "--workers", "2"),
+             "verify sandwich takes no --workers"),
+            (("line-digraph", "--n-max", "8", "--k-max", "9"),
+             "verify line-digraph takes no --k-max"),
+            (("4.1", "--k-max", "1", "--n-max", "8"),
+             "verify 4.1 takes no --n-max"),
+            (("4.2", "--n-max", "8"), "verify 4.2 takes no --n-max"),
+        ],
+        ids=["sandwich-exhaustive", "sandwich-workers", "line-digraph-k-max",
+             "4.1-n-max", "4.2-n-max"],
+    )
+    def test_options_that_do_not_apply_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
 
 class TestTable:
     def test_na_table(self, capsys):
@@ -209,6 +251,12 @@ class TestTable:
         code, out, _ = run(capsys, "table", "mh", "--k-max", "1", "--csv")
         assert code == 0
         assert "4.3,1,20,4,4,4" in out
+
+    def test_k_max_below_one_rejected(self, capsys):
+        code, out, err = run(capsys, "table", "na", "--k-max", "0")
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: --k-max must be at least 1, got 0")
 
 
 def test_unknown_verb_exit_64(capsys):

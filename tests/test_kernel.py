@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from gridnet.families import (
     FAMILIES,
     DoubleStepGraph,
+    FamilyError,
     ManhattanDigraph,
     NewAmsterdamDigraph,
     compile_params,
+    family_diameter,
 )
 from gridnet.graphs import bounded_diameter, diameter
 
@@ -25,14 +27,33 @@ def assert_kernel_matches(family, n, steps):
     rows_of, period = FAMILIES[family].rows, FAMILIES[family].period
     rows = rows_of(n, steps)
     sources = range(period)
-    expected = diameter(compile_params(PARAMS[family](n, *steps), strict=False))
+    params = PARAMS[family](n, *steps)
+    expected = diameter(compile_params(params, strict=False))
     assert bounded_diameter(rows, n, None, sources) == expected
+    assert family_diameter(params, strict=False) == expected
     if expected is None:
         assert bounded_diameter(rows, n, n, sources) is None
         return
     for limit in range(expected):
         assert bounded_diameter(rows, n, limit, sources) is None
     assert bounded_diameter(rows, n, expected, sources) == expected
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        DoubleStepGraph(6, 2, 4),  # gcd(N, a, b) = 2
+        NewAmsterdamDigraph(6, 2, 1, 3, 0),  # even steps
+        ManhattanDigraph(8, 2, 3, 1, 3, 1, 5, 1, 7),  # an even step
+    ],
+    ids=["ds", "na", "mh"],
+)
+def test_family_diameter_strict_rejects_invalid_params(params):
+    with pytest.raises(FamilyError):
+        family_diameter(params)
+    assert family_diameter(params, strict=False) == diameter(
+        compile_params(params, strict=False)
+    )
 
 
 @pytest.mark.parametrize(

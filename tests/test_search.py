@@ -4,7 +4,13 @@ import os
 import pytest
 
 from gridnet import search
-from gridnet.bounds import moore_ds, moore_mh, moore_na
+from gridnet.bounds import (
+    mh_missing_order,
+    moore_ds,
+    moore_mh,
+    moore_na,
+    na_missing_order,
+)
 from gridnet.families import compile_params, format_params
 from gridnet.graphs import diameter
 from gridnet.search import (
@@ -228,3 +234,53 @@ class TestSweepVerify:
     def test_unknown_theorem(self):
         with pytest.raises(SearchError):
             sweep_verify("4.4", 1)
+
+
+# (n, predicted) of each case, written out from the theorem statements.
+# Theorem 4.2, k=1: N=6 -> 3; 8..10 -> 3; 12 -> 4; 16..18 -> 5 (14 missing).
+# k=2: 18 -> 5; 20..26 -> 5; 28 -> 6; 32..38 -> 7 (30 missing).
+# Theorem 4.3, k=1: 16..20 -> 4; 24 -> 5; 32..36 -> 6 (28 missing).
+# k=2: 40..52 -> 6; 56 -> 7; 64..76 -> 8 (60 missing).
+CASE_ROWS = {
+    ("4.2", 1): [(6, 3), (8, 3), (10, 3), (12, 4), (16, 5), (18, 5)],
+    ("4.2", 2): [(18, 5), (20, 5), (22, 5), (24, 5), (26, 5), (28, 6),
+                 (32, 7), (34, 7), (36, 7), (38, 7)],
+    ("4.3", 1): [(16, 4), (20, 4), (24, 5), (32, 6), (36, 6)],
+    ("4.3", 2): [(40, 6), (44, 6), (48, 6), (52, 6), (56, 7),
+                 (64, 8), (68, 8), (72, 8), (76, 8)],
+}
+
+
+def _rows_by_k(theorem, k_max):
+    by_k = {}
+    for r in sweep_verify(theorem, k_max):
+        by_k.setdefault(r.k, []).append(r)
+    return by_k
+
+
+@pytest.mark.parametrize("theorem", ["4.2", "4.3"])
+def test_sweep_rows_match_theorem_cases(theorem):
+    by_k = _rows_by_k(theorem, 2)
+    for k in (1, 2):
+        assert [(r.n, r.predicted) for r in by_k[k]] == CASE_ROWS[theorem, k]
+
+
+@pytest.mark.parametrize(
+    "theorem,first,last,step,missing",
+    [
+        ("4.2", lambda k: 4 * k * k + 2, lambda k: 4 * (k + 1) ** 2 + 2, 2,
+         na_missing_order),
+        ("4.3", lambda k: 8 * k * k + 8, lambda k: 8 * (k + 1) ** 2 + 4, 4,
+         mh_missing_order),
+    ],
+    ids=["4.2", "4.3"],
+)
+def test_sweep_covers_each_case_but_the_missing_order(
+    theorem, first, last, step, missing
+):
+    by_k = _rows_by_k(theorem, 6)
+    assert sorted(by_k) == list(range(1, 7))
+    for k, rows in by_k.items():
+        expected = [n for n in range(first(k), last(k) + 1, step) if n != missing(k)]
+        assert [r.n for r in rows] == expected
+        assert all(r.passed for r in rows)
