@@ -38,6 +38,7 @@ from .families import (
     compile_params,
     family_diameter,
     format_params,
+    line_diameter,
     parse_params,
     validate,
     validate_ds,

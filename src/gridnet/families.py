@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, ClassVar, Iterator, Optional, Sequence, Union
 
 from . import bounds
-from .graphs import Digraph, bounded_diameter
+from .graphs import Digraph, bounded_diameter, line_rows
 
 
 class FamilyError(ValueError):
@@ -421,13 +421,18 @@ def _family_of(p: FamilyParams, strict: bool) -> Family:
     return FAMILIES[p.tag]
 
 
-def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
-    """The family's rows, with coincident heads merged, as a Digraph.
+def family_rows(p: FamilyParams, strict: bool = True) -> list[tuple[int, ...]]:
+    """The family's rows of p with coincident heads merged.
 
-    With ``strict``, hard validity violations raise FamilyError first.
+    These are the out-lists of compile_params, without the Digraph.  With
+    ``strict``, hard validity violations raise FamilyError first.
     """
-    rows = _family_of(p, strict).rows(p.n, p.steps)
-    return Digraph(p.n, tuple(_dedup(heads) for heads in rows))
+    return [_dedup(heads) for heads in _family_of(p, strict).rows(p.n, p.steps)]
+
+
+def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
+    """family_rows(p, strict) as a Digraph."""
+    return Digraph(p.n, tuple(family_rows(p, strict)))
 
 
 def family_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
@@ -439,6 +444,22 @@ def family_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
     """
     fam = _family_of(p, strict)
     return bounded_diameter(fam.rows(p.n, p.steps), p.n, None, range(fam.period))
+
+
+def line_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
+    """Diameter of the line digraph of p's digraph, or None as in diameter.
+
+    The line digraph is that of compile_params(p), numbered as in
+    graphs.line_digraph, but no Digraph is built.  Shifting by the period
+    sends arc (u, j) to (u + period, j), so it adds the number of arcs out
+    of vertices 0..period-1 to every arc index (mod the arc count): BFS from
+    those arcs alone gives the diameter.  ``strict`` validates as in
+    compile_params.
+    """
+    rows = family_rows(p, strict)
+    arcs = line_rows(rows)
+    sources = range(sum(len(heads) for heads in rows[: FAMILIES[p.tag].period]))
+    return bounded_diameter(arcs, len(arcs), None, sources)
 
 
 # Per-family names for the same compiler, for callers that name the family.

@@ -58,27 +58,36 @@ class Digraph:
                 yield (u, v)
 
     def in_degrees(self) -> list[int]:
-        indeg = [0] * self.order
-        for heads in self.out_arcs:
-            for v in heads:
-                indeg[v] += 1
-        return indeg
+        return _in_degrees(self.out_arcs)
 
     def is_regular(self) -> Optional[int]:
         """The common out/in-degree if the digraph is regular, else None."""
-        degs = {len(heads) for heads in self.out_arcs}
-        if len(degs) != 1:
-            return None
-        d = degs.pop()
-        if any(x != d for x in self.in_degrees()):
-            return None
-        return d
+        return regular_degree(self.out_arcs)
 
     def is_directed_cycle(self) -> bool:
         return (
             all(len(heads) == 1 for heads in self.out_arcs)
             and diameter(self) is not None
         )
+
+
+def _in_degrees(out_arcs: Sequence[Sequence[int]]) -> list[int]:
+    indeg = [0] * len(out_arcs)
+    for heads in out_arcs:
+        for v in heads:
+            indeg[v] += 1
+    return indeg
+
+
+def regular_degree(out_arcs: Sequence[Sequence[int]]) -> Optional[int]:
+    """The common out/in-degree of the rows (heads distinct), else None."""
+    degs = {len(heads) for heads in out_arcs}
+    if len(degs) != 1:
+        return None
+    d = degs.pop()
+    if any(x != d for x in _in_degrees(out_arcs)):
+        return None
+    return d
 
 
 @dataclass(frozen=True)
@@ -172,20 +181,23 @@ def bounded_diameter(
     return best
 
 
+def line_rows(out_arcs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Out-rows of the line digraph: one vertex per arc, numbered by
+    (tail, out-list position).  Arc u -> v leads to every arc out of v."""
+    succ = []
+    total = 0
+    for heads in out_arcs:
+        succ.append(tuple(range(total, total + len(heads))))
+        total += len(heads)
+    return [succ[v] for heads in out_arcs for v in heads]
+
+
 def line_digraph(g: Digraph) -> Digraph:
     """Line digraph: one vertex per arc of g, ordered by (tail, out-list position)."""
     if g.arc_count == 0:
         raise GraphError("line digraph of an arcless digraph is undefined")
-    offsets = [0] * g.order
-    total = 0
-    for u in range(g.order):
-        offsets[u] = total
-        total += len(g.out_arcs[u])
-    new_out = []
-    for u in range(g.order):
-        for v in g.out_arcs[u]:
-            new_out.append(tuple(offsets[v] + j for j in range(len(g.out_arcs[v]))))
-    return Digraph(total, tuple(new_out))
+    rows = line_rows(g.out_arcs)
+    return Digraph(len(rows), tuple(rows))
 
 
 def to_dot(g: Digraph) -> str:

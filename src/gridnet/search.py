@@ -21,8 +21,8 @@ results are byte-identical for any worker count.
 from __future__ import annotations
 
 import os
+import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
@@ -39,8 +39,10 @@ from .families import (
     compile_params,
     family_diameter,
     format_params,
+    line_diameter,
 )
-from .graphs import bounded_diameter, diameter, line_digraph
+from .graphs import bounded_diameter, diameter
+from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py traces it)
 
 WITNESS_CAP = 32
 DEFAULT_CAP_DS = 200
@@ -55,6 +57,17 @@ PRUNED = 0xFFFF
 
 class SearchError(ValueError):
     pass
+
+
+def __getattr__(name: str):
+    # The process pool imports multiprocessing, which only a search with
+    # more than one worker needs; load it on first use, not at CLI start.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,9 @@ def _run_search(
         for i in range(workers)
         if i * chunk < total
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Through the module, so that a class swapped in there is the one used.
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    with pool_class(max_workers=workers) as pool:
         parts = list(pool.map(_search_slice_star, slices))
     return _merge(parts)
 
@@ -347,7 +362,8 @@ def sweep_verify(
     """BFS-verify a theorem's predicted diameters over its stated order ranges.
 
     The canonical steps' diameter comes from family_diameter; theorem 4.3
-    also checks the line digraph of the canonical NA digraph of order N/2.
+    also checks the line digraph of the canonical NA digraph of order N/2,
+    by line_diameter.
     With exhaustive=True also runs the full step search per order to confirm
     the prediction is the true minimum (slower; honors the family caps).
     """
@@ -367,8 +383,7 @@ def sweep_verify(
             constructed = family_diameter(params_at(n, k), strict=False)
             via = None
             if family == "mh":
-                na = compile_params(theorem_42_params(n // 2, k), strict=False)
-                via = diameter(line_digraph(na))
+                via = line_diameter(theorem_42_params(n // 2, k), strict=False)
             # Theorem 4.1 starts at order 2, below search_ds's least order.
             searched = (
                 search(n, workers=workers).min_diameter

@@ -9,17 +9,23 @@ from gridnet.constructions import (
     na_to_mh,
 )
 from gridnet.families import (
+    FAMILIES,
     DoubleStepGraph,
     FamilyError,
     NewAmsterdamDigraph,
     compile_ds,
     compile_mh,
     compile_na,
+    compile_params,
+    family_diameter,
+    family_rows,
+    line_diameter,
     validate_ds,
     validate_mh,
     validate_na,
 )
-from gridnet.graphs import diameter
+from gridnet.graphs import diameter, line_digraph, regular_degree
+from oracles import are_isomorphic
 
 
 def valid_ds_instances(n_max):
@@ -123,8 +129,6 @@ class TestDiameterSandwich:
             assert check_diameter_sandwich("mh-from-ds", p).passed
 
     def test_mh_matches_line_digraph_diameter(self):
-        from gridnet.graphs import line_digraph
-
         for p in valid_ds_instances(20):
             na = ds_to_na(p)
             g = compile_na(na)
@@ -133,3 +137,32 @@ class TestDiameterSandwich:
             d_mh = diameter(compile_mh(na_to_mh(na)))
             d_l = diameter(line_digraph(g))
             assert d_mh == d_l == diameter(g) + 1
+
+
+def two_regular_na_candidates(n_max):
+    na = FAMILIES["na"]
+    for n in range(4, n_max + 1, 2):
+        for steps in na.candidates(n):
+            p = na.params(n, *steps)
+            if regular_degree(family_rows(p)) == 2:
+                yield p
+
+
+class TestLineDigraphIsManhattan:
+    """The Manhattan digraph na_to_mh(p) is the line digraph of p's digraph."""
+
+    def test_line_diameter_is_derived_mh_diameter(self):
+        checked = 0
+        for p in two_regular_na_candidates(20):
+            assert line_diameter(p) == family_diameter(na_to_mh(p)), p
+            checked += 1
+        assert checked == 585
+
+    def test_line_digraph_isomorphic_to_derived_mh(self):
+        # Small orders only: the backtracking isomorphism test is slow above.
+        checked = 0
+        for p in two_regular_na_candidates(8):
+            lg = line_digraph(compile_params(p))
+            assert are_isomorphic(lg, compile_params(na_to_mh(p))), p
+            checked += 1
+        assert checked == 14

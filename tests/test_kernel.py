@@ -2,7 +2,9 @@
 
 The search evaluates a candidate from its successor rows with BFS from one
 vertex per translation class only.  These tests check that this gives the
-all-source ``diameter`` of the compiled ``Digraph``, for every limit.
+all-source ``diameter`` of the compiled ``Digraph``, for every limit.  The
+same holds for line digraphs, where ``line_diameter`` runs BFS only from
+the arcs out of one period of vertices.
 """
 
 import pytest
@@ -17,8 +19,16 @@ from gridnet.families import (
     NewAmsterdamDigraph,
     compile_params,
     family_diameter,
+    family_rows,
+    line_diameter,
 )
-from gridnet.graphs import bounded_diameter, diameter
+from gridnet.graphs import (
+    bounded_diameter,
+    diameter,
+    line_digraph,
+    line_rows,
+    regular_degree,
+)
 
 PARAMS = {"ds": DoubleStepGraph, "na": NewAmsterdamDigraph, "mh": ManhattanDigraph}
 
@@ -39,6 +49,13 @@ def assert_kernel_matches(family, n, steps):
     assert bounded_diameter(rows, n, expected, sources) == expected
 
 
+def assert_line_kernel_matches(family, n, steps):
+    params = PARAMS[family](n, *steps)
+    lg = line_digraph(compile_params(params, strict=False))
+    assert line_rows(family_rows(params, strict=False)) == list(lg.out_arcs)
+    assert line_diameter(params, strict=False) == diameter(lg)
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -51,9 +68,11 @@ def assert_kernel_matches(family, n, steps):
 def test_family_diameter_strict_rejects_invalid_params(params):
     with pytest.raises(FamilyError):
         family_diameter(params)
-    assert family_diameter(params, strict=False) == diameter(
-        compile_params(params, strict=False)
-    )
+    with pytest.raises(FamilyError):
+        line_diameter(params)
+    g = compile_params(params, strict=False)
+    assert family_diameter(params, strict=False) == diameter(g)
+    assert line_diameter(params, strict=False) == diameter(line_digraph(g))
 
 
 @pytest.mark.parametrize(
@@ -70,6 +89,32 @@ def test_every_small_candidate(family, orders):
             assert_kernel_matches(family, n, steps)
 
 
+@pytest.mark.parametrize(
+    "family,orders",
+    [
+        ("ds", range(3, 31)),
+        ("na", range(4, 31, 2)),  # gamma = delta candidates included
+        ("mh", (8,)),
+    ],
+)
+def test_line_diameter_every_small_candidate(family, orders):
+    for n in orders:
+        for steps in FAMILIES[family].candidates(n):
+            assert_line_kernel_matches(family, n, steps)
+
+
+def test_line_digraph_filter_on_rows():
+    # The 2-regular NA candidates are those with gamma != delta: the odd
+    # vertices then have two out-arcs and the even ones two in-arcs.
+    na = FAMILIES["na"]
+    for n in range(4, 31, 2):
+        for steps in na.candidates(n):
+            p = na.params(n, *steps)
+            on_rows = regular_degree(family_rows(p, strict=False)) == 2
+            assert on_rows == (compile_params(p, strict=False).is_regular() == 2)
+            assert on_rows == (steps[2] != steps[3])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 40), st.integers(-50, 50), st.integers(-50, 50))
 @example(8, 4, 1)  # 2a = 0: self-inverse step
@@ -79,6 +124,7 @@ def test_every_small_candidate(family, orders):
 @example(1, 0, 0)
 def test_double_step_property(n, a, b):
     assert_kernel_matches("ds", n, (a % n, b % n))
+    assert_line_kernel_matches("ds", n, (a % n, b % n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,6 +136,7 @@ def test_double_step_property(n, a, b):
 def test_new_amsterdam_property(half, steps):
     n = 2 * half
     assert_kernel_matches("na", n, tuple(s % n for s in steps))
+    assert_line_kernel_matches("na", n, tuple(s % n for s in steps))
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,3 +146,4 @@ def test_new_amsterdam_property(half, steps):
 def test_manhattan_property(quarter, steps):
     n = 4 * quarter
     assert_kernel_matches("mh", n, tuple(s % n for s in steps))
+    assert_line_kernel_matches("mh", n, tuple(s % n for s in steps))

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -202,6 +205,48 @@ class TestWorkerClamp:
 
     def test_search_on_one_cpu_stays_in_process(self):
         assert search_na(16, workers=64).min_diameter == 5
+
+
+class TestLazyPool:
+    def test_cli_import_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(search.__file__))
+        code = (
+            "import sys, gridnet.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_pool_class_resolves_through_module(self):
+        assert search.ProcessPoolExecutor is ProcessPoolExecutor
+        with pytest.raises(AttributeError):
+            search.NoSuchName
+
+    def test_swapped_pool_class_is_used(self, monkeypatch):
+        used = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                used.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert search_na(16, workers=2) == search_na(16, workers=1)
+        assert used == [2]
 
 
 class TestSweepVerify:
