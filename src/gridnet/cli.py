@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     p.add_argument("family", choices=("ds", "na", "mh"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted; has no effect")
     p.add_argument("--direct", action="store_true")
     p.add_argument("--mod4-filter", action="store_true")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, help="largest k for 4.x (default 3)")
     p.add_argument("--n-max", type=int, help="order cap for sandwich/line-digraph")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted; has no effect")
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("table", help="order -> diameter tables for na/mh theorems")

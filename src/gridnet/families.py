@@ -435,6 +435,11 @@ def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
     return Digraph(p.n, tuple(family_rows(p, strict)))
 
 
+def _period(fam: Family, n: int) -> int:
+    """fam.period if it divides n (the shift is then an automorphism), else n."""
+    return fam.period if n % fam.period == 0 else n
+
+
 def family_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
     """Diameter of p's digraph, or None when it is not strongly connected.
 
@@ -443,7 +448,8 @@ def family_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
     in compile_params.
     """
     fam = _family_of(p, strict)
-    return bounded_diameter(fam.rows(p.n, p.steps), p.n, None, range(fam.period))
+    sources = range(_period(fam, p.n))
+    return bounded_diameter(fam.rows(p.n, p.steps), p.n, None, sources)
 
 
 def line_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
@@ -453,12 +459,14 @@ def line_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
     graphs.line_digraph, but no Digraph is built.  Shifting by the period
     sends arc (u, j) to (u + period, j), so it adds the number of arcs out
     of vertices 0..period-1 to every arc index (mod the arc count): BFS from
-    those arcs alone gives the diameter.  ``strict`` validates as in
+    those arcs alone gives the diameter.  When the period does not divide
+    the order, BFS runs from every arc.  ``strict`` validates as in
     compile_params.
     """
     rows = family_rows(p, strict)
     arcs = line_rows(rows)
-    sources = range(sum(len(heads) for heads in rows[: FAMILIES[p.tag].period]))
+    period = _period(FAMILIES[p.tag], p.n)
+    sources = range(sum(len(heads) for heads in rows[:period]))
     return bounded_diameter(arcs, len(arcs), None, sources)
 
 

@@ -12,20 +12,18 @@ record's orbit map lists it), and BFS runs once per orbit: the other members
 read its result from a memo.  Only the reported witnesses are compiled into
 a ``Digraph``, and each is re-verified there by all-source BFS.
 
-The candidate space is cut into contiguous slices, one per worker.  Slice
-results merge in slice order, so the kept witnesses are the first
-``WITNESS_CAP`` optima in enumeration order, as in one serial pass, and
-results are byte-identical for any worker count.
+A search is one pass over the enumeration in this process, so the orbit
+memo is shared by every candidate.  The kept witnesses are the first
+``WITNESS_CAP`` optima in enumeration order.  The ``workers`` keyword is
+accepted for existing callers and has no effect.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from . import bounds
 from .constructions import na_to_mh
@@ -60,8 +58,9 @@ class SearchError(ValueError):
 
 
 def __getattr__(name: str):
-    # The process pool imports multiprocessing, which only a search with
-    # more than one worker needs; load it on first use, not at CLI start.
+    # No search calls ProcessPoolExecutor; perfbench/layers.py reads and swaps
+    # it on install.  Loaded on first access, so the CLI never imports
+    # multiprocessing.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -95,41 +94,28 @@ class SearchResult:
         }
 
 
-def default_workers() -> int:
-    value = os.environ.get("GRIDNET_WORKERS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def _worker_count(workers: Optional[int]) -> int:
-    """Requested workers (default ``GRIDNET_WORKERS``), clamped to 1..cpu_count."""
-    requested = default_workers() if workers is None else workers
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
 def _enumerate(family: str, n: int, mod4_filter: bool) -> Iterator[tuple[int, ...]]:
     generate = FAMILIES[family].candidates
     # Only the Manhattan generator takes the filter; the others never see it.
     return generate(n, mod4_filter=True) if mod4_filter else generate(n)
 
 
-def _search_slice(
-    family: str, n: int, start: int, stop: Optional[int], mod4_filter: bool
+def _run_search(
+    family: str, n: int, mod4_filter: bool = False, stop: Optional[int] = None
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """Evaluate candidates [start, stop); return (best, optima, n_optima, examined).
+    """Evaluate the candidates; return (best, optima, n_optima, examined).
 
     ``optima`` holds the first WITNESS_CAP candidates attaining ``best``, in
-    enumeration order.  ``stop`` None runs to the end of the enumeration.
+    enumeration order.  ``stop`` None runs to the end of the enumeration;
+    otherwise only the first ``stop`` candidates are evaluated.
 
-    BFS runs once per multiplier orbit met in the slice.  Its result goes
-    to the memo slot of every image, and the later candidates of the orbit
-    read it there.  A slot holds 0 until evaluated (a candidate's diameter
-    is at least 1), an exact diameter, or PRUNED.  Storing "pruned" for good
-    is sound because the limit ``best`` only falls.  An exact value above
-    the current ``best`` neither beats nor ties it, so it counts as pruned,
-    as BFS with that limit would return.
+    BFS runs once per multiplier orbit.  Its result goes to the memo slot
+    of every image, and the later candidates of the orbit read it there.
+    A slot holds 0 until evaluated (a candidate's diameter is at least 1),
+    an exact diameter, or PRUNED.  Storing "pruned" for good is sound
+    because the limit ``best`` only falls.  An exact value above the
+    current ``best`` neither beats nor ties it, so it counts as pruned, as
+    BFS with that limit would return.
     """
     fam = FAMILIES[family]
     rows_of, sources, orbit = fam.rows, range(fam.period), fam.orbit
@@ -139,7 +125,7 @@ def _search_slice(
     optima: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps in islice(_enumerate(family, n, mod4_filter), start, stop):
+    for steps in islice(_enumerate(family, n, mod4_filter), stop):
         examined += 1
         d = memo[slot(steps)]
         if not d:
@@ -158,54 +144,6 @@ def _search_slice(
             if len(optima) < WITNESS_CAP:
                 optima.append(steps)
     return best, optima, n_optima, examined
-
-
-def _run_search(
-    family: str, n: int, workers: Optional[int], mod4_filter: bool = False
-) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    workers = _worker_count(workers)
-    if workers == 1:
-        return _search_slice(family, n, 0, None, mod4_filter)
-    total = sum(1 for _ in _enumerate(family, n, mod4_filter))
-    if total < 2 * workers:
-        return _search_slice(family, n, 0, total, mod4_filter)
-    chunk = -(-total // workers)
-    slices = [
-        (family, n, i * chunk, min((i + 1) * chunk, total), mod4_filter)
-        for i in range(workers)
-        if i * chunk < total
-    ]
-    # Through the module, so that a class swapped in there is the one used.
-    pool_class = sys.modules[__name__].ProcessPoolExecutor
-    with pool_class(max_workers=workers) as pool:
-        parts = list(pool.map(_search_slice_star, slices))
-    return _merge(parts)
-
-
-def _merge(
-    parts: Sequence[tuple[Optional[int], list[tuple[int, ...]], int, int]],
-) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """Combine the results of contiguous slices, given in slice order.
-
-    Equals ``_search_slice`` over the union of the slices: each slice keeps
-    its first optima in enumeration order, so concatenating the slices that
-    attain the overall minimum and keeping the first WITNESS_CAP gives the
-    serial witnesses.
-    """
-    best = min((p[0] for p in parts if p[0] is not None), default=None)
-    optima: list[tuple[int, ...]] = []
-    n_optima = 0
-    examined = 0
-    for p_best, p_opt, p_count, p_examined in parts:
-        examined += p_examined
-        if p_best is not None and p_best == best:
-            optima.extend(p_opt)
-            n_optima += p_count
-    return best, optima[:WITNESS_CAP], n_optima, examined
-
-
-def _search_slice_star(args):
-    return _search_slice(*args)
 
 
 def _prediction(fam: Family, n: int, min_d: Optional[int]) -> str:
@@ -244,25 +182,25 @@ def _finish(
 def search_ds(
     n: int, cap: int = DEFAULT_CAP_DS, workers: Optional[int] = None
 ) -> SearchResult:
+    """Minimum diameter over DS digraphs of order n; ``workers`` is ignored."""
     if n < 3:
         raise SearchError(f"order must be at least 3, got {n}")
-    return _search_capped("ds", n, cap, workers)
+    return _search_capped("ds", n, cap)
 
 
 def search_na(
     n: int, cap: int = DEFAULT_CAP_NA, workers: Optional[int] = None
 ) -> SearchResult:
+    """Minimum diameter over NA digraphs of order n; ``workers`` is ignored."""
     if n < 4 or n % 2 != 0:
         raise SearchError(f"order must be an even integer >= 4, got {n}")
-    return _search_capped("na", n, cap, workers)
+    return _search_capped("na", n, cap)
 
 
-def _search_capped(
-    family: str, n: int, cap: int, workers: Optional[int]
-) -> SearchResult:
+def _search_capped(family: str, n: int, cap: int) -> SearchResult:
     if n > cap:
         raise SearchError(f"order {n} exceeds cap {cap}")
-    return _finish(family, n, *_run_search(family, n, workers))
+    return _finish(family, n, *_run_search(family, n))
 
 
 def search_mh(
@@ -278,7 +216,9 @@ def search_mh(
     line-digraph relation (min diameter + 1, witnesses via na_to_mh);
     direct mode enumerates the Manhattan step space itself.  ``cap`` bounds
     n in either mode; it defaults to DEFAULT_CAP_MH_VIA_NA via NA and to
-    DEFAULT_CAP_MH in direct mode.
+    DEFAULT_CAP_MH in direct mode.  The lift keeps the images whose
+    period-BFS diameter is the lifted minimum; _finish certifies them by
+    all-source BFS.  ``workers`` is accepted and ignored.
     """
     if n < 8 or n % 4 != 0:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
@@ -286,12 +226,12 @@ def search_mh(
         cap = DEFAULT_CAP_MH if cap is None else cap
         if n > cap:
             raise SearchError(f"order {n} exceeds direct-mode cap {cap}")
-        return _finish("mh", n, *_run_search("mh", n, workers, mod4_filter))
+        return _finish("mh", n, *_run_search("mh", n, mod4_filter))
 
     cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
     if n > cap:
         raise SearchError(f"order {n} exceeds via-NA cap {cap}")
-    inner = search_na(n // 2, cap=n // 2, workers=workers)
+    inner = search_na(n // 2, cap=n // 2)
     if inner.min_diameter is None:
         return SearchResult(
             "mh", n, None, (), 0, inner.candidates_examined, None, "not-covered"
@@ -300,7 +240,7 @@ def search_mh(
     mapped = []
     for w in inner.witnesses:
         mh = na_to_mh(w)
-        if diameter(compile_params(mh, strict=False)) == best:
+        if family_diameter(mh, strict=False) == best:
             mapped.append(mh.steps)
     return _finish("mh", n, best, mapped, len(mapped), inner.candidates_examined)
 
@@ -366,6 +306,7 @@ def sweep_verify(
     by line_diameter.
     With exhaustive=True also runs the full step search per order to confirm
     the prediction is the true minimum (slower; honors the family caps).
+    ``workers`` is accepted and ignored.
     """
     if theorem not in _THEOREMS:
         raise SearchError(f"unknown theorem {theorem!r}")
@@ -385,10 +326,6 @@ def sweep_verify(
             if family == "mh":
                 via = line_diameter(theorem_42_params(n // 2, k), strict=False)
             # Theorem 4.1 starts at order 2, below search_ds's least order.
-            searched = (
-                search(n, workers=workers).min_diameter
-                if exhaustive and n >= 3
-                else None
-            )
+            searched = search(n).min_diameter if exhaustive and n >= 3 else None
             rows.append(SweepRow(theorem, k, n, predicted, constructed, via, searched))
     return rows

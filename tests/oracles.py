@@ -1,8 +1,8 @@
 """Test-only reference implementations.
 
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
-is the search's slice loop without the orbit memo: one BFS per candidate,
-through gridnet's generators, row builders and ``bounded_diameter``.  The
+is the search loop without the orbit memo: one BFS per candidate, through
+gridnet's generators, row builders and ``bounded_diameter``.  The
 summation forms
 of the Moore bounds, the arc-relaxation distance oracle and the
 isomorphism test use only gridnet's error types, ``Digraph`` accessors and,
@@ -66,8 +66,11 @@ def brute_na_minimum(n):
     return best
 
 
-def plain_search_slice(family, n, start, stop, mod4_filter):
-    """``search._search_slice`` without the orbit memo: BFS on every candidate."""
+def plain_search_slice(family, n, stop, mod4_filter):
+    """``search._run_search`` without the orbit memo: BFS on every candidate.
+
+    ``stop`` None evaluates every candidate, otherwise the first ``stop``.
+    """
     fam = FAMILIES[family]
     generate = fam.candidates
     candidates = generate(n, mod4_filter=True) if mod4_filter else generate(n)
@@ -76,7 +79,7 @@ def plain_search_slice(family, n, start, stop, mod4_filter):
     optima = []
     n_optima = 0
     examined = 0
-    for steps in islice(candidates, start, stop):
+    for steps in islice(candidates, stop):
         examined += 1
         d = bounded_diameter(fam.rows(n, steps), n, best, sources)
         if d is None:

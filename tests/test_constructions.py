@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridnet.constructions import (
     check_diameter_sandwich,
@@ -166,3 +168,32 @@ class TestLineDigraphIsManhattan:
             assert are_isomorphic(lg, compile_params(na_to_mh(p))), p
             checked += 1
         assert checked == 14
+
+
+@st.composite
+def valid_ds(draw, n_max=200):
+    """An arbitrary valid double-step graph of order at most n_max."""
+    n = draw(st.integers(3, n_max))
+    a = draw(st.integers(1, n - 1))
+    # Drawn from the valid partners of a: rejecting invalid draws is slow,
+    # since the boundary values hypothesis favours (b = a, b = 0) are invalid.
+    partners = [b for b in range(1, n) if validate_ds(DoubleStepGraph(n, a, b)).ok]
+    assume(partners)
+    return DoubleStepGraph(n, a, draw(st.sampled_from(partners)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_ds())
+def test_derived_steps_satisfy_the_condition_systems(p):
+    na = ds_to_na(p)
+    assert check_na_conditions(p, na) == []
+    assert validate_na(na).ok
+    mh = na_to_mh(na)
+    assert check_mh_conditions(na, mh) == []
+    assert validate_mh(mh).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_ds())
+def test_ds_to_mh_is_the_composition(p):
+    assert ds_to_mh(p) == na_to_mh(ds_to_na(p))

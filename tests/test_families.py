@@ -14,6 +14,7 @@ from gridnet.families import (
     compile_ds,
     compile_mh,
     compile_na,
+    compile_params,
     format_params,
     parse_params,
     validate_ds,
@@ -251,3 +252,18 @@ def test_format_parse_round_trip(tag, n, data):
     except FamilyError:  # order below the family's minimum
         reject()
     assert parse_params(format_params(p)) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 64), st.data())
+def test_compile_never_yields_parallel_arcs(tag, n, data):
+    family = FAMILIES[tag]
+    steps = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=arity(family), max_size=arity(family))
+    )
+    try:
+        p = family.params(n, *steps)
+    except FamilyError:  # order below the family's minimum
+        reject()
+    for heads in compile_params(p, strict=False).out_arcs:
+        assert len(set(heads)) == len(heads)

@@ -7,6 +7,8 @@ same holds for line digraphs, where ``line_diameter`` runs BFS only from
 the arcs out of one period of vertices.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -147,3 +149,22 @@ def test_manhattan_property(quarter, steps):
     n = 4 * quarter
     assert_kernel_matches("mh", n, tuple(s % n for s in steps))
     assert_line_kernel_matches("mh", n, tuple(s % n for s in steps))
+
+
+def assert_all_sources_when_period_does_not_divide(params):
+    g = compile_params(params, strict=False)
+    assert family_diameter(params, strict=False) == diameter(g), params
+    assert line_diameter(params, strict=False) == diameter(line_digraph(g)), params
+
+
+def test_order_not_a_multiple_of_the_period():
+    # Shifting by the period is then no automorphism, so the period's
+    # vertices do not represent every vertex: BFS must run from all of them.
+    assert family_diameter(NewAmsterdamDigraph(9, 8, 7, 8, 6), strict=False) == 5
+    for n in (5, 7):
+        for steps in product(range(n), repeat=4):
+            assert_all_sources_when_period_does_not_divide(
+                NewAmsterdamDigraph(n, *steps)
+            )
+    for steps in product((1, 3, 5), repeat=8):
+        assert_all_sources_when_period_does_not_divide(ManhattanDigraph(6, *steps))

@@ -2,9 +2,9 @@
 
 Each family's ``orbit`` map lists the candidates whose digraphs are
 isomorphic to a candidate's under x -> ux (u a unit of Z_N) combined with
-translations.  ``search._search_slice`` runs BFS once per orbit and reads
+translations.  ``search._run_search`` runs BFS once per orbit and reads
 the other members' diameters from a dense memo.  These tests check the maps
-against brute force and the memoised slice against ``plain_search_slice``,
+against brute force and the memoised search against ``plain_search_slice``,
 the same loop with one BFS per candidate.
 """
 
@@ -108,28 +108,17 @@ MEMO_CASES = (
 
 @pytest.mark.parametrize("family,n,mod4_filter", MEMO_CASES)
 def test_memo_matches_one_bfs_per_candidate(family, n, mod4_filter):
-    assert search._search_slice(family, n, 0, None, mod4_filter) == (
-        plain_search_slice(family, n, 0, None, mod4_filter)
+    assert search._run_search(family, n, mod4_filter) == (
+        plain_search_slice(family, n, None, mod4_filter)
     )
-
-
-@pytest.mark.parametrize("family,n", [("na", 40), ("mh", 12), ("ds", 60)])
-def test_memo_per_slice_matches_one_bfs_per_candidate(family, n):
-    # Each slice builds its own memo, which starts at the slice's first
-    # candidate rather than at the start of the enumeration.
-    total = plain_search_slice(family, n, 0, None, False)[3]
-    for start, stop in [(1, total), (total // 3, 2 * total // 3), (total // 2, None)]:
-        assert search._search_slice(family, n, start, stop, False) == (
-            plain_search_slice(family, n, start, stop, False)
-        )
 
 
 def test_memo_holds_diameters_past_one_byte():
     # DS (1, 2) at N = 1100 has diameter 275; its image (2, 549) is the
     # 823rd candidate and reads that value back from the memo.
     n, stop = 1100, 823
-    assert search._search_slice("ds", n, 0, stop, False) == (
-        plain_search_slice("ds", n, 0, stop, False)
+    assert search._run_search("ds", n, stop=stop) == (
+        plain_search_slice("ds", n, stop, False)
     )
 
 
@@ -146,5 +135,5 @@ def test_one_bfs_per_orbit(monkeypatch, family, n, bfs_calls):
         return bounded_diameter(*args)
 
     monkeypatch.setattr(search, "bounded_diameter", counting)
-    search._search_slice(family, n, 0, None, False)
+    search._run_search(family, n)
     assert len(calls) == bfs_calls

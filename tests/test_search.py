@@ -160,26 +160,6 @@ class TestDeterminism:
         assert texts == sorted(texts, key=lambda t: [int(x) for x in t[3:].split(",")])
 
 
-class TestMerge:
-    @pytest.mark.parametrize(
-        "family,n,mod4_filter",
-        [("mh", 12, False), ("mh", 16, True), ("na", 16, False), ("ds", 40, False)],
-    )
-    def test_slices_merge_to_the_serial_result(self, family, n, mod4_filter):
-        serial = search._search_slice(family, n, 0, 10**9, mod4_filter)
-        total = serial[3]
-        for k in range(2, 9):
-            chunk = -(-total // k)
-            parts = [
-                search._search_slice(
-                    family, n, i * chunk, min((i + 1) * chunk, total), mod4_filter
-                )
-                for i in range(k)
-                if i * chunk < total
-            ]
-            assert search._merge(parts) == serial, k
-
-
 class TestWorkerClamp:
     @pytest.fixture(autouse=True)
     def no_pool(self, monkeypatch):
@@ -188,20 +168,6 @@ class TestWorkerClamp:
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-
-    def test_workers_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert search._worker_count(64) == 3
-        assert search._worker_count(2) == 2
-        assert search._worker_count(0) == 1
-
-    def test_environment_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("GRIDNET_WORKERS", "64")
-        assert search._worker_count(None) == 1
-
-    def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert search._worker_count(8) == 1
 
     def test_search_on_one_cpu_stays_in_process(self):
         assert search_na(16, workers=64).min_diameter == 5
@@ -222,31 +188,27 @@ class TestLazyPool:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_search_with_workers_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(search.__file__))
+        code = (
+            "import sys\n"
+            "from gridnet import cli, search\n"
+            "search.search_na(16, workers=2)\n"
+            "cli.main(['search', 'na', '--n', '16', '--workers', '2'])\n"
+            "print(sorted(m for m in ('concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.splitlines()[-1] == "[]"
+
     def test_pool_class_resolves_through_module(self):
         assert search.ProcessPoolExecutor is ProcessPoolExecutor
         with pytest.raises(AttributeError):
             search.NoSuchName
-
-    def test_swapped_pool_class_is_used(self, monkeypatch):
-        used = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                used.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert search_na(16, workers=2) == search_na(16, workers=1)
-        assert used == [2]
 
 
 class TestSweepVerify:
