@@ -3,12 +3,18 @@
 Each bound is its closed form.  The tests cross-assert it against an
 independent summation form (``tests/oracles.py``) instead of trusting the
 algebra.
+
+``THEOREMS`` states the cases of Theorems 4.1-4.3 once, as data; the
+predictions, the case of an order, the orders of a case and its missing
+order are all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from itertools import count
+from typing import Callable, Optional
 
 
 class BoundsError(ValueError):
@@ -43,16 +49,6 @@ def moore_mh(k: int) -> int:
     return 2 * km1 * km1 if k % 2 == 1 else 2 * (km1 * km1 + 1)
 
 
-def na_missing_order(k: int) -> int:
-    """The one even order per k not reached by the canonical NA steps."""
-    return 4 * k * k + 4 * k + 6
-
-
-def mh_missing_order(k: int) -> int:
-    """The one order (mult. of 4) per k not reached by the canonical MH steps."""
-    return 8 * k * k + 8 * k + 12
-
-
 def achievable_range_na(d: int) -> tuple[int, int]:
     """Order range the paper gives at diameter d for New Amsterdam digraphs.
 
@@ -76,10 +72,10 @@ def achievable_range_mh(d: int) -> tuple[int, int]:
 
     Even d >= 4: 2[(d-2)^2 - 2(d-1) + 10] <= N <= 2[(d-1)^2 + 1].
     Odd d >= 5: 2[(d-1)^2 - 2(d-1) + 4] <= N <= 2[(d-1)^2 - 2(d-1) + 6].
-    The odd upper value is the paper's open missing order (mh_missing_order),
-    not a known-achievable one: the canonical steps do not reach it.  At
-    d=5 (N=28) only the lift of NA witnesses has been searched, which is not
-    an exhaustive Manhattan search, so whether 28 is attained stays open.
+    The odd upper value is the paper's missing order (mh_missing_order),
+    which the canonical steps miss.  At d=5 (N=28) odd steps attain it
+    (mh:28,1,3,1,9,1,27,25,17), but steps meeting the mod-4 condition do
+    not: the mod4_filter search and the lift of NA witnesses both find 6.
     """
     if d % 2 == 0:
         if d < 4:
@@ -91,79 +87,72 @@ def achievable_range_mh(d: int) -> tuple[int, int]:
     return (2 * (e + 4), 2 * (e + 6))
 
 
-def infer_k_na(n_na: int) -> int:
-    """Smallest k whose New Amsterdam case ranges contain order n_na."""
-    if n_na < 2 or n_na % 2 != 0:
-        raise BoundsError(f"order must be a positive even integer, got {n_na}")
-    k = 1
-    while 4 * (k + 1) ** 2 + 2 < n_na:
-        k += 1
-    return k
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem's case statements for its canonical steps.  Case k >= 1
+    holds the orders first(k), first(k) + step, ..., split into segments
+    (last, d): diameter d up to order last, and d None at the missing order."""
+
+    family: str
+    step: int
+    first: Callable[[int], int]
+    segments: Callable[[int], tuple[tuple[int, Optional[int]], ...]]
 
 
-def infer_k_mh(n_mh: int) -> int:
-    """Smallest k whose Manhattan case ranges contain order n_mh."""
-    if n_mh < 4 or n_mh % 4 != 0:
-        raise BoundsError(f"order must be a positive multiple of 4, got {n_mh}")
-    k = 1
-    while 8 * (k + 1) ** 2 + 4 < n_mh:
-        k += 1
-    return k
+THEOREMS = {
+    "4.1": Theorem("ds", 1, lambda k: moore_ds(k - 1) + 1,
+                   lambda k: ((moore_ds(k), k),)),
+    "4.2": Theorem("na", 2, lambda k: 4 * k * k + 2,
+                   lambda k: ((4 * k * k + 4 * k + 2, 2 * k + 1),
+                              (4 * k * k + 4 * k + 4, 2 * k + 2),
+                              (4 * k * k + 4 * k + 6, None),
+                              (4 * (k + 1) ** 2 + 2, 2 * k + 3))),
+    "4.3": Theorem("mh", 4, lambda k: 8 * k * k + 8,
+                   lambda k: ((8 * k * k + 8 * k + 4, 2 * k + 2),
+                              (8 * k * k + 8 * k + 8, 2 * k + 3),
+                              (8 * k * k + 8 * k + 12, None),
+                              (8 * (k + 1) ** 2 + 4, 2 * k + 4))),
+}
 
 
-def theorem_41_expected_diameter(n: int) -> int:
-    """Diameter the double-step steps (k, k+1) achieve at order n: the
-    smallest k with moore_ds(k) >= n."""
-    k = 0
-    while moore_ds(k) < n:
-        k += 1
-    return k
+def case_of(theorem: str, n: int) -> int:
+    """The least case k holding order n."""
+    segments = THEOREMS[theorem].segments
+    return next(k for k in count(1) if segments(k)[-1][0] >= n)
 
 
-def theorem_42_expected_diameter(n_na: int, k: Optional[int] = None) -> Optional[int]:
-    """Diameter the canonical NA steps (beta=-alpha=1, gamma=-delta=2k+1)
-    achieve at order n_na, or None where no case covers it.
+def case_orders(theorem: str, k: int) -> range:
+    """Every order of case k, the missing one included."""
+    t = THEOREMS[theorem]
+    return range(t.first(k), t.segments(k)[-1][0] + 1, t.step)
 
-    Cases: N = 4k^2+2 -> 2k+1 (companion); 4k^2+4 <= N <= 4k^2+4k+2 -> 2k+1;
-    N = 4k^2+4k+4 -> 2k+2; 4k^2+4k+8 <= N <= 4(k+1)^2+2 -> 2k+3;
-    N = 4k^2+4k+6 is the missing value.
-    """
-    if n_na % 2 != 0:
-        raise BoundsError(f"order must be even, got {n_na}")
+
+def missing_order(theorem: str, k: int) -> Optional[int]:
+    """The order of case k that the canonical steps miss (none for 4.1)."""
+    return next((n for n, d in THEOREMS[theorem].segments(k) if d is None), None)
+
+
+def predicted_diameter(theorem: str, n: int, k: Optional[int] = None) -> Optional[int]:
+    """Diameter the canonical steps achieve at order n in case k (by
+    default the least case holding n); None where case k misses n."""
+    t = THEOREMS[theorem]
+    if n % t.step != 0:
+        raise BoundsError(f"order must be a multiple of {t.step}, got {n}")
     if k is None:
-        k = infer_k_na(n_na)
+        k = case_of(theorem, n)
     if k < 1:
         raise BoundsError(f"k must be at least 1, got {k}")
-    if n_na == 4 * k * k + 2:
-        return 2 * k + 1
-    if 4 * k * k + 4 <= n_na <= 4 * k * k + 4 * k + 2:
-        return 2 * k + 1
-    if n_na == 4 * k * k + 4 * k + 4:
-        return 2 * k + 2
-    if 4 * k * k + 4 * k + 8 <= n_na <= 4 * (k + 1) ** 2 + 2:
-        return 2 * k + 3
-    return None
+    if n < t.first(k):
+        return None
+    return next((d for last, d in t.segments(k) if n <= last), None)
 
 
-def theorem_43_expected_diameter(n_mh: int, k: Optional[int] = None) -> Optional[int]:
-    """Diameter the canonical MH steps achieve at order n_mh, or None.
-
-    Cases: 8k^2+8 <= N <= 8k^2+8k+4 -> 2k+2; N = 8k^2+8k+8 -> 2k+3;
-    8k^2+8k+16 <= N <= 8(k+1)^2+4 -> 2k+4; N = 8k^2+8k+12 is the missing value.
-    """
-    if n_mh % 4 != 0:
-        raise BoundsError(f"order must be a multiple of 4, got {n_mh}")
-    if k is None:
-        k = infer_k_mh(n_mh)
-    if k < 1:
-        raise BoundsError(f"k must be at least 1, got {k}")
-    if 8 * k * k + 8 <= n_mh <= 8 * k * k + 8 * k + 4:
-        return 2 * k + 2
-    if n_mh == 8 * k * k + 8 * k + 8:
-        return 2 * k + 3
-    if 8 * k * k + 8 * k + 16 <= n_mh <= 8 * (k + 1) ** 2 + 4:
-        return 2 * k + 4
-    return None
+# The names that the package exports and families.FAMILIES binds.
+theorem_41_expected_diameter = partial(predicted_diameter, "4.1")
+theorem_42_expected_diameter = partial(predicted_diameter, "4.2")
+theorem_43_expected_diameter = partial(predicted_diameter, "4.3")
+na_missing_order = partial(missing_order, "4.2")
+mh_missing_order = partial(missing_order, "4.3")
 
 
 @dataclass(frozen=True)
@@ -176,30 +165,30 @@ class BoundsReport:
     missing_order: Optional[int] = None
 
 
+# Family -> (Moore bound, order range at diameter k, parity of the
+# diameters whose range ends at the missing order).  DS has no range.
+_REPORTS = {
+    "ds": (moore_ds, None, None),
+    "na": (moore_na, achievable_range_na, 0),
+    "mh": (moore_mh, achievable_range_mh, 1),
+}
+
+
 def bounds_report(family: str, k: int) -> BoundsReport:
     """Moore bound plus (for na/mh) the paper's order range at diameter k.
 
     The missing_order flag marks the upper end of the range at the even NA
     and odd MH diameters: the paper's open order, which the canonical steps
-    do not reach.  It is not known to be achievable at diameter k; see
+    do not reach.  It need not be attained at diameter k; see
     achievable_range_na and achievable_range_mh.
     """
-    if family == "ds":
-        return BoundsReport("ds", k, moore_ds(k))
-    if family == "na":
-        moore = moore_na(k)
-        try:
-            low, high = achievable_range_na(k)
-        except BoundsError:
-            return BoundsReport("na", k, moore)
-        missing = na_missing_order((k - 2) // 2) if k % 2 == 0 else None
-        return BoundsReport("na", k, moore, low, high, missing)
-    if family == "mh":
-        moore = moore_mh(k)
-        try:
-            low, high = achievable_range_mh(k)
-        except BoundsError:
-            return BoundsReport("mh", k, moore)
-        missing = mh_missing_order((k - 3) // 2) if k % 2 == 1 else None
-        return BoundsReport("mh", k, moore, low, high, missing)
-    raise BoundsError(f"unknown family {family!r}")
+    if family not in _REPORTS:
+        raise BoundsError(f"unknown family {family!r}")
+    moore, achievable, missing_parity = _REPORTS[family]
+    value = moore(k)
+    try:
+        low, high = achievable(k) if achievable else (None, None)
+    except BoundsError:
+        low = high = None
+    missing = high if k % 2 == missing_parity else None
+    return BoundsReport(family, k, value, low, high, missing)

@@ -299,7 +299,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     _check_k_max(args.k_max)
-    theorem = "4.2" if args.family == "na" else "4.3"
+    theorem = next(t for t, r in bounds_mod.THEOREMS.items() if r.family == args.family)
     rows = search_mod.sweep_verify(theorem, args.k_max)
     _print_rows(rows, args.csv)
     return EXIT_OK

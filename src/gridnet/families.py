@@ -268,13 +268,13 @@ def mh_candidates(
                     if b0 == a0:
                         continue
                     b2 = (s - b0) % n
-                    if b2 == a2 or (mod4_filter and b2 % 4 != 1):
+                    if mod4_filter and b2 % 4 != 1:
                         continue
                     for b1 in b_vals:
                         if b1 == a1:
                             continue
                         b3 = (-s - b1) % n
-                        if b3 == a3 or (mod4_filter and b3 % 4 != 1):
+                        if mod4_filter and b3 % 4 != 1:
                             continue
                         yield (a0, b0, a1, b1, a2, b2, a3, b3)
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import bounds
 from .constructions import na_to_mh
@@ -94,20 +93,13 @@ class SearchResult:
         }
 
 
-def _enumerate(family: str, n: int, mod4_filter: bool) -> Iterator[tuple[int, ...]]:
-    generate = FAMILIES[family].candidates
-    # Only the Manhattan generator takes the filter; the others never see it.
-    return generate(n, mod4_filter=True) if mod4_filter else generate(n)
-
-
 def _run_search(
-    family: str, n: int, mod4_filter: bool = False, stop: Optional[int] = None
+    family: str, n: int, mod4_filter: bool = False
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
     """Evaluate the candidates; return (best, optima, n_optima, examined).
 
     ``optima`` holds the first WITNESS_CAP candidates attaining ``best``, in
-    enumeration order.  ``stop`` None runs to the end of the enumeration;
-    otherwise only the first ``stop`` candidates are evaluated.
+    enumeration order.
 
     BFS runs once per multiplier orbit.  Its result goes to the memo slot
     of every image, and the later candidates of the orbit read it there.
@@ -119,13 +111,16 @@ def _run_search(
     """
     fam = FAMILIES[family]
     rows_of, sources, orbit = fam.rows, range(fam.period), fam.orbit
+    # Only the Manhattan generator takes the filter; the others never see it.
+    generate = fam.candidates
+    candidates = generate(n, mod4_filter=True) if mod4_filter else generate(n)
     size, slot = fam.slots(n)
     memo = array("H", bytes(2 * size))
     best: Optional[int] = None
     optima: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps in islice(_enumerate(family, n, mod4_filter), stop):
+    for steps in candidates:
         examined += 1
         d = memo[slot(steps)]
         if not d:
@@ -280,17 +275,9 @@ def theorem_43_params(n: int, k: int) -> ManhattanDigraph:
     )
 
 
-# Theorem -> (family, its canonical steps at order n in case k, the orders
-# of case k).  The family's predict gives each order's diameter, and None
-# at the one order per case that the canonical steps do not reach.
-_THEOREMS = {
-    "4.1": ("ds", theorem_41_params,
-            lambda k: range(bounds.moore_ds(k - 1) + 1, bounds.moore_ds(k) + 1)),
-    "4.2": ("na", theorem_42_params,
-            lambda k: range(4 * k * k + 2, 4 * (k + 1) ** 2 + 3, 2)),
-    "4.3": ("mh", theorem_43_params,
-            lambda k: range(8 * k * k + 8, 8 * (k + 1) ** 2 + 5, 4)),
-}
+# Theorem -> its canonical steps at order n in case k.
+_THEOREMS = {"4.1": theorem_41_params, "4.2": theorem_42_params,
+             "4.3": theorem_43_params}
 
 
 def sweep_verify(
@@ -310,15 +297,14 @@ def sweep_verify(
     """
     if theorem not in _THEOREMS:
         raise SearchError(f"unknown theorem {theorem!r}")
-    family, params_at, orders = _THEOREMS[theorem]
-    predict = FAMILIES[family].predict
+    params_at, family = _THEOREMS[theorem], bounds.THEOREMS[theorem].family
     # Looked up by name on each call, so a wrapper swapped into this module
     # sees the searches.
     search = globals()["search_" + family]
     rows: list[SweepRow] = []
     for k in range(1, k_max + 1):
-        for n in orders(k):
-            predicted = predict(n)
+        for n in bounds.case_orders(theorem, k):
+            predicted = bounds.predicted_diameter(theorem, n)
             if predicted is None:
                 continue
             constructed = family_diameter(params_at(n, k), strict=False)

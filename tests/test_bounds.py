@@ -2,16 +2,17 @@ import pytest
 
 from gridnet.bounds import (
     BoundsError,
+    BoundsReport,
     achievable_range_mh,
     achievable_range_na,
     bounds_report,
-    infer_k_mh,
-    infer_k_na,
+    case_of,
     mh_missing_order,
     moore_ds,
     moore_mh,
     moore_na,
     na_missing_order,
+    theorem_41_expected_diameter,
     theorem_42_expected_diameter,
     theorem_43_expected_diameter,
 )
@@ -108,10 +109,10 @@ class TestCasePredictions:
 
     def test_k_inference_matches_explicit_k(self):
         for n in range(6, 200, 2):
-            k = infer_k_na(n)
+            k = case_of("4.2", n)
             assert theorem_42_expected_diameter(n) == theorem_42_expected_diameter(n, k)
         for n in range(16, 400, 4):
-            k = infer_k_mh(n)
+            k = case_of("4.3", n)
             assert theorem_43_expected_diameter(n) == theorem_43_expected_diameter(n, k)
 
     def test_na_cases_tile_with_one_gap_per_k(self):
@@ -139,6 +140,55 @@ class TestCasePredictions:
             theorem_42_expected_diameter(9)
 
 
+# The case statements of Theorems 4.2 and 4.3, written out from the paper:
+# the diameter the canonical steps give at order n of case k.
+def na_case(n, k):
+    if 4 * k * k + 2 <= n <= 4 * k * k + 4 * k + 2:
+        return 2 * k + 1
+    if n == 4 * k * k + 4 * k + 4:
+        return 2 * k + 2
+    if n == 4 * k * k + 4 * k + 6:
+        return None
+    assert 4 * k * k + 4 * k + 8 <= n <= 4 * (k + 1) ** 2 + 2
+    return 2 * k + 3
+
+
+def mh_case(n, k):
+    if 8 * k * k + 8 <= n <= 8 * k * k + 8 * k + 4:
+        return 2 * k + 2
+    if n == 8 * k * k + 8 * k + 8:
+        return 2 * k + 3
+    if n == 8 * k * k + 8 * k + 12:
+        return None
+    assert 8 * k * k + 8 * k + 16 <= n <= 8 * (k + 1) ** 2 + 4
+    return 2 * k + 4
+
+
+@pytest.mark.parametrize(
+    "predict,case,first,last,step",
+    [
+        (theorem_42_expected_diameter, na_case,
+         lambda k: 4 * k * k + 2, lambda k: 4 * (k + 1) ** 2 + 2, 2),
+        (theorem_43_expected_diameter, mh_case,
+         lambda k: 8 * k * k + 8, lambda k: 8 * (k + 1) ** 2 + 4, 4),
+    ],
+    ids=["4.2", "4.3"],
+)
+def test_case_table_matches_case_statements(predict, case, first, last, step):
+    for k in range(1, 41):
+        for n in range(first(k), last(k) + 1, step):
+            assert predict(n, k) == case(n, k), (n, k)
+            assert predict(n) == case(n, k), (n, k)
+
+
+def test_theorem_41_is_least_diameter_whose_moore_bound_holds_n():
+    k = 0
+    for n in range(2, 5001):
+        while moore_ds(k) < n:
+            k += 1
+        assert theorem_41_expected_diameter(n) == k, n
+
+
 class TestBoundsReport:
     def test_ds_report(self):
         r = bounds_report("ds", 3)
@@ -158,3 +208,29 @@ class TestBoundsReport:
     def test_unknown_family(self):
         with pytest.raises(BoundsError):
             bounds_report("xx", 3)
+
+    def test_ds_reports_moore_bound_only(self):
+        for k in range(0, 61):
+            assert bounds_report("ds", k) == BoundsReport("ds", k, moore_ds(k))
+
+    @pytest.mark.parametrize(
+        "family,moore,achievable,first,missing",
+        [
+            ("na", moore_na, achievable_range_na, 1,
+             lambda k: na_missing_order((k - 2) // 2) if k % 2 == 0 else None),
+            ("mh", moore_mh, achievable_range_mh, 2,
+             lambda k: mh_missing_order((k - 3) // 2) if k % 2 == 1 else None),
+        ],
+        ids=["na", "mh"],
+    )
+    def test_report_is_range_with_missing_order(
+        self, family, moore, achievable, first, missing
+    ):
+        for k in range(first, 61):
+            try:
+                low, high = achievable(k)
+            except BoundsError:
+                expected = BoundsReport(family, k, moore(k))
+            else:
+                expected = BoundsReport(family, k, moore(k), low, high, missing(k))
+            assert bounds_report(family, k) == expected

@@ -8,8 +8,10 @@ against brute force and the memoised search against ``plain_search_slice``,
 the same loop with one BFS per candidate.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -113,13 +115,18 @@ def test_memo_matches_one_bfs_per_candidate(family, n, mod4_filter):
     )
 
 
-def test_memo_holds_diameters_past_one_byte():
+def test_memo_holds_diameters_past_one_byte(monkeypatch):
     # DS (1, 2) at N = 1100 has diameter 275; its image (2, 549) is the
-    # 823rd candidate and reads that value back from the memo.
+    # 823rd candidate and reads that value back from the memo.  The search
+    # runs on a DS record whose enumeration stops there.
     n, stop = 1100, 823
-    assert search._run_search("ds", n, stop=stop) == (
-        plain_search_slice("ds", n, stop, False)
+    expected = plain_search_slice("ds", n, stop, False)
+    ds = FAMILIES["ds"]
+    truncated = dataclasses.replace(
+        ds, candidates=lambda n: islice(ds.candidates(n), stop)
     )
+    monkeypatch.setitem(FAMILIES, "ds", truncated)
+    assert search._run_search("ds", n) == expected
 
 
 @pytest.mark.parametrize(
