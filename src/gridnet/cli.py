@@ -196,11 +196,11 @@ def _sandwich_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
     for n in range(first, n_max + 1):
         for steps in ds.candidates(n):
             p = ds.params(n, *steps)
-            for kind in ("na-from-ds", "mh-from-ds"):
-                r = check_diameter_sandwich(kind, p)
-                yield None if r.passed else (
+            r = check_diameter_sandwich(p)
+            for kind, derived, low, high in r.checks:
+                yield None if low <= derived <= high else (
                     f"FAIL {kind} {format_params(p)}: k={r.k} "
-                    f"derived={r.derived_diameter} not in [{r.low},{r.high}]"
+                    f"derived={derived} not in [{low},{high}]"
                 )
 
 
@@ -212,13 +212,13 @@ def _line_digraph_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
             rows = family_rows(p, strict=False)
             if regular_degree(rows) != 2:
                 continue
-            d = family_diameter(p, strict=False)
+            d = family_diameter(p)
             if d is None:
                 continue
             # The line digraph has one vertex per arc of the NA digraph.
             passed = (
                 sum(len(heads) for heads in rows) == 2 * n
-                and line_diameter(p, strict=False) == d + 1
+                and line_diameter(p) == d + 1
             )
             yield None if passed else f"FAIL line-digraph {format_params(p)}"
 
@@ -288,9 +288,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"verify {args.claim} takes no --n-max")
     k_max = 3 if args.k_max is None else args.k_max
     _check_k_max(k_max)
-    rows = search_mod.sweep_verify(
-        args.claim, k_max, exhaustive=args.exhaustive, workers=args.workers
-    )
+    rows = search_mod.sweep_verify(args.claim, k_max, exhaustive=args.exhaustive)
     _print_rows(rows, args.csv)
     failures = sum(1 for r in rows if not r.passed)
     print(f"theorem {args.claim}: {len(rows)} orders, {failures} failures")

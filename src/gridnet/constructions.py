@@ -2,7 +2,9 @@
 
 Each map doubles the order and carries the explicit particular solution of
 the corresponding condition system; the condition checkers let callers
-validate alternative solutions of the same systems.
+validate alternative solutions of the same systems.  The chain DS -> NA ->
+MH is written once: ds_to_mh is the composition.  check_diameter_sandwich
+derives the chain of one DS graph and bounds both derived diameters.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .families import (
     NewAmsterdamDigraph,
     family_diameter,
     validate_ds,
+    validate_mh,
     validate_na,
 )
 from .graphs import diameter  # noqa: F401  (not called; perfbench/layers.py traces it)
@@ -62,26 +65,11 @@ def na_to_mh(p: NewAmsterdamDigraph) -> ManhattanDigraph:
 
 
 def ds_to_mh(p: DoubleStepGraph) -> ManhattanDigraph:
-    """Double-step graph on N -> Manhattan digraph on 4N.
+    """Double-step graph on N -> Manhattan digraph on 4N: na_to_mh(ds_to_na(p)).
 
-    Steps: a = (1, -3, 1, 1), b = (4a+3, 4b-1, -4a-1, -4b-1); identical
-    step-for-step to na_to_mh(ds_to_na(p)).
+    Steps: a = (1, -3, 1, 1), b = (4a+3, 4b-1, -4a-1, -4b-1).
     """
-    v = validate_ds(p)
-    if not v.ok:
-        raise FamilyError("; ".join(v.errors))
-    a, b = p.a, p.b
-    return ManhattanDigraph(
-        4 * p.n,
-        a0=1,
-        b0=4 * a + 3,
-        a1=-3,
-        b1=4 * b - 1,
-        a2=1,
-        b2=-4 * a - 1,
-        a3=1,
-        b3=-4 * b - 1,
-    )
+    return na_to_mh(ds_to_na(p))
 
 
 def check_na_conditions(ds: DoubleStepGraph, na: NewAmsterdamDigraph) -> list[str]:
@@ -141,31 +129,40 @@ def check_mh_conditions(na: NewAmsterdamDigraph, mh: ManhattanDigraph) -> list[s
 
 @dataclass(frozen=True)
 class SandwichReport:
-    kind: str  # "na-from-ds" | "mh-from-ds"
     ds: DoubleStepGraph
     k: int
-    derived_diameter: int
-    low: int
-    high: int
+    na_diameter: int
+    mh_diameter: int
+
+    @property
+    def checks(self) -> tuple[tuple[str, int, int, int], ...]:
+        """(kind, derived diameter, low, high) for each derived digraph."""
+        k = self.k
+        return (
+            ("na-from-ds", self.na_diameter, 2 * k, 2 * k + 1),
+            ("mh-from-ds", self.mh_diameter, 2 * k + 1, 2 * k + 2),
+        )
 
     @property
     def passed(self) -> bool:
-        return self.low <= self.derived_diameter <= self.high
+        return all(low <= d <= high for _, d, low, high in self.checks)
 
 
-def check_diameter_sandwich(kind: str, p: DoubleStepGraph) -> SandwichReport:
-    """Check 2k <= D_NA <= 2k+1 (resp. 2k+1 <= D_MH <= 2k+2) for k = D(G)."""
-    if kind not in ("na-from-ds", "mh-from-ds"):
-        raise ValueError(f"unknown sandwich kind {kind!r}")
+def check_diameter_sandwich(p: DoubleStepGraph) -> SandwichReport:
+    """Check 2k <= D_NA <= 2k+1 and 2k+1 <= D_MH <= 2k+2 for k = D(G).
+
+    The chain is derived once, na = ds_to_na(p) and mh = na_to_mh(na), and
+    each of the three digraphs gets one period BFS.
+    """
+    na = ds_to_na(p)
+    mh = na_to_mh(na)
+    v = validate_mh(mh)
+    if not v.ok:
+        raise FamilyError("; ".join(v.errors))
     k = family_diameter(p)
     if k is None:
         raise FamilyError(f"double-step graph {p} is not strongly connected")
-    if kind == "na-from-ds":
-        derived = family_diameter(ds_to_na(p))
-        low, high = 2 * k, 2 * k + 1
-    else:
-        derived = family_diameter(ds_to_mh(p))
-        low, high = 2 * k + 1, 2 * k + 2
-    if derived is None:
+    na_d, mh_d = family_diameter(na), family_diameter(mh)
+    if na_d is None or mh_d is None:
         raise FamilyError(f"derived digraph of {p} is not strongly connected")
-    return SandwichReport(kind, p, k, derived, low, high)
+    return SandwichReport(p, k, na_d, mh_d)

@@ -14,7 +14,8 @@ period, candidate generator, orbit map and memo slots, Moore bound and
 theorem predictor.  Callers look the record up by tag or by ``params.tag``
 instead of branching on the family.  Compilation deduplicates coincident
 heads of the same rows so the resulting Digraph never carries parallel arcs,
-even for degenerate step choices.
+even for degenerate step choices.  The period-BFS diameters family_diameter
+and line_diameter never validate: compile_params and family_rows do.
 """
 
 from __future__ import annotations
@@ -253,7 +254,9 @@ def mh_candidates(
     """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
 
     Yields (a0,b0,a1,b1,a2,b2,a3,b3).  With mod4_filter, restricts to
-    a_j = 3, b_j = 1 (mod 4).
+    a_j = 3, b_j = 1 (mod 4).  The filter assumes 4 | N (every Manhattan
+    order): residues mod 4 then survive reduction mod N, so a0 = a2 = 3
+    gives s = 2 and forces a3 = -s-a1 = 3, b2 = s-b0 = 1, b3 = -s-b1 = 1.
     """
     a_vals = range(3, n, 4) if mod4_filter else range(1, n, 2)
     b_vals = range(1, n, 4) if mod4_filter else range(1, n, 2)
@@ -262,20 +265,14 @@ def mh_candidates(
             s = (a0 + a2) % n
             for a1 in a_vals:
                 a3 = (-s - a1) % n
-                if mod4_filter and a3 % 4 != 3:
-                    continue
                 for b0 in b_vals:
                     if b0 == a0:
                         continue
                     b2 = (s - b0) % n
-                    if mod4_filter and b2 % 4 != 1:
-                        continue
                     for b1 in b_vals:
                         if b1 == a1:
                             continue
                         b3 = (-s - b1) % n
-                        if mod4_filter and b3 % 4 != 1:
-                            continue
                         yield (a0, b0, a1, b1, a2, b2, a3, b3)
 
 
@@ -412,22 +409,18 @@ def validate(p: FamilyParams) -> Validation:
     return FAMILIES[p.tag].validate(p)
 
 
-def _family_of(p: FamilyParams, strict: bool) -> Family:
-    """The record of p's family; with ``strict``, hard violations raise."""
-    if strict:
-        v = validate(p)
-        if not v.ok:
-            raise FamilyError("; ".join(v.errors))
-    return FAMILIES[p.tag]
-
-
 def family_rows(p: FamilyParams, strict: bool = True) -> list[tuple[int, ...]]:
     """The family's rows of p with coincident heads merged.
 
     These are the out-lists of compile_params, without the Digraph.  With
     ``strict``, hard validity violations raise FamilyError first.
     """
-    return [_dedup(heads) for heads in _family_of(p, strict).rows(p.n, p.steps)]
+    fam = FAMILIES[p.tag]
+    if strict:
+        v = fam.validate(p)
+        if not v.ok:
+            raise FamilyError("; ".join(v.errors))
+    return [_dedup(heads) for heads in fam.rows(p.n, p.steps)]
 
 
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
@@ -440,30 +433,29 @@ def _period(fam: Family, n: int) -> int:
     return fam.period if n % fam.period == 0 else n
 
 
-def family_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
+def family_diameter(p: FamilyParams) -> Optional[int]:
     """Diameter of p's digraph, or None when it is not strongly connected.
 
     BFS runs on the family's rows from one vertex per translation class,
-    as in the search, without building a Digraph.  ``strict`` validates as
-    in compile_params.
+    as in the search, without building a Digraph.  p is not validated: the
+    period falls back to every vertex where it does not divide the order.
     """
-    fam = _family_of(p, strict)
+    fam = FAMILIES[p.tag]
     sources = range(_period(fam, p.n))
     return bounded_diameter(fam.rows(p.n, p.steps), p.n, None, sources)
 
 
-def line_diameter(p: FamilyParams, strict: bool = True) -> Optional[int]:
+def line_diameter(p: FamilyParams) -> Optional[int]:
     """Diameter of the line digraph of p's digraph, or None as in diameter.
 
-    The line digraph is that of compile_params(p), numbered as in
-    graphs.line_digraph, but no Digraph is built.  Shifting by the period
+    The line digraph is that of compile_params(p, strict=False), numbered as
+    in graphs.line_digraph, but no Digraph is built.  Shifting by the period
     sends arc (u, j) to (u + period, j), so it adds the number of arcs out
     of vertices 0..period-1 to every arc index (mod the arc count): BFS from
     those arcs alone gives the diameter.  When the period does not divide
-    the order, BFS runs from every arc.  ``strict`` validates as in
-    compile_params.
+    the order, BFS runs from every arc.  p is not validated.
     """
-    rows = family_rows(p, strict)
+    rows = family_rows(p, strict=False)
     arcs = line_rows(rows)
     period = _period(FAMILIES[p.tag], p.n)
     sources = range(sum(len(heads) for heads in rows[:period]))

@@ -226,16 +226,13 @@ def search_mh(
     cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
     if n > cap:
         raise SearchError(f"order {n} exceeds via-NA cap {cap}")
+    # The two-way cycle (1, -1, 1, -1) is an NA candidate: a minimum exists.
     inner = search_na(n // 2, cap=n // 2)
-    if inner.min_diameter is None:
-        return SearchResult(
-            "mh", n, None, (), 0, inner.candidates_examined, None, "not-covered"
-        )
     best = inner.min_diameter + 1
     mapped = []
     for w in inner.witnesses:
         mh = na_to_mh(w)
-        if family_diameter(mh, strict=False) == best:
+        if family_diameter(mh) == best:
             mapped.append(mh.steps)
     return _finish("mh", n, best, mapped, len(mapped), inner.candidates_examined)
 
@@ -280,12 +277,7 @@ _THEOREMS = {"4.1": theorem_41_params, "4.2": theorem_42_params,
              "4.3": theorem_43_params}
 
 
-def sweep_verify(
-    theorem: str,
-    k_max: int,
-    exhaustive: bool = False,
-    workers: Optional[int] = None,
-) -> list[SweepRow]:
+def sweep_verify(theorem: str, k_max: int, exhaustive: bool = False) -> list[SweepRow]:
     """BFS-verify a theorem's predicted diameters over its stated order ranges.
 
     The canonical steps' diameter comes from family_diameter; theorem 4.3
@@ -293,7 +285,7 @@ def sweep_verify(
     by line_diameter.
     With exhaustive=True also runs the full step search per order to confirm
     the prediction is the true minimum (slower; honors the family caps).
-    ``workers`` is accepted and ignored.
+    An order that two cases share (a boundary order) is searched once.
     """
     if theorem not in _THEOREMS:
         raise SearchError(f"unknown theorem {theorem!r}")
@@ -301,17 +293,20 @@ def sweep_verify(
     # Looked up by name on each call, so a wrapper swapped into this module
     # sees the searches.
     search = globals()["search_" + family]
+    searched_min: dict[int, Optional[int]] = {}
     rows: list[SweepRow] = []
     for k in range(1, k_max + 1):
         for n in bounds.case_orders(theorem, k):
             predicted = bounds.predicted_diameter(theorem, n)
             if predicted is None:
                 continue
-            constructed = family_diameter(params_at(n, k), strict=False)
+            constructed = family_diameter(params_at(n, k))
             via = None
             if family == "mh":
-                via = line_diameter(theorem_42_params(n // 2, k), strict=False)
+                via = line_diameter(theorem_42_params(n // 2, k))
             # Theorem 4.1 starts at order 2, below search_ds's least order.
-            searched = search(n).min_diameter if exhaustive and n >= 3 else None
-            rows.append(SweepRow(theorem, k, n, predicted, constructed, via, searched))
+            if exhaustive and n >= 3 and n not in searched_min:
+                searched_min[n] = search(n).min_diameter
+            rows.append(SweepRow(theorem, k, n, predicted, constructed, via,
+                                 searched_min.get(n)))
     return rows

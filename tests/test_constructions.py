@@ -114,21 +114,22 @@ class TestDsToMh:
 
 class TestDiameterSandwich:
     def test_na_example(self):
-        r = check_diameter_sandwich("na-from-ds", DoubleStepGraph(5, 1, 2))
-        assert r.k == 1 and (r.low, r.high) == (2, 3) and r.passed
+        r = check_diameter_sandwich(DoubleStepGraph(5, 1, 2))
+        assert r.k == 1 and r.checks[0] == ("na-from-ds", 3, 2, 3)
+        assert r.passed
 
     def test_mh_example(self):
-        r = check_diameter_sandwich("mh-from-ds", DoubleStepGraph(13, 2, 3))
-        assert r.k == 2 and (r.low, r.high) == (5, 6) and r.passed
+        r = check_diameter_sandwich(DoubleStepGraph(13, 2, 3))
+        assert r.k == 2 and r.checks[1] == ("mh-from-ds", 6, 5, 6)
+        assert r.passed
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            check_diameter_sandwich("bogus", DoubleStepGraph(5, 1, 2))
+    def test_invalid_ds_raises(self):
+        with pytest.raises(FamilyError):
+            check_diameter_sandwich(DoubleStepGraph(6, 2, 4))  # gcd(N, a, b) = 2
 
     def test_exhaustive_small_sweep(self):
         for p in valid_ds_instances(24):
-            assert check_diameter_sandwich("na-from-ds", p).passed
-            assert check_diameter_sandwich("mh-from-ds", p).passed
+            assert check_diameter_sandwich(p).passed
 
     def test_mh_matches_line_digraph_diameter(self):
         for p in valid_ds_instances(20):

@@ -231,6 +231,18 @@ class TestRegistry:
             assert len(generated) == len(set(generated)) == count
             assert set(generated) == expected
 
+    def test_mod4_filter_is_the_residue_restriction(self):
+        # With 4 | N the forced steps a3, b2, b3 land in the filtered residue
+        # classes, so the filter only needs to restrict the free steps.
+        mh = FAMILIES["mh"]
+        for n in range(8, 25, 4):
+            restricted = [
+                steps for steps in mh.candidates(n)
+                if all(s % 4 == (3 if j % 2 == 0 else 1)
+                       for j, s in enumerate(steps))
+            ]
+            assert list(mh.candidates(n, mod4_filter=True)) == restricted, n
+
     def test_records_are_keyed_by_their_params_tag(self):
         for tag, family in FAMILIES.items():
             assert family.tag == family.params.tag == tag

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from gridnet.families import (
     FAMILIES,
     DoubleStepGraph,
-    FamilyError,
     ManhattanDigraph,
     NewAmsterdamDigraph,
     compile_params,
@@ -42,7 +41,7 @@ def assert_kernel_matches(family, n, steps):
     params = PARAMS[family](n, *steps)
     expected = diameter(compile_params(params, strict=False))
     assert bounded_diameter(rows, n, None, sources) == expected
-    assert family_diameter(params, strict=False) == expected
+    assert family_diameter(params) == expected
     if expected is None:
         assert bounded_diameter(rows, n, n, sources) is None
         return
@@ -55,7 +54,7 @@ def assert_line_kernel_matches(family, n, steps):
     params = PARAMS[family](n, *steps)
     lg = line_digraph(compile_params(params, strict=False))
     assert line_rows(family_rows(params, strict=False)) == list(lg.out_arcs)
-    assert line_diameter(params, strict=False) == diameter(lg)
+    assert line_diameter(params) == diameter(lg)
 
 
 @pytest.mark.parametrize(
@@ -67,14 +66,12 @@ def assert_line_kernel_matches(family, n, steps):
     ],
     ids=["ds", "na", "mh"],
 )
-def test_family_diameter_strict_rejects_invalid_params(params):
-    with pytest.raises(FamilyError):
-        family_diameter(params)
-    with pytest.raises(FamilyError):
-        line_diameter(params)
+def test_family_diameter_measures_invalid_params(params):
+    # The period-BFS diameters never validate: they measure what
+    # compile_params(params, strict=False) builds.
     g = compile_params(params, strict=False)
-    assert family_diameter(params, strict=False) == diameter(g)
-    assert line_diameter(params, strict=False) == diameter(line_digraph(g))
+    assert family_diameter(params) == diameter(g)
+    assert line_diameter(params) == diameter(line_digraph(g))
 
 
 @pytest.mark.parametrize(
@@ -153,14 +150,14 @@ def test_manhattan_property(quarter, steps):
 
 def assert_all_sources_when_period_does_not_divide(params):
     g = compile_params(params, strict=False)
-    assert family_diameter(params, strict=False) == diameter(g), params
-    assert line_diameter(params, strict=False) == diameter(line_digraph(g)), params
+    assert family_diameter(params) == diameter(g), params
+    assert line_diameter(params) == diameter(line_digraph(g)), params
 
 
 def test_order_not_a_multiple_of_the_period():
     # Shifting by the period is then no automorphism, so the period's
     # vertices do not represent every vertex: BFS must run from all of them.
-    assert family_diameter(NewAmsterdamDigraph(9, 8, 7, 8, 6), strict=False) == 5
+    assert family_diameter(NewAmsterdamDigraph(9, 8, 7, 8, 6)) == 5
     for n in (5, 7):
         for steps in product(range(n), repeat=4):
             assert_all_sources_when_period_does_not_divide(

@@ -233,6 +233,20 @@ class TestSweepVerify:
         # order 3 has no valid instance at all, so no searched minimum
         assert all(r.searched_min == r.predicted for r in rows if r.n >= 4)
 
+    def test_exhaustive_mode_searches_each_order_once(self, monkeypatch):
+        # A boundary order 4(k+1)^2+2 (18, 38) belongs to cases k and k+1.
+        searched = []
+
+        def counting(n):
+            searched.append(n)
+            return search_na(n)
+
+        monkeypatch.setattr(search, "search_na", counting)
+        rows = sweep_verify("4.2", 3, exhaustive=True)
+        assert len(searched) == len(set(searched)) == 28
+        assert sorted({r.n for r in rows}) == sorted(searched)
+        assert all(r.passed and r.searched_min == r.predicted for r in rows)
+
     def test_canonical_na_steps_suboptimal_at_missing_order(self):
         # at N=14 the theorem steps give 5; so does everything else
         g = compile_params(theorem_42_params(14, 1), strict=False)
