@@ -8,6 +8,7 @@ claim certified by BFS.
 from .bounds import (
     BoundsError,
     BoundsReport,
+    achievable_range,
     achievable_range_mh,
     achievable_range_na,
     bounds_report,
@@ -40,6 +41,7 @@ from .families import (
     format_params,
     line_diameter,
     parse_params,
+    require_valid,
     validate,
     validate_ds,
     validate_mh,

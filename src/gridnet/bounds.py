@@ -1,12 +1,13 @@
 """Moore-like bounds, achievable-order ranges and theorem predictions.
 
-Each bound is its closed form.  The tests cross-assert it against an
+Each Moore bound is its closed form.  The tests cross-assert it against an
 independent summation form (``tests/oracles.py``) instead of trusting the
 algebra.
 
 ``THEOREMS`` states the cases of Theorems 4.1-4.3 once, as data; the
-predictions, the case of an order, the orders of a case and its missing
-order are all read from it.
+predictions, the case of an order, the orders of a case, its missing order
+and the paper's order range at a diameter are all read from it.  The tests
+hold the paper's closed forms of the ranges as the check.
 """
 
 from __future__ import annotations
@@ -49,69 +50,35 @@ def moore_mh(k: int) -> int:
     return 2 * km1 * km1 if k % 2 == 1 else 2 * (km1 * km1 + 1)
 
 
-def achievable_range_na(d: int) -> tuple[int, int]:
-    """Order range the paper gives at diameter d for New Amsterdam digraphs.
-
-    Odd d >= 3: (d-1)^2 - 2d + 10 <= N <= d^2 + 1.
-    Even d >= 2: d^2 - 2d + 4 <= N <= d^2 - 2d + 6.  The even upper value is
-    the paper's open missing order (na_missing_order), not a known-achievable
-    one: the canonical steps do not reach it, and exhaustive search finds it
-    unattained at d=4 (N=14) and d=6 (N=30), whose minima are 5 and 7.
-    """
-    if d % 2 == 1:
-        if d < 3:
-            raise BoundsError(f"odd diameter must be at least 3, got {d}")
-        return ((d - 1) ** 2 - 2 * d + 10, d * d + 1)
-    if d < 2:
-        raise BoundsError(f"even diameter must be at least 2, got {d}")
-    return (d * d - 2 * d + 4, d * d - 2 * d + 6)
-
-
-def achievable_range_mh(d: int) -> tuple[int, int]:
-    """Order range the paper gives at diameter d for Manhattan digraphs.
-
-    Even d >= 4: 2[(d-2)^2 - 2(d-1) + 10] <= N <= 2[(d-1)^2 + 1].
-    Odd d >= 5: 2[(d-1)^2 - 2(d-1) + 4] <= N <= 2[(d-1)^2 - 2(d-1) + 6].
-    The odd upper value is the paper's missing order (mh_missing_order),
-    which the canonical steps miss.  At d=5 (N=28) odd steps attain it
-    (mh:28,1,3,1,9,1,27,25,17), but steps meeting the mod-4 condition do
-    not: the mod4_filter search and the lift of NA witnesses both find 6.
-    """
-    if d % 2 == 0:
-        if d < 4:
-            raise BoundsError(f"even diameter must be at least 4, got {d}")
-        return (2 * ((d - 2) ** 2 - 2 * (d - 1) + 10), 2 * ((d - 1) ** 2 + 1))
-    if d < 5:
-        raise BoundsError(f"odd diameter must be at least 5, got {d}")
-    e = (d - 1) ** 2 - 2 * (d - 1)
-    return (2 * (e + 4), 2 * (e + 6))
-
-
 @dataclass(frozen=True)
 class Theorem:
     """One theorem's case statements for its canonical steps.  Case k >= 1
     holds the orders first(k), first(k) + step, ..., split into segments
-    (last, d): diameter d up to order last, and d None at the missing order."""
+    (last, d): diameter d up to order last, and d None at the missing order.
+    The paper's order ranges start at diameter ``least_range_d`` (None: no
+    range).  At k = 0 the lambdas give the missing orders 6 (NA) and 12 (MH),
+    where case 1's first range starts, and the NA range 4..6 at d=2."""
 
     family: str
     step: int
     first: Callable[[int], int]
     segments: Callable[[int], tuple[tuple[int, Optional[int]], ...]]
+    least_range_d: Optional[int]
 
 
 THEOREMS = {
     "4.1": Theorem("ds", 1, lambda k: moore_ds(k - 1) + 1,
-                   lambda k: ((moore_ds(k), k),)),
+                   lambda k: ((moore_ds(k), k),), None),
     "4.2": Theorem("na", 2, lambda k: 4 * k * k + 2,
                    lambda k: ((4 * k * k + 4 * k + 2, 2 * k + 1),
                               (4 * k * k + 4 * k + 4, 2 * k + 2),
                               (4 * k * k + 4 * k + 6, None),
-                              (4 * (k + 1) ** 2 + 2, 2 * k + 3))),
+                              (4 * (k + 1) ** 2 + 2, 2 * k + 3)), 2),
     "4.3": Theorem("mh", 4, lambda k: 8 * k * k + 8,
                    lambda k: ((8 * k * k + 8 * k + 4, 2 * k + 2),
                               (8 * k * k + 8 * k + 8, 2 * k + 3),
                               (8 * k * k + 8 * k + 12, None),
-                              (8 * (k + 1) ** 2 + 4, 2 * k + 4))),
+                              (8 * (k + 1) ** 2 + 4, 2 * k + 4)), 4),
 }
 
 
@@ -147,12 +114,37 @@ def predicted_diameter(theorem: str, n: int, k: Optional[int] = None) -> Optiona
     return next((d for last, d in t.segments(k) if n <= last), None)
 
 
+def achievable_range(theorem: str, d: int) -> tuple[int, int]:
+    """Order range the paper gives at diameter d, read from THEOREMS.
+
+    Case k's segments have diameters d0, d0+1, the missing order, then
+    d0+2.  The range at d0 runs from case k-1's missing order + step to the
+    end of case k's first segment; at d0+1, from case k's second segment to
+    its missing order, which is open: NA orders 14 and 30 are unattained at
+    d=4 and 6 (minima 5 and 7), and MH order 28 reaches d=5 only with steps
+    that break the mod-4 condition (mh:28,1,3,1,9,1,27,25,17).
+
+    One range disagrees with THEOREMS: case 1 of 4.2 and ``search na --n 6``
+    give diameter 3 at order 6, yet the paper's NA range at d=3 is 8..10.
+    """
+    t = THEOREMS[theorem]
+    if t.least_range_d is None or d < t.least_range_d:
+        raise BoundsError(f"theorem {theorem} gives no order range at diameter {d}")
+    k = next(k for k in count(0) if t.segments(k)[1][1] >= d)
+    (last, d0), (second, _) = t.segments(k)[:2]
+    if d == d0:
+        return missing_order(theorem, k - 1) + t.step, last
+    return second, missing_order(theorem, k)
+
+
 # The names that the package exports and families.FAMILIES binds.
 theorem_41_expected_diameter = partial(predicted_diameter, "4.1")
 theorem_42_expected_diameter = partial(predicted_diameter, "4.2")
 theorem_43_expected_diameter = partial(predicted_diameter, "4.3")
 na_missing_order = partial(missing_order, "4.2")
 mh_missing_order = partial(missing_order, "4.3")
+achievable_range_na = partial(achievable_range, "4.2")
+achievable_range_mh = partial(achievable_range, "4.3")
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def bounds_report(family: str, k: int) -> BoundsReport:
     The missing_order flag marks the upper end of the range at the even NA
     and odd MH diameters: the paper's open order, which the canonical steps
     do not reach.  It need not be attained at diameter k; see
-    achievable_range_na and achievable_range_mh.
+    achievable_range.
     """
     if family not in _REPORTS:
         raise BoundsError(f"unknown family {family!r}")

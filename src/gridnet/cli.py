@@ -209,7 +209,7 @@ def _line_digraph_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
     for n in range(first, n_max + 1, 2):
         for steps in na.candidates(n):
             p = na.params(n, *steps)
-            rows = family_rows(p, strict=False)
+            rows = family_rows(p)
             if regular_degree(rows) != 2:
                 continue
             d = family_diameter(p)

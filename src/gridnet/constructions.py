@@ -1,8 +1,9 @@
 """Step-translation maps between the families.
 
 Each map doubles the order and carries the explicit particular solution of
-the corresponding condition system; the condition checkers let callers
-validate alternative solutions of the same systems.  The chain DS -> NA ->
+the corresponding condition system; it passes its input through
+families.require_valid first.  The condition checkers let callers validate
+alternative solutions of the same systems.  The chain DS -> NA ->
 MH is written once: ds_to_mh is the composition.  check_diameter_sandwich
 derives the chain of one DS graph and bounds both derived diameters.
 """
@@ -17,9 +18,7 @@ from .families import (
     ManhattanDigraph,
     NewAmsterdamDigraph,
     family_diameter,
-    validate_ds,
-    validate_mh,
-    validate_na,
+    require_valid,
 )
 from .graphs import diameter  # noqa: F401  (not called; perfbench/layers.py traces it)
 
@@ -29,9 +28,7 @@ def ds_to_na(p: DoubleStepGraph) -> NewAmsterdamDigraph:
 
     Steps: alpha = -1, beta = 2(b-a)-1, gamma = 2a+1, delta = -2b+1.
     """
-    v = validate_ds(p)
-    if not v.ok:
-        raise FamilyError("; ".join(v.errors))
+    require_valid(p)
     a, b = p.a, p.b
     return NewAmsterdamDigraph(
         2 * p.n,
@@ -47,9 +44,7 @@ def na_to_mh(p: NewAmsterdamDigraph) -> ManhattanDigraph:
 
     Steps: a = (1, 2α-1, 1, -2α-1), b = (2γ+1, 2β+2γ-1, -2γ+1, -2β-2γ-1).
     """
-    v = validate_na(p)
-    if not v.ok:
-        raise FamilyError("; ".join(v.errors))
+    require_valid(p)
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
     return ManhattanDigraph(
         2 * p.n,
@@ -156,9 +151,7 @@ def check_diameter_sandwich(p: DoubleStepGraph) -> SandwichReport:
     """
     na = ds_to_na(p)
     mh = na_to_mh(na)
-    v = validate_mh(mh)
-    if not v.ok:
-        raise FamilyError("; ".join(v.errors))
+    require_valid(mh)
     k = family_diameter(p)
     if k is None:
         raise FamilyError(f"double-step graph {p} is not strongly connected")

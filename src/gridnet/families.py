@@ -14,8 +14,9 @@ period, candidate generator, orbit map and memo slots, Moore bound and
 theorem predictor.  Callers look the record up by tag or by ``params.tag``
 instead of branching on the family.  Compilation deduplicates coincident
 heads of the same rows so the resulting Digraph never carries parallel arcs,
-even for degenerate step choices.  The period-BFS diameters family_diameter
-and line_diameter never validate: compile_params and family_rows do.
+even for degenerate step choices.  require_valid is the one validity gate:
+compile_params (when strict) and the step translations call it, and
+family_rows, family_diameter and line_diameter never validate.
 """
 
 from __future__ import annotations
@@ -409,23 +410,27 @@ def validate(p: FamilyParams) -> Validation:
     return FAMILIES[p.tag].validate(p)
 
 
-def family_rows(p: FamilyParams, strict: bool = True) -> list[tuple[int, ...]]:
+def require_valid(p: FamilyParams) -> None:
+    """Raise FamilyError listing p's hard validity violations, if any."""
+    v = validate(p)
+    if not v.ok:
+        raise FamilyError("; ".join(v.errors))
+
+
+def family_rows(p: FamilyParams) -> list[tuple[int, ...]]:
     """The family's rows of p with coincident heads merged.
 
-    These are the out-lists of compile_params, without the Digraph.  With
-    ``strict``, hard validity violations raise FamilyError first.
+    These are the out-lists of compile_params, without the Digraph.  p is
+    not validated.
     """
-    fam = FAMILIES[p.tag]
-    if strict:
-        v = fam.validate(p)
-        if not v.ok:
-            raise FamilyError("; ".join(v.errors))
-    return [_dedup(heads) for heads in fam.rows(p.n, p.steps)]
+    return [_dedup(heads) for heads in FAMILIES[p.tag].rows(p.n, p.steps)]
 
 
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
-    """family_rows(p, strict) as a Digraph."""
-    return Digraph(p.n, tuple(family_rows(p, strict)))
+    """family_rows(p) as a Digraph; with ``strict``, require_valid(p) first."""
+    if strict:
+        require_valid(p)
+    return Digraph(p.n, tuple(family_rows(p)))
 
 
 def _period(fam: Family, n: int) -> int:
@@ -448,14 +453,14 @@ def family_diameter(p: FamilyParams) -> Optional[int]:
 def line_diameter(p: FamilyParams) -> Optional[int]:
     """Diameter of the line digraph of p's digraph, or None as in diameter.
 
-    The line digraph is that of compile_params(p, strict=False), numbered as
-    in graphs.line_digraph, but no Digraph is built.  Shifting by the period
+    The line digraph is that of the rows family_rows(p), numbered as in
+    graphs.line_digraph, but no Digraph is built.  Shifting by the period
     sends arc (u, j) to (u + period, j), so it adds the number of arcs out
     of vertices 0..period-1 to every arc index (mod the arc count): BFS from
     those arcs alone gives the diameter.  When the period does not divide
     the order, BFS runs from every arc.  p is not validated.
     """
-    rows = family_rows(p, strict=False)
+    rows = family_rows(p)
     arcs = line_rows(rows)
     period = _period(FAMILIES[p.tag], p.n)
     sources = range(sum(len(heads) for heads in rows[:period]))

@@ -30,6 +30,7 @@ from .families import (
     FAMILIES,
     DoubleStepGraph,
     Family,
+    FamilyError,
     FamilyParams,
     ManhattanDigraph,
     NewAmsterdamDigraph,
@@ -208,12 +209,13 @@ def search_mh(
     """Minimum diameter over Manhattan digraphs of order n.
 
     Default mode runs search_na(n/2) and lifts the optimum through the
-    line-digraph relation (min diameter + 1, witnesses via na_to_mh);
-    direct mode enumerates the Manhattan step space itself.  ``cap`` bounds
-    n in either mode; it defaults to DEFAULT_CAP_MH_VIA_NA via NA and to
-    DEFAULT_CAP_MH in direct mode.  The lift keeps the images whose
-    period-BFS diameter is the lifted minimum; _finish certifies them by
-    all-source BFS.  ``workers`` is accepted and ignored.
+    line-digraph relation (min diameter + 1, witnesses the na_to_mh images
+    of the NA witnesses); _finish certifies every image by all-source BFS.
+    Direct mode enumerates the Manhattan step space itself, restricted by
+    ``mod4_filter`` to a_j = 3, b_j = 1 (mod 4); the filter without direct
+    mode is an error.  ``cap`` bounds n in either mode; it defaults to
+    DEFAULT_CAP_MH_VIA_NA via NA and to DEFAULT_CAP_MH in direct mode.
+    ``workers`` is accepted and ignored.
     """
     if n < 8 or n % 4 != 0:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
@@ -222,19 +224,17 @@ def search_mh(
         if n > cap:
             raise SearchError(f"order {n} exceeds direct-mode cap {cap}")
         return _finish("mh", n, *_run_search("mh", n, mod4_filter))
+    if mod4_filter:
+        raise SearchError("mod4_filter needs direct=True")
 
     cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
     if n > cap:
         raise SearchError(f"order {n} exceeds via-NA cap {cap}")
     # The two-way cycle (1, -1, 1, -1) is an NA candidate: a minimum exists.
     inner = search_na(n // 2, cap=n // 2)
-    best = inner.min_diameter + 1
-    mapped = []
-    for w in inner.witnesses:
-        mh = na_to_mh(w)
-        if family_diameter(mh) == best:
-            mapped.append(mh.steps)
-    return _finish("mh", n, best, mapped, len(mapped), inner.candidates_examined)
+    mapped = [na_to_mh(w).steps for w in inner.witnesses]
+    return _finish("mh", n, inner.min_diameter + 1, mapped, len(mapped),
+                   inner.candidates_examined)
 
 
 @dataclass(frozen=True)
@@ -266,10 +266,11 @@ def theorem_42_params(n: int, k: int) -> NewAmsterdamDigraph:
 
 
 def theorem_43_params(n: int, k: int) -> ManhattanDigraph:
-    """Canonical MH steps a = (1,-3,1,1), b = (4k+3, 4k+3, -4k-1, -4k-5)."""
-    return ManhattanDigraph(
-        n, 1, 4 * k + 3, -3, 4 * k + 3, 1, -4 * k - 1, 1, -4 * k - 5
-    )
+    """Canonical MH steps na_to_mh(theorem_42_params(n/2, k)):
+    a = (1,-3,1,1), b = (4k+3, 4k+3, -4k-1, -4k-5)."""
+    if n % 4:  # n // 2 would round an odd n down to another order
+        raise FamilyError(f"order {n} is not a multiple of 4")
+    return na_to_mh(theorem_42_params(n // 2, k))
 
 
 # Theorem -> its canonical steps at order n in case k.

@@ -121,6 +121,34 @@ def moore_mh_sum(k: int) -> int:
     return 2 * moore_na_sum(k - 1)
 
 
+def achievable_range_na_closed(d: int) -> tuple[int, int]:
+    """The paper's NA order range at diameter d, as its closed form.
+
+    Odd d >= 3: (d-1)^2 - 2d + 10 <= N <= d^2 + 1.
+    Even d >= 2: d^2 - 2d + 4 <= N <= d^2 - 2d + 6 (the missing order).
+    """
+    if d < (3 if d % 2 else 2):
+        raise BoundsError(f"no NA order range at diameter {d}")
+    if d % 2:
+        return ((d - 1) ** 2 - 2 * d + 10, d * d + 1)
+    return (d * d - 2 * d + 4, d * d - 2 * d + 6)
+
+
+def achievable_range_mh_closed(d: int) -> tuple[int, int]:
+    """The paper's MH order range at diameter d, as its closed form.
+
+    Even d >= 4: 2[(d-2)^2 - 2(d-1) + 10] <= N <= 2[(d-1)^2 + 1].
+    Odd d >= 5: 2[(d-1)^2 - 2(d-1) + 4] <= N <= 2[(d-1)^2 - 2(d-1) + 6]
+    (the missing order).
+    """
+    if d < (5 if d % 2 else 4):
+        raise BoundsError(f"no MH order range at diameter {d}")
+    if d % 2 == 0:
+        return (2 * ((d - 2) ** 2 - 2 * (d - 1) + 10), 2 * ((d - 1) ** 2 + 1))
+    e = (d - 1) ** 2 - 2 * (d - 1)
+    return (2 * (e + 4), 2 * (e + 6))
+
+
 def all_pairs_oracle(g: Digraph) -> tuple[tuple[Optional[int], ...], ...]:
     """Exact distance matrix by iterated arc relaxation (independent of BFS).
 

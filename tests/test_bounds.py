@@ -3,6 +3,7 @@ import pytest
 from gridnet.bounds import (
     BoundsError,
     BoundsReport,
+    achievable_range,
     achievable_range_mh,
     achievable_range_na,
     bounds_report,
@@ -17,7 +18,13 @@ from gridnet.bounds import (
     theorem_43_expected_diameter,
 )
 
-from oracles import moore_ds_sum, moore_mh_sum, moore_na_sum
+from oracles import (
+    achievable_range_mh_closed,
+    achievable_range_na_closed,
+    moore_ds_sum,
+    moore_mh_sum,
+    moore_na_sum,
+)
 
 
 class TestMooreBounds:
@@ -86,6 +93,30 @@ class TestAchievableRanges:
             achievable_range_na(1)
         with pytest.raises(BoundsError):
             achievable_range_mh(3)
+
+
+@pytest.mark.parametrize(
+    "achievable,closed",
+    [
+        (achievable_range_na, achievable_range_na_closed),
+        (achievable_range_mh, achievable_range_mh_closed),
+    ],
+    ids=["na", "mh"],
+)
+def test_ranges_from_theorems_match_closed_forms(achievable, closed):
+    for d in range(-3, 201):
+        try:
+            expected = closed(d)
+        except BoundsError:
+            with pytest.raises(BoundsError):
+                achievable(d)
+        else:
+            assert achievable(d) == expected, d
+
+
+def test_theorem_41_gives_no_range():
+    with pytest.raises(BoundsError):
+        achievable_range("4.1", 3)
 
 
 class TestCasePredictions:

@@ -53,7 +53,7 @@ def assert_kernel_matches(family, n, steps):
 def assert_line_kernel_matches(family, n, steps):
     params = PARAMS[family](n, *steps)
     lg = line_digraph(compile_params(params, strict=False))
-    assert line_rows(family_rows(params, strict=False)) == list(lg.out_arcs)
+    assert line_rows(family_rows(params)) == list(lg.out_arcs)
     assert line_diameter(params) == diameter(lg)
 
 
@@ -67,9 +67,10 @@ def assert_line_kernel_matches(family, n, steps):
     ids=["ds", "na", "mh"],
 )
 def test_family_diameter_measures_invalid_params(params):
-    # The period-BFS diameters never validate: they measure what
-    # compile_params(params, strict=False) builds.
+    # family_rows and the period-BFS diameters never validate: they measure
+    # what compile_params(params, strict=False) builds.
     g = compile_params(params, strict=False)
+    assert family_rows(params) == list(g.out_arcs)
     assert family_diameter(params) == diameter(g)
     assert line_diameter(params) == diameter(line_digraph(g))
 
@@ -109,7 +110,7 @@ def test_line_digraph_filter_on_rows():
     for n in range(4, 31, 2):
         for steps in na.candidates(n):
             p = na.params(n, *steps)
-            on_rows = regular_degree(family_rows(p, strict=False)) == 2
+            on_rows = regular_degree(family_rows(p)) == 2
             assert on_rows == (compile_params(p, strict=False).is_regular() == 2)
             assert on_rows == (steps[2] != steps[3])
 

@@ -8,13 +8,22 @@ import pytest
 
 from gridnet import search
 from gridnet.bounds import (
+    case_orders,
     mh_missing_order,
     moore_ds,
     moore_mh,
     moore_na,
     na_missing_order,
 )
-from gridnet.families import compile_params, format_params, parse_params, validate
+from gridnet.constructions import na_to_mh
+from gridnet.families import (
+    FamilyError,
+    ManhattanDigraph,
+    compile_params,
+    format_params,
+    parse_params,
+    validate,
+)
 from gridnet.graphs import diameter
 from gridnet.search import (
     DEFAULT_CAP_MH_VIA_NA,
@@ -24,6 +33,7 @@ from gridnet.search import (
     search_na,
     sweep_verify,
     theorem_42_params,
+    theorem_43_params,
 )
 
 from oracles import all_pairs_oracle, brute_na_minimum
@@ -145,6 +155,19 @@ class TestSearchMh:
             search_mh(12, direct=True).min_diameter == search_mh(12).min_diameter
         )
 
+    def test_via_na_witnesses_are_the_lifted_na_witnesses(self):
+        for n in range(8, 65, 4):
+            inner = search_na(n // 2)
+            lifted = sorted(na_to_mh(w).steps for w in inner.witnesses)
+            r = search_mh(n)
+            assert [w.steps for w in r.witnesses] == lifted, n
+            assert r.witness_total == len(lifted), n
+            assert r.min_diameter == inner.min_diameter + 1, n
+
+    def test_mod4_filter_needs_direct(self):
+        with pytest.raises(SearchError, match="direct"):
+            search_mh(16, mod4_filter=True)
+
     def test_bad_order_rejected(self):
         with pytest.raises(SearchError):
             search_mh(18)
@@ -210,6 +233,17 @@ class TestLazyPool:
         assert search.ProcessPoolExecutor is ProcessPoolExecutor
         with pytest.raises(AttributeError):
             search.NoSuchName
+
+
+def test_theorem_43_params_are_the_canonical_steps():
+    for k in range(1, 7):
+        for n in case_orders("4.3", k):
+            assert theorem_43_params(n, k) == ManhattanDigraph(
+                n, 1, 4 * k + 3, -3, 4 * k + 3, 1, -4 * k - 1, 1, -4 * k - 5
+            ), (n, k)
+    for n in (17, 18):
+        with pytest.raises(FamilyError):
+            theorem_43_params(n, 1)
 
 
 class TestSweepVerify:
