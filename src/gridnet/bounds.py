@@ -4,17 +4,18 @@ Each Moore bound is its closed form.  The tests cross-assert it against an
 independent summation form (``tests/oracles.py``) instead of trusting the
 algebra.
 
-``THEOREMS`` states the cases of Theorems 4.1-4.3 once, as data; the
-predictions, the case of an order, the orders of a case, its missing order
-and the paper's order range at a diameter are all read from it.  The tests
-hold the paper's closed forms of the ranges as the check.
+``THEOREMS`` states each family's Moore bound and its theorem's cases
+(4.1 DS, 4.2 NA, 4.3 MH) once, as data; ``Theorem.family`` alone says which
+belong to a family.  The predictions, the case of an order, the orders of a
+case, its missing order, the paper's order range at a diameter and the
+bounds report are read from it.  The tests hold the paper's closed forms of
+the ranges as the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
 from typing import Callable, Optional
 
 
@@ -52,14 +53,16 @@ def moore_mh(k: int) -> int:
 
 @dataclass(frozen=True)
 class Theorem:
-    """One theorem's case statements for its canonical steps.  Case k >= 1
-    holds the orders first(k), first(k) + step, ..., split into segments
-    (last, d): diameter d up to order last, and d None at the missing order.
+    """A family's Moore bound ``moore(k)`` (the largest order at diameter k)
+    and its theorem's cases for its canonical steps.  Case k >= 1 holds the
+    orders first(k), first(k) + step, ..., split into segments (last, d):
+    diameter d up to order last, and d None at the missing order.
     The paper's order ranges start at diameter ``least_range_d`` (None: no
     range).  At k = 0 the lambdas give the missing orders 6 (NA) and 12 (MH),
     where case 1's first range starts, and the NA range 4..6 at d=2."""
 
     family: str
+    moore: Callable[[int], int]
     step: int
     first: Callable[[int], int]
     segments: Callable[[int], tuple[tuple[int, Optional[int]], ...]]
@@ -67,14 +70,14 @@ class Theorem:
 
 
 THEOREMS = {
-    "4.1": Theorem("ds", 1, lambda k: moore_ds(k - 1) + 1,
+    "4.1": Theorem("ds", moore_ds, 1, lambda k: moore_ds(k - 1) + 1,
                    lambda k: ((moore_ds(k), k),), None),
-    "4.2": Theorem("na", 2, lambda k: 4 * k * k + 2,
+    "4.2": Theorem("na", moore_na, 2, lambda k: 4 * k * k + 2,
                    lambda k: ((4 * k * k + 4 * k + 2, 2 * k + 1),
                               (4 * k * k + 4 * k + 4, 2 * k + 2),
                               (4 * k * k + 4 * k + 6, None),
                               (4 * (k + 1) ** 2 + 2, 2 * k + 3)), 2),
-    "4.3": Theorem("mh", 4, lambda k: 8 * k * k + 8,
+    "4.3": Theorem("mh", moore_mh, 4, lambda k: 8 * k * k + 8,
                    lambda k: ((8 * k * k + 8 * k + 4, 2 * k + 2),
                               (8 * k * k + 8 * k + 8, 2 * k + 3),
                               (8 * k * k + 8 * k + 12, None),
@@ -82,10 +85,30 @@ THEOREMS = {
 }
 
 
+def theorem_of(family: str) -> str:
+    """The name of the theorem in THEOREMS that covers ``family``."""
+    for name, t in THEOREMS.items():
+        if t.family == family:
+            return name
+    raise BoundsError(f"unknown family {family!r}")
+
+
+def _least(holds: Callable[[int], bool], k: int) -> int:
+    """The least case from k on where ``holds``, which stays true once true:
+    doubling, then bisecting, in O(log k) tests (the case ends grow with k)."""
+    high = max(k, 1)
+    while not holds(high):
+        k, high = high + 1, 2 * high
+    while k < high:
+        mid = (k + high) // 2
+        k, high = (k, mid) if holds(mid) else (mid + 1, high)
+    return k
+
+
 def case_of(theorem: str, n: int) -> int:
     """The least case k holding order n."""
     segments = THEOREMS[theorem].segments
-    return next(k for k in count(1) if segments(k)[-1][0] >= n)
+    return _least(lambda k: segments(k)[-1][0] >= n, 1)
 
 
 def case_orders(theorem: str, k: int) -> range:
@@ -130,14 +153,14 @@ def achievable_range(theorem: str, d: int) -> tuple[int, int]:
     t = THEOREMS[theorem]
     if t.least_range_d is None or d < t.least_range_d:
         raise BoundsError(f"theorem {theorem} gives no order range at diameter {d}")
-    k = next(k for k in count(0) if t.segments(k)[1][1] >= d)
+    k = _least(lambda k: t.segments(k)[1][1] >= d, 0)
     (last, d0), (second, _) = t.segments(k)[:2]
     if d == d0:
         return missing_order(theorem, k - 1) + t.step, last
     return second, missing_order(theorem, k)
 
 
-# The names that the package exports and families.FAMILIES binds.
+# Per-theorem shorthands, imported by the package and the tests.
 theorem_41_expected_diameter = partial(predicted_diameter, "4.1")
 theorem_42_expected_diameter = partial(predicted_diameter, "4.2")
 theorem_43_expected_diameter = partial(predicted_diameter, "4.3")
@@ -157,30 +180,19 @@ class BoundsReport:
     missing_order: Optional[int] = None
 
 
-# Family -> (Moore bound, order range at diameter k, parity of the
-# diameters whose range ends at the missing order).  DS has no range.
-_REPORTS = {
-    "ds": (moore_ds, None, None),
-    "na": (moore_na, achievable_range_na, 0),
-    "mh": (moore_mh, achievable_range_mh, 1),
-}
-
-
 def bounds_report(family: str, k: int) -> BoundsReport:
     """Moore bound plus (for na/mh) the paper's order range at diameter k.
 
-    The missing_order flag marks the upper end of the range at the even NA
-    and odd MH diameters: the paper's open order, which the canonical steps
-    do not reach.  It need not be attained at diameter k; see
-    achievable_range.
+    The missing_order flag marks the range's upper end when the canonical
+    steps do not reach diameter k there: the paper's open order, at the
+    even NA and odd MH diameters.  It need not be attained at diameter k;
+    see achievable_range.
     """
-    if family not in _REPORTS:
-        raise BoundsError(f"unknown family {family!r}")
-    moore, achievable, missing_parity = _REPORTS[family]
-    value = moore(k)
+    theorem = theorem_of(family)
+    value = THEOREMS[theorem].moore(k)
     try:
-        low, high = achievable(k) if achievable else (None, None)
+        low, high = achievable_range(theorem, k)
     except BoundsError:
-        low = high = None
-    missing = high if k % 2 == missing_parity else None
+        return BoundsReport(family, k, value)
+    missing = high if predicted_diameter(theorem, high) != k else None
     return BoundsReport(family, k, value, low, high, missing)

@@ -163,6 +163,7 @@ _SEARCH_FIELDS = ("family", "n", "min_diameter", "witness_total",
 
 
 def _cmd_search(args) -> int:
+    _check_positive("--workers", args.workers)
     # --direct and --mod4-filter are Manhattan options, and the filter acts
     # only on the direct enumeration.
     if args.family != "mh" and (args.direct or args.mod4_filter):
@@ -253,9 +254,9 @@ _STRUCTURAL_CLAIMS = {
 }
 
 
-def _check_k_max(k_max: int) -> None:
-    if k_max < 1:
-        raise UsageError(f"--k-max must be at least 1, got {k_max}")
+def _check_positive(flag: str, value: Optional[int]) -> None:
+    if value is not None and value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def _cmd_verify(args) -> int:
@@ -287,7 +288,8 @@ def _cmd_verify(args) -> int:
     if args.n_max is not None:
         raise UsageError(f"verify {args.claim} takes no --n-max")
     k_max = 3 if args.k_max is None else args.k_max
-    _check_k_max(k_max)
+    _check_positive("--k-max", k_max)
+    _check_positive("--workers", args.workers)
     rows = search_mod.sweep_verify(args.claim, k_max, exhaustive=args.exhaustive)
     _print_rows(rows, args.csv)
     failures = sum(1 for r in rows if not r.passed)
@@ -296,9 +298,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _check_k_max(args.k_max)
-    theorem = next(t for t, r in bounds_mod.THEOREMS.items() if r.family == args.family)
-    rows = search_mod.sweep_verify(theorem, args.k_max)
+    _check_positive("--k-max", args.k_max)
+    rows = search_mod.sweep_verify(bounds_mod.theorem_of(args.family), args.k_max)
     _print_rows(rows, args.csv)
     return EXIT_OK
 

@@ -6,15 +6,18 @@ even vertices and gamma, delta out of the odd ones, the four steps summing
 to 0 mod N.  Manhattan digraphs live on Z_N with N a multiple of 4 and one
 odd step pair (a_j, b_j) per residue class mod 4.
 
-Steps are stored as canonical residues in 0..N-1 (negative inputs reduce
-on entry).  Each family is described once, by its ``Family`` record in
-``FAMILIES``: parameter class, validator, row builder (plain successor
-tuples for (N, steps), on which the search runs BFS directly), translation
-period, candidate generator, orbit map and memo slots, Moore bound and
-theorem predictor.  Callers look the record up by tag or by ``params.tag``
-instead of branching on the family.  Compilation deduplicates coincident
-heads of the same rows so the resulting Digraph never carries parallel arcs,
-even for degenerate step choices.  require_valid is the one validity gate:
+Each family is described once.  Its parameter record, a ``FamilyParams``
+subclass, declares its tag, its translation period (also its least order)
+and its step fields; one constructor serves all three and stores the steps
+as canonical residues in 0..N-1 (negative inputs reduce on entry).  Its
+``Family`` record in ``FAMILIES`` holds the graph machinery: parameter
+class, validator, row builder (plain successor tuples for (N, steps), on
+which the search runs BFS directly), candidate generator, orbit map and
+memo slots.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
+Callers look the record up by tag or by ``params.tag`` instead of
+branching on the family.  Compilation deduplicates coincident heads of the
+same rows so the resulting Digraph never carries parallel arcs, even for
+degenerate step choices.  require_valid is the one validity gate:
 compile_params (when strict) and the step translations call it, and
 family_rows, family_diameter and line_diameter never validate.
 """
@@ -24,9 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterator, Optional, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
-from . import bounds
 from .graphs import Digraph, bounded_diameter, line_rows
 
 
@@ -44,55 +46,58 @@ class Validation:
         return not self.errors
 
 
-def _reduce(step: int, n: int) -> int:
-    return step % n
+@dataclass(frozen=True)
+class FamilyParams:
+    """What the three parameter records share.
+
+    A record is the order ``n`` and the step fields its class declares after
+    it, each reduced mod n on entry.  ``steps`` holds the reduced steps as
+    one tuple, stored at construction.  A class also declares its ``tag``
+    and its ``period``: the out-steps of vertex i depend only on i mod
+    period, which is also the least order (one vertex per residue class).
+    """
+
+    tag: ClassVar[str]
+    period: ClassVar[int]
+
+    n: int
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if n < self.period:
+            raise FamilyError(f"order must be at least {self.period}, got {n}")
+        names = self.__match_args__[1:]
+        steps = tuple(getattr(self, name) % n for name in names)
+        for name, step in zip(names, steps):
+            object.__setattr__(self, name, step)
+        object.__setattr__(self, "steps", steps)
 
 
 @dataclass(frozen=True)
-class DoubleStepGraph:
+class DoubleStepGraph(FamilyParams):
     tag: ClassVar[str] = "ds"
+    period: ClassVar[int] = 1
 
-    n: int
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise FamilyError(f"order must be positive, got {self.n}")
-        object.__setattr__(self, "a", _reduce(self.a, self.n))
-        object.__setattr__(self, "b", _reduce(self.b, self.n))
-
-    @property
-    def steps(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
-class NewAmsterdamDigraph:
+class NewAmsterdamDigraph(FamilyParams):
     tag: ClassVar[str] = "na"
+    period: ClassVar[int] = 2
 
-    n: int
     alpha: int
     beta: int
     gamma: int
     delta: int
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise FamilyError(f"order must be at least 2, got {self.n}")
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, _reduce(getattr(self, name), self.n))
-
-    @property
-    def steps(self) -> tuple[int, int, int, int]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
 
 @dataclass(frozen=True)
-class ManhattanDigraph:
+class ManhattanDigraph(FamilyParams):
     tag: ClassVar[str] = "mh"
+    period: ClassVar[int] = 4
 
-    n: int
     a0: int
     b0: int
     a1: int
@@ -101,22 +106,6 @@ class ManhattanDigraph:
     b2: int
     a3: int
     b3: int
-
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise FamilyError(f"order must be at least 4, got {self.n}")
-        for name in ("a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3"):
-            object.__setattr__(self, name, _reduce(getattr(self, name), self.n))
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return (self.a0, self.b0, self.a1, self.b1, self.a2, self.b2, self.a3, self.b3)
-
-    def step_pair(self, j: int) -> tuple[int, int]:
-        return (self.steps[2 * j], self.steps[2 * j + 1])
-
-
-FamilyParams = Union[DoubleStepGraph, NewAmsterdamDigraph, ManhattanDigraph]
 
 
 def validate_ds(p: DoubleStepGraph) -> Validation:
@@ -166,8 +155,8 @@ def validate_mh(p: ManhattanDigraph) -> Validation:
     if n % 4 != 0:
         errors.append(f"order {n} is not a multiple of 4")
         return Validation(tuple(errors), tuple(warnings))
-    for j in range(4):
-        aj, bj = p.step_pair(j)
+    pairs = [p.steps[2 * j:2 * j + 2] for j in range(4)]
+    for j, (aj, bj) in enumerate(pairs):
         if aj % 2 == 0:
             errors.append(f"step a{j} = {aj} is even")
         if bj % 2 == 0:
@@ -181,8 +170,7 @@ def validate_mh(p: ManhattanDigraph) -> Validation:
         errors.append("b0+b2 != a0+a2 (mod N)")
     if (-(p.b1 + p.b3)) % n != s:
         errors.append("-(b1+b3) != a0+a2 (mod N)")
-    for j in range(4):
-        aj, bj = p.step_pair(j)
+    for j, (aj, bj) in enumerate(pairs):
         if aj % 4 != 3:
             warnings.append(f"a{j} = {aj % 4} (mod 4), not 3")
         if bj % 4 != 1:
@@ -361,47 +349,45 @@ class Family:
     """Everything that differs between the three families, stated once.
 
     ``rows(n, steps)`` lists the successors of each vertex.  The out-steps
-    of vertex i depend only on i mod ``period``, so shifting every vertex by
-    the period is an automorphism and vertices 0..period-1 represent every
-    translation class: their eccentricities give the diameter.
+    of vertex i depend only on i mod ``period`` (the parameter class's), so
+    shifting every vertex by the period is an automorphism and vertices
+    0..period-1 represent every translation class: their eccentricities give
+    the diameter.
     ``candidates(n)`` yields every valid step tuple of order n once, up to
     the family's symmetry.  ``orbit(n, steps)`` yields, in candidate form,
     the steps of digraphs isomorphic to that of ``steps`` under the maps
     x -> ux (u a unit of Z_N), combined with translations; from any member
     it yields the whole orbit, the member included, so one BFS serves every
     candidate in it.  ``slots(n)`` gives the size of a dense table and the
-    index in it of a candidate step tuple.  ``moore(k)`` is the largest
-    order at diameter k; ``predict(n)`` is the diameter the paper's theorem
-    gives at order n, or None where no case covers n.
+    index in it of a candidate step tuple.  The family's Moore bound and
+    theorem are in ``bounds.THEOREMS``.
     """
 
     params: type
     validate: Callable[..., Validation]
     rows: Callable[[int, tuple[int, ...]], list[tuple[int, ...]]]
-    period: int
     candidates: Callable[..., Iterator[tuple[int, ...]]]
     orbit: Callable[[int, tuple[int, ...]], Iterator[tuple[int, ...]]]
     slots: Callable[[int], tuple[int, Callable[[tuple[int, ...]], int]]]
-    moore: Callable[[int], int]
-    predict: Callable[[int], Optional[int]]
 
     @property
     def tag(self) -> str:
         return self.params.tag
 
+    @property
+    def period(self) -> int:
+        return self.params.period
+
 
 FAMILIES: dict[str, Family] = {
     f.tag: f
     for f in (
-        Family(DoubleStepGraph, validate_ds, ds_rows, 1, ds_candidates,
-               ds_orbit, ds_slots,
-               bounds.moore_ds, bounds.theorem_41_expected_diameter),
-        Family(NewAmsterdamDigraph, validate_na, na_rows, 2, na_candidates,
-               na_orbit, na_slots,
-               bounds.moore_na, bounds.theorem_42_expected_diameter),
-        Family(ManhattanDigraph, validate_mh, mh_rows, 4, mh_candidates,
-               mh_orbit, mh_slots,
-               bounds.moore_mh, bounds.theorem_43_expected_diameter),
+        Family(DoubleStepGraph, validate_ds, ds_rows, ds_candidates,
+               ds_orbit, ds_slots),
+        Family(NewAmsterdamDigraph, validate_na, na_rows, na_candidates,
+               na_orbit, na_slots),
+        Family(ManhattanDigraph, validate_mh, mh_rows, mh_candidates,
+               mh_orbit, mh_slots),
     )
 }
 
@@ -433,9 +419,9 @@ def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
     return Digraph(p.n, tuple(family_rows(p)))
 
 
-def _period(fam: Family, n: int) -> int:
-    """fam.period if it divides n (the shift is then an automorphism), else n."""
-    return fam.period if n % fam.period == 0 else n
+def _period(p: FamilyParams) -> int:
+    """p.period if it divides p.n (the shift is then an automorphism), else p.n."""
+    return p.period if p.n % p.period == 0 else p.n
 
 
 def family_diameter(p: FamilyParams) -> Optional[int]:
@@ -445,9 +431,8 @@ def family_diameter(p: FamilyParams) -> Optional[int]:
     as in the search, without building a Digraph.  p is not validated: the
     period falls back to every vertex where it does not divide the order.
     """
-    fam = FAMILIES[p.tag]
-    sources = range(_period(fam, p.n))
-    return bounded_diameter(fam.rows(p.n, p.steps), p.n, None, sources)
+    rows = FAMILIES[p.tag].rows(p.n, p.steps)
+    return bounded_diameter(rows, p.n, None, range(_period(p)))
 
 
 def line_diameter(p: FamilyParams) -> Optional[int]:
@@ -462,8 +447,7 @@ def line_diameter(p: FamilyParams) -> Optional[int]:
     """
     rows = family_rows(p)
     arcs = line_rows(rows)
-    period = _period(FAMILIES[p.tag], p.n)
-    sources = range(sum(len(heads) for heads in rows[:period]))
+    sources = range(sum(len(heads) for heads in rows[:_period(p)]))
     return bounded_diameter(arcs, len(arcs), None, sources)
 
 

@@ -223,13 +223,14 @@ def from_json(text: str) -> Digraph:
     """Parse ``{"order": N, "arcs": [[heads of 0], [heads of 1], ...]}``.
 
     Order and heads must be JSON integers (not booleans) and every row a
-    list; anything else raises GraphError, as do the Digraph checks.
+    list; anything else, nesting too deep to parse included, raises
+    GraphError, as do the Digraph checks.
     """
     try:
         payload = json.loads(text)
         order = payload["order"]
         arcs = payload["arcs"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise GraphError(f"malformed digraph JSON: {exc}") from exc
     if not _is_int(order):
         raise GraphError(f"malformed digraph JSON: order {order!r} is not an integer")

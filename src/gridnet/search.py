@@ -3,14 +3,15 @@
 For a family and order, enumerate every valid step choice and take the
 minimum diameter; this is the independent oracle behind the optimality and
 non-attainability claims.  The family's record in ``FAMILIES`` supplies
-the candidates, the Moore bound and the theorem prediction.  Each candidate
-is evaluated straight from its step arithmetic: the record's row builder
-gives the successor rows, and BFS runs only from one vertex per
-translation class (0 for DS, 0-1 for NA, 0-3 for MH).  Candidates whose
-digraphs are isomorphic under a multiplier map x -> ux form an orbit (the
-record's orbit map lists it), and BFS runs once per orbit: the other members
-read its result from a memo.  Only the reported witnesses are compiled into
-a ``Digraph``, and each is re-verified there by all-source BFS.
+the candidates, and its theorem in ``bounds.THEOREMS`` the Moore bound and
+the prediction.  Each candidate is evaluated straight from its step
+arithmetic: the record's row builder gives the successor rows, and BFS runs
+only from one vertex per translation class (0 for DS, 0-1 for NA, 0-3 for
+MH).  Candidates whose digraphs are isomorphic under a multiplier map
+x -> ux form an orbit (the record's orbit map lists it), and BFS runs once
+per orbit: the other members read its result from a memo.  Only the
+reported witnesses are compiled into a ``Digraph``, and each is re-verified
+there by all-source BFS.
 
 A search is one pass over the enumeration in this process, so the orbit
 memo is shared by every candidate.  The kept witnesses are the first
@@ -29,7 +30,6 @@ from .constructions import na_to_mh
 from .families import (
     FAMILIES,
     DoubleStepGraph,
-    Family,
     FamilyError,
     FamilyParams,
     ManhattanDigraph,
@@ -142,8 +142,8 @@ def _run_search(
     return best, optima, n_optima, examined
 
 
-def _prediction(fam: Family, n: int, min_d: Optional[int]) -> str:
-    expected = None if min_d is None else fam.predict(n)
+def _prediction(theorem: str, n: int, min_d: Optional[int]) -> str:
+    expected = None if min_d is None else bounds.predicted_diameter(theorem, n)
     if expected is None:
         return "not-covered"
     return "yes" if min_d == expected else "no"
@@ -162,7 +162,8 @@ def _finish(
     for w in witnesses:  # re-verify on insert
         if diameter(compile_params(w, strict=False)) != best:
             raise SearchError(f"witness {format_params(w)} fails re-verification")
-    moore = fam.moore(best) if best is not None else None
+    theorem = bounds.theorem_of(family)
+    moore = bounds.THEOREMS[theorem].moore(best) if best is not None else None
     return SearchResult(
         family=family,
         n=n,
@@ -171,7 +172,7 @@ def _finish(
         witness_total=n_optima,
         candidates_examined=examined,
         moore_bound_for_min=moore,
-        meets_theorem_prediction=_prediction(fam, n, best),
+        meets_theorem_prediction=_prediction(theorem, n, best),
     )
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from gridnet.bounds import (
+    THEOREMS,
     BoundsError,
     BoundsReport,
     achievable_range,
@@ -16,7 +17,9 @@ from gridnet.bounds import (
     theorem_41_expected_diameter,
     theorem_42_expected_diameter,
     theorem_43_expected_diameter,
+    theorem_of,
 )
+from gridnet.families import FAMILIES
 
 from oracles import (
     achievable_range_mh_closed,
@@ -104,7 +107,8 @@ class TestAchievableRanges:
     ids=["na", "mh"],
 )
 def test_ranges_from_theorems_match_closed_forms(achievable, closed):
-    for d in range(-3, 201):
+    # A scan over the cases would not finish at the huge diameters.
+    for d in [*range(-3, 201), 10**12, 10**12 + 1, 10**18 + 1]:
         try:
             expected = closed(d)
         except BoundsError:
@@ -112,6 +116,38 @@ def test_ranges_from_theorems_match_closed_forms(achievable, closed):
                 achievable(d)
         else:
             assert achievable(d) == expected, d
+
+
+def test_case_of_huge_order():
+    assert case_of("4.2", 4 * 10**12 + 4) == 10**6
+    assert case_of("4.2", 4 * 10**12 + 2) == 10**6 - 1
+    assert case_of("4.3", 8 * 10**12 + 4) == 10**6 - 1
+    assert theorem_42_expected_diameter(4 * 10**12 + 4 * 10**6 + 6) is None
+
+
+def test_case_of_is_the_least_case_holding_the_order():
+    for theorem, t in THEOREMS.items():
+        for n in range(-2, 3000):
+            k = case_of(theorem, n)
+            assert t.segments(k)[-1][0] >= n, (theorem, n)
+            assert k == 1 or t.segments(k - 1)[-1][0] < n, (theorem, n)
+
+
+class TestTheoremTable:
+    def test_each_family_belongs_to_exactly_one_theorem(self):
+        owners = sorted(t.family for t in THEOREMS.values())
+        assert owners == sorted(FAMILIES)
+        for name, t in THEOREMS.items():
+            assert theorem_of(t.family) == name
+
+    def test_order_step_is_the_family_period(self):
+        for t in THEOREMS.values():
+            assert t.step == FAMILIES[t.family].period, t.family
+
+    def test_moore_bound_is_the_family_bound(self):
+        moore = {"ds": moore_ds, "na": moore_na, "mh": moore_mh}
+        for t in THEOREMS.values():
+            assert t.moore is moore[t.family]
 
 
 def test_theorem_41_gives_no_range():
@@ -257,7 +293,7 @@ class TestBoundsReport:
     def test_report_is_range_with_missing_order(
         self, family, moore, achievable, first, missing
     ):
-        for k in range(first, 61):
+        for k in [*range(first, 61), 10**12, 10**12 + 1]:
             try:
                 low, high = achievable(k)
             except BoundsError:

@@ -82,6 +82,14 @@ class TestDiameter:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_deeply_nested_stdin_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000))
+        code, out, err = run(capsys, "diameter", "--input", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed digraph JSON")
+        assert "Traceback" not in err
+
     def test_malformed_params_usage_error(self, capsys):
         code, _, err = run(capsys, "diameter", "bogus")
         assert code == 64
@@ -155,14 +163,26 @@ class TestSearch:
              "search na takes neither --direct nor --mod4-filter"),
             (("mh", "--n", "16", "--mod4-filter"),
              "search mh --mod4-filter needs --direct"),
+            (("ds", "--n", "13", "--workers", "-3"),
+             "--workers must be at least 1, got -3"),
+            (("na", "--n", "10", "--workers", "0"),
+             "--workers must be at least 1, got 0"),
+            (("mh", "--n", "12", "--direct", "--workers", "0"),
+             "--workers must be at least 1, got 0"),
         ],
-        ids=["ds", "na", "mh-via-na"],
+        ids=["ds", "na", "mh-via-na", "ds-workers-3", "na-workers0",
+             "mh-direct-workers0"],
     )
     def test_options_that_do_not_apply_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "search", *argv)
         assert code == 64
         assert out == ""
         assert err.startswith(f"error: {message}")
+
+    def test_workers_one_accepted(self, capsys):
+        code, out, _ = run(capsys, "search", "ds", "--n", "13", "--workers", "1")
+        assert code == 0
+        assert "min_diameter              2" in out
 
     def test_mh_via_na_cap_exceeded_exit_1(self, capsys):
         code, _, err = run(capsys, "search", "mh", "--n", "28", "--cap", "24")
@@ -209,8 +229,14 @@ class TestVerify:
              "verify line-digraph --n-max must be at least 4, got 3"),
             (("4.1", "--k-max", "0"), "--k-max must be at least 1, got 0"),
             (("4.3", "--k-max", "-2"), "--k-max must be at least 1, got -2"),
+            (("4.1", "--k-max", "1", "--workers", "0"),
+             "--workers must be at least 1, got 0"),
+            (("4.2", "--workers", "-2"), "--workers must be at least 1, got -2"),
+            (("4.3", "--k-max", "1", "--workers", "0", "--exhaustive"),
+             "--workers must be at least 1, got 0"),
         ],
-        ids=["sandwich-0", "sandwich-2", "line-digraph-3", "4.1-k0", "4.3-k-2"],
+        ids=["sandwich-0", "sandwich-2", "line-digraph-3", "4.1-k0", "4.3-k-2",
+             "4.1-workers0", "4.2-workers-2", "4.3-workers0"],
     )
     def test_vacuous_ranges_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)

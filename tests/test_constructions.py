@@ -14,6 +14,7 @@ from gridnet.families import (
     FAMILIES,
     DoubleStepGraph,
     FamilyError,
+    ManhattanDigraph,
     NewAmsterdamDigraph,
     compile_ds,
     compile_mh,
@@ -98,6 +99,62 @@ class TestNaToMh:
         mh = na_to_mh(NewAmsterdamDigraph(10, -1, 1, 3, -3))
         assert mh.n == 20
         assert diameter(compile_mh(mh)) == 4
+
+
+def shifted(p, **deltas):
+    """p with each named step moved by its delta (the record reduces it)."""
+    return type(p)(p.n, *(getattr(p, f) + deltas.get(f, 0)
+                          for f in type(p).__match_args__[1:]))
+
+
+class TestConditionCheckers:
+    """Each named failure of the condition checkers, on perturbed steps."""
+
+    DS = DoubleStepGraph(13, 2, 3)
+    NA = NewAmsterdamDigraph(10, -1, 1, 3, -3)
+
+    def test_na_order_mismatch(self):
+        na = ds_to_na(self.DS)
+        wrong = NewAmsterdamDigraph(28, *na.steps)
+        assert check_na_conditions(self.DS, wrong) == ["order 28 != 2*13"]
+
+    @pytest.mark.parametrize(
+        "deltas,failure",
+        [
+            # Adding N/2 to every step makes each one even and keeps the sums.
+            (dict(alpha=13, beta=13, gamma=13, delta=13), "(i) some step is even"),
+            (dict(alpha=2, delta=-2), "(ii) alpha+gamma = -beta-delta = 2a fails"),
+            (dict(beta=2, delta=-2), "(iii) beta+gamma = -alpha-delta = 2b fails"),
+        ],
+        ids=["i", "ii", "iii"],
+    )
+    def test_na_named_failure(self, deltas, failure):
+        na = ds_to_na(self.DS)
+        assert check_na_conditions(self.DS, shifted(na, **deltas)) == [failure]
+
+    def test_mh_order_mismatch(self):
+        mh = na_to_mh(self.NA)
+        wrong = ManhattanDigraph(24, *mh.steps)
+        assert check_mh_conditions(self.NA, wrong) == ["order 24 != 2*10"]
+
+    @pytest.mark.parametrize(
+        "deltas,failures",
+        [
+            # Moving a0, a3, b0, b1 by +1 and the others by -1 makes each
+            # step even and keeps every sum and difference.
+            (dict(a0=1, a1=-1, a2=-1, a3=1, b0=1, b1=1, b2=-1, b3=-1),
+             ["(i) some step is even"]),
+            (dict(a2=2), ["(ii) a0+a2 = -(a1+a3) = b0+b2 = -(b1+b3) fails"]),
+            (dict(a1=2, a3=-2),
+             ["(iii) a0+a1 = 2alpha fails", "(iii) b3-a1 = 2delta fails"]),
+            (dict(b0=2, b2=-2),
+             ["(iii) b1+b2 = 2beta fails", "(iii) b0-a0 = 2gamma fails"]),
+        ],
+        ids=["i", "ii", "iii-a", "iii-b"],
+    )
+    def test_mh_named_failures(self, deltas, failures):
+        mh = na_to_mh(self.NA)
+        assert check_mh_conditions(self.NA, shifted(mh, **deltas)) == failures
 
 
 class TestDsToMh:

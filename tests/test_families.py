@@ -9,6 +9,7 @@ from gridnet.families import (
     FAMILIES,
     DoubleStepGraph,
     FamilyError,
+    FamilyParams,
     ManhattanDigraph,
     NewAmsterdamDigraph,
     compile_ds,
@@ -147,6 +148,45 @@ class TestCompile:
                 d = diameter(g)
                 if d is not None:
                     assert d >= 1
+
+
+class TestRecords:
+    def test_steps_reduce_mod_n(self):
+        assert DoubleStepGraph(13, -2, 16).steps == (11, 3)
+        p = NewAmsterdamDigraph(n=10, alpha=-1, beta=11, gamma=3, delta=-13)
+        assert (p.alpha, p.beta, p.gamma, p.delta) == (9, 1, 3, 7)
+        q = ManhattanDigraph(20, -1, 21, 3, -3, 41, 5, -19, 7)
+        assert q.steps == (19, 1, 3, 17, 1, 5, 1, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(4, 64), st.data())
+    def test_steps_are_the_named_fields(self, tag, n, data):
+        family = FAMILIES[tag]
+        raw = data.draw(st.lists(st.integers(-200, 200), min_size=arity(family),
+                                 max_size=arity(family)))
+        p = family.params(n, *raw)
+        named = tuple(getattr(p, f.name) for f in fields(p)[1:])
+        assert p.steps == named == tuple(x % n for x in raw)
+        assert isinstance(p, FamilyParams)
+
+    def test_least_order_is_the_period(self):
+        for family in FAMILIES.values():
+            period = family.period
+            assert period == family.params.period
+            zeros = (0,) * arity(family)
+            assert family.params(period, *zeros).n == period
+            with pytest.raises(FamilyError,
+                               match=f"order must be at least {period}, got "):
+                family.params(period - 1, *zeros)
+
+    def test_equality_hash_and_repr(self):
+        p, q = DoubleStepGraph(13, 2, 3), DoubleStepGraph(13, 15, -10)
+        assert p == q and hash(p) == hash(q)
+        assert p != DoubleStepGraph(13, 3, 2)
+        assert repr(p) == "DoubleStepGraph(n=13, a=2, b=3)"
+        assert NewAmsterdamDigraph(10, 9, 1, 3, 7) != ManhattanDigraph(
+            10, 9, 1, 3, 7, 0, 0, 0, 0)
+        assert len({p, q, DoubleStepGraph(n=13, a=2, b=3)}) == 1
 
 
 class TestParamText:

@@ -231,3 +231,7 @@ class TestExports:
     def test_json_types_checked(self, text):
         with pytest.raises(GraphError):
             from_json(text)
+
+    def test_nesting_too_deep_for_the_parser(self):
+        with pytest.raises(GraphError, match="malformed digraph JSON"):
+            from_json("[" * 100000)
