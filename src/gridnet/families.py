@@ -12,8 +12,12 @@ and its step fields; one constructor serves all three and stores the steps
 as canonical residues in 0..N-1 (negative inputs reduce on entry).  Its
 ``Family`` record in ``FAMILIES`` holds the graph machinery: parameter
 class, validator, row builder (plain successor tuples for (N, steps), on
-which the search runs BFS directly), candidate generator, orbit map and
-memo slots.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
+which the search runs BFS directly), candidate generator, orbit map,
+enumeration key and representative test.  The generator lists candidates
+in key order, and on request only those whose leading step is the least
+its multiplier orbit reaches; the test then accepts the orbit's key-least
+member and weighs it by the orbit's size, counting only the maps that keep
+the leading step.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
 Callers look the record up by tag or by ``params.tag`` instead of
 branching on the family.  Compilation deduplicates coincident heads of the
 same rows so the resulting Digraph never carries parallel arcs, even for
@@ -218,27 +222,62 @@ def mh_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
     return _pair_rows(n, (steps[0:2], steps[6:8], steps[4:6], steps[2:4]))
 
 
-def ds_candidates(n: int) -> Iterator[tuple[int, int]]:
+def _leads(
+    n: int, values: Sequence[int], least_leads: bool
+) -> Iterator[tuple[int, list[bool]]]:
+    """Yield each lead value with ``ok``: which steps may go with it.
+
+    Without ``least_leads`` every value leads and every step is ok.  With
+    it, a lead is kept only if it is the least of ``values`` sharing its
+    gcd with N, and ok[x] holds when the least value sharing gcd(x, N) is
+    no smaller than the lead.  The family's maps can put a step x into the
+    lead as exactly the values sharing gcd(x, N), so these are the
+    candidates whose leading step no map makes smaller.
+    """
+    if not least_leads:
+        ok = [True] * n
+        for v in values:
+            yield v, ok
+        return
+    least: dict[int, int] = {}
+    for v in values:
+        least.setdefault(math.gcd(v, n), v)
+    reach = [least.get(math.gcd(x, n), 0) for x in range(n)]
+    for v in values:
+        if reach[v] == v:
+            yield v, [r >= v for r in reach]
+
+
+def ds_candidates(n: int, least_leads: bool = False) -> Iterator[tuple[int, int]]:
     """Unordered valid step pairs 1 <= a < b <= N//2 (so a + b < N: a != -b)."""
-    for a in range(1, n // 2 + 1):
+    half = range(1, n // 2 + 1)
+    for a, ok in _leads(n, half, least_leads):
         for b in range(a + 1, n // 2 + 1):
-            if math.gcd(n, a, b) == 1:
+            if ok[b] and math.gcd(n, a, b) == 1:
                 yield (a, b)
 
 
-def na_candidates(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum."""
+def na_candidates(
+    n: int, least_leads: bool = False
+) -> Iterator[tuple[int, int, int, int]]:
+    """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum.
+
+    With ``least_leads`` gamma and delta need not pass the lead test when
+    they are equal: the shift cannot then make them the leading pair.
+    """
     odds = range(1, n, 2)
-    for alpha in odds:
+    for alpha, ok in _leads(n, odds, least_leads):
         for beta in range(alpha + 2, n, 2):
+            if not ok[beta]:
+                continue
             for gamma in odds:
                 delta = (-(alpha + beta + gamma)) % n
-                if gamma <= delta:
+                if gamma == delta or gamma < delta and ok[gamma] and ok[delta]:
                     yield (alpha, beta, gamma, delta)
 
 
 def mh_candidates(
-    n: int, mod4_filter: bool = False
+    n: int, mod4_filter: bool = False, least_leads: bool = False
 ) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
 
@@ -246,28 +285,68 @@ def mh_candidates(
     a_j = 3, b_j = 1 (mod 4).  The filter assumes 4 | N (every Manhattan
     order): residues mod 4 then survive reduction mod N, so a0 = a2 = 3
     gives s = 2 and forces a3 = -s-a1 = 3, b2 = s-b0 = 1, b3 = -s-b1 = 1.
+
+    With ``least_leads`` the step pairs of classes j and j + 2, (a0, a2),
+    (a1, a3), (b0, b2) and (b1, b3), must also keep a2, the second key
+    digit, from falling under the maps that keep the lead (_kept_pairs).
     """
     a_vals = range(3, n, 4) if mod4_filter else range(1, n, 2)
     b_vals = range(1, n, 4) if mod4_filter else range(1, n, 2)
-    for a0 in a_vals:
+    for a0, ok in _leads(n, a_vals, least_leads):
+        # Without least_leads no map is tried, so every pair is kept.
+        solutions = _solutions(n, a0) if least_leads else ((),) * n
         for a2 in a_vals:
             s = (a0 + a2) % n
-            for a1 in a_vals:
-                a3 = (-s - a1) % n
-                for b0 in b_vals:
+            if not _kept_pairs(n, (a0,), s, a2, ok, solutions):
+                continue
+            a13 = _kept_pairs(n, a_vals, -s, a2, ok, solutions)
+            b02 = _kept_pairs(n, b_vals, s, a2, ok, solutions)
+            b13 = _kept_pairs(n, b_vals, -s, a2, ok, solutions)
+            for a1, a3 in a13:
+                for b0, b2 in b02:
                     if b0 == a0:
                         continue
-                    b2 = (s - b0) % n
-                    for b1 in b_vals:
-                        if b1 == a1:
-                            continue
-                        b3 = (-s - b1) % n
-                        yield (a0, b0, a1, b1, a2, b2, a3, b3)
+                    for b1, b3 in b13:
+                        if b1 != a1:
+                            yield (a0, b0, a1, b1, a2, b2, a3, b3)
+
+
+def _kept_pairs(
+    n: int,
+    values: Sequence[int],
+    total: int,
+    a2: int,
+    ok: list[bool],
+    solutions: Sequence[Sequence[int]],
+) -> list[tuple[int, int]]:
+    """The pairs (x, total - x) for x in values that may fill classes j, j + 2.
+
+    Both steps must pass ``ok``, and a unit u sending either step to the
+    lead (listed in ``solutions``) must not scale the other below a2: the
+    map of mh_weight that moves classes j, j + 2 to 0, 2 would give a
+    smaller key.
+    """
+    kept = []
+    for x in values:
+        y = (total - x) % n
+        if (ok[x] and ok[y] and all(u * y % n >= a2 for u in solutions[x])
+                and all(u * x % n >= a2 for u in solutions[y])):
+            kept.append((x, y))
+    return kept
 
 
 @lru_cache(maxsize=8)
 def _units(n: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
+
+
+@lru_cache(maxsize=16)
+def _solutions(n: int, lead: int) -> tuple[tuple[int, ...], ...]:
+    """Entry x lists the units u with ux = lead (mod N); one x per unit."""
+    found: list[list[int]] = [[] for _ in range(n)]
+    for u in _units(n):
+        found[lead * pow(u, -1, n) % n].append(u)
+    return tuple(map(tuple, found))
 
 
 def ds_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int]]:
@@ -298,13 +377,17 @@ def na_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int, int, in
             yield (c, d, a, b)
 
 
-def mh_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def mh_orbit(
+    n: int, steps: tuple[int, ...], mod4_filter: bool = False
+) -> Iterator[tuple[int, ...]]:
     """x -> ux + t for each unit u and t = 0..3, and the a/b swaps.
 
     Residue r = i mod 4 steps by the pair of class -r mod 4 (see mh_rows).
     The map sends residue r to ur + t and scales its pair by u.  Swapping
     a and b in both even classes, or in both odd classes, keeps the sum
-    conditions and the digraph itself.
+    conditions and the digraph itself.  With mod4_filter only the maps
+    that keep a_j = 3, b_j = 1 (mod 4) apply: u = 1 (mod 4) with no swap
+    and u = 3 (mod 4) with both.
     """
     by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
     for u in _units(n):
@@ -313,35 +396,112 @@ def mh_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             for r, (x, y) in enumerate(by_residue):
                 classes[-(u * r + t) % 4] = (u * x % n, u * y % n)
             (a0, b0), (a1, b1), (a2, b2), (a3, b3) = classes
-            yield (a0, b0, a1, b1, a2, b2, a3, b3)
-            yield (b0, a0, a1, b1, b2, a2, a3, b3)
-            yield (a0, b0, b1, a1, a2, b2, b3, a3)
-            yield (b0, a0, b1, a1, b2, a2, b3, a3)
+            if not mod4_filter or u % 4 == 1:
+                yield (a0, b0, a1, b1, a2, b2, a3, b3)
+            if not mod4_filter:
+                yield (b0, a0, a1, b1, b2, a2, a3, b3)
+                yield (a0, b0, b1, a1, a2, b2, b3, a3)
+            if not mod4_filter or u % 4 == 3:
+                yield (b0, a0, b1, a1, b2, a2, b3, a3)
 
 
-# Memo slots: a candidate is fixed by the steps its generator chooses (the
-# others are forced), so those steps, read as digits, index a dense table.
-# Each returns (table size, slot of a candidate).
+# Enumeration keys: the steps each generator chooses, in its nesting order,
+# so that sorting by key is enumeration order.
 
 
-def ds_slots(n: int) -> tuple[int, Callable[[tuple[int, ...]], int]]:
-    """Digits a, b in 1..N/2."""
-    h = n // 2 + 1
-    return h * h, lambda s: s[0] * h + s[1]
+def ds_key(steps: tuple[int, ...]) -> tuple[int, ...]:
+    return steps
 
 
-def na_slots(n: int) -> tuple[int, Callable[[tuple[int, ...]], int]]:
-    """Digits alpha, beta, gamma (odd, so halved); delta is forced."""
-    h = n // 2
-    return h ** 3, lambda s: ((s[0] >> 1) * h + (s[1] >> 1)) * h + (s[2] >> 1)
+def na_key(steps: tuple[int, ...]) -> tuple[int, ...]:
+    return steps[:3]
 
 
-def mh_slots(n: int) -> tuple[int, Callable[[tuple[int, ...]], int]]:
-    """Digits a0, b0, a1, b1, a2 (odd, so halved); a3, b2, b3 are forced."""
-    h = n // 2
-    return h ** 5, lambda s: (
-        (((s[0] >> 1) * h + (s[1] >> 1)) * h + (s[2] >> 1)) * h + (s[3] >> 1)
-    ) * h + (s[4] >> 1)
+def mh_key(steps: tuple[int, ...]) -> tuple[int, ...]:
+    return steps[0], steps[4], steps[2], steps[1], steps[3]
+
+
+# Representative tests.  A candidate from a least-lead generator has the
+# least leading step of its orbit, so only the maps that keep that step can
+# give an image of smaller key: those with ux = lead for the step x that
+# the map moves to the lead.  Each test walks these maps and returns None at
+# the first image of smaller key; otherwise the candidate is the orbit's
+# first member in enumeration order, the maps that fix it are counted, and
+# it returns the orbit's size in its space (orbit-stabiliser): the number
+# of maps that keep the candidate in its space over that count.
+
+
+def ds_weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
+    """Maps keep the lead when u.a or u.b is +-a; fold the other step."""
+    a, b = steps
+    fixed = 0
+    for lead in (a, n - a):
+        solutions = _solutions(n, lead)
+        for x, y in ((a, b), (b, a)):
+            for u in solutions[x]:
+                image = u * y % n
+                image = min(image, n - image)
+                if image < b:
+                    return None
+                fixed += image == b
+    return len(_units(n)) // fixed
+
+
+def na_weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
+    """Maps keep the lead when u scales a step of the leading pair to alpha.
+
+    Without the shift that pair is (alpha, beta); with it (gamma, delta),
+    which the shift may lead only when gamma != delta.
+    """
+    alpha, beta, gamma, delta = steps
+    rest = (beta, gamma)
+    solutions = _solutions(n, alpha)
+    shifts = [((alpha, beta), (gamma, delta))]
+    if gamma != delta:
+        shifts.append(((gamma, delta), (alpha, beta)))
+    fixed = 0
+    for (x, y), (z, w) in shifts:
+        for lead_step, other in ((x, y), (y, x)):
+            for u in solutions[lead_step]:
+                c, d = u * z % n, u * w % n
+                image = (u * other % n, c if c < d else d)
+                if image < rest:
+                    return None
+                fixed += image == rest
+    return len(shifts) * len(_units(n)) // fixed
+
+
+def mh_weight(
+    n: int, steps: tuple[int, ...], mod4_filter: bool = False
+) -> Optional[int]:
+    """Maps keep the lead when they send the class j holding x to class 0.
+
+    With t = uj (mod 4) class j + i goes to class ui, so classes j, j + 2,
+    j + u and j - u become 0, 2, 1 and 3.  If x is b_j the even classes
+    swap; the odd classes may swap either way, or with mod4_filter exactly
+    when the even ones do.
+    """
+    pairs = (steps[0:2], steps[2:4], steps[4:6], steps[6:8])
+    lead, a2, a1, b0, b1 = mh_key(steps)
+    solutions = _solutions(n, lead)
+    fixed = 0
+    for j in range(4):
+        for even in (0, 1):
+            lead_pair, pair2 = pairs[j], pairs[(j + 2) % 4]
+            for u in solutions[lead_pair[even]]:
+                image_a2 = u * pair2[even] % n
+                if image_a2 != a2:
+                    if image_a2 < a2:
+                        return None
+                    continue
+                pair1 = pairs[(j + u) % 4]
+                image_b0 = u * lead_pair[1 - even] % n
+                for odd in (even,) if mod4_filter else (0, 1):
+                    image = (u * pair1[odd] % n, image_b0, u * pair1[1 - odd] % n)
+                    if image < (a1, b0, b1):
+                        return None
+                    fixed += image == (a1, b0, b1)
+    return (4 if mod4_filter else 16) * len(_units(n)) // fixed
 
 
 @dataclass(frozen=True)
@@ -354,21 +514,28 @@ class Family:
     0..period-1 represent every translation class: their eccentricities give
     the diameter.
     ``candidates(n)`` yields every valid step tuple of order n once, up to
-    the family's symmetry.  ``orbit(n, steps)`` yields, in candidate form,
-    the steps of digraphs isomorphic to that of ``steps`` under the maps
-    x -> ux (u a unit of Z_N), combined with translations; from any member
-    it yields the whole orbit, the member included, so one BFS serves every
-    candidate in it.  ``slots(n)`` gives the size of a dense table and the
-    index in it of a candidate step tuple.  The family's Moore bound and
-    theorem are in ``bounds.THEOREMS``.
+    the family's symmetry, in increasing ``key`` order; with
+    ``least_leads=True`` it skips candidates that cannot come first in
+    their orbit: those whose leading step some map lowers (and, for MH,
+    those whose second key digit a map keeping the lead lowers).
+    ``orbit(n, steps)`` yields, in candidate form, the steps of digraphs
+    isomorphic to that of ``steps`` under the maps x -> ux (u a unit of
+    Z_N), combined with translations; from any member it yields the whole
+    orbit, the member included.  ``weight(n, steps)``, for a candidate of
+    the least-lead walk, is the representative test: the orbit's size if
+    ``steps`` is its key-least member, else None.  The Manhattan generator,
+    orbit and test also take ``mod4_filter``, which restricts the space and
+    its maps.  The family's Moore bound and theorem are in
+    ``bounds.THEOREMS``.
     """
 
     params: type
     validate: Callable[..., Validation]
     rows: Callable[[int, tuple[int, ...]], list[tuple[int, ...]]]
     candidates: Callable[..., Iterator[tuple[int, ...]]]
-    orbit: Callable[[int, tuple[int, ...]], Iterator[tuple[int, ...]]]
-    slots: Callable[[int], tuple[int, Callable[[tuple[int, ...]], int]]]
+    orbit: Callable[..., Iterator[tuple[int, ...]]]
+    key: Callable[[tuple[int, ...]], tuple[int, ...]]
+    weight: Callable[..., Optional[int]]
 
     @property
     def tag(self) -> str:
@@ -383,11 +550,11 @@ FAMILIES: dict[str, Family] = {
     f.tag: f
     for f in (
         Family(DoubleStepGraph, validate_ds, ds_rows, ds_candidates,
-               ds_orbit, ds_slots),
+               ds_orbit, ds_key, ds_weight),
         Family(NewAmsterdamDigraph, validate_na, na_rows, na_candidates,
-               na_orbit, na_slots),
+               na_orbit, na_key, na_weight),
         Family(ManhattanDigraph, validate_mh, mh_rows, mh_candidates,
-               mh_orbit, mh_slots),
+               mh_orbit, mh_key, mh_weight),
     )
 }
 

@@ -8,20 +8,22 @@ the prediction.  Each candidate is evaluated straight from its step
 arithmetic: the record's row builder gives the successor rows, and BFS runs
 only from one vertex per translation class (0 for DS, 0-1 for NA, 0-3 for
 MH).  Candidates whose digraphs are isomorphic under a multiplier map
-x -> ux form an orbit (the record's orbit map lists it), and BFS runs once
-per orbit: the other members read its result from a memo.  Only the
-reported witnesses are compiled into a ``Digraph``, and each is re-verified
-there by all-source BFS.
+x -> ux form an orbit, and BFS runs once per orbit, on its representative:
+the member that comes first in enumeration order.  The record's generator
+walks only candidates whose leading step no map lowers, its weight test
+picks the representatives among them and gives each orbit's size, so every
+candidate is still counted without being visited.  Only the reported
+witnesses are compiled into a ``Digraph``, and each is re-verified there by
+all-source BFS.
 
-A search is one pass over the enumeration in this process, so the orbit
-memo is shared by every candidate.  The kept witnesses are the first
-``WITNESS_CAP`` optima in enumeration order.  The ``workers`` keyword is
-accepted for existing callers and has no effect.
+A search is one pass over the representatives in this process.  The kept
+witnesses are the first ``WITNESS_CAP`` optima in enumeration order, taken
+from the optimal orbits.  The ``workers`` keyword is accepted for existing
+callers and has no effect.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +32,7 @@ from .constructions import na_to_mh
 from .families import (
     FAMILIES,
     DoubleStepGraph,
+    Family,
     FamilyError,
     FamilyParams,
     ManhattanDigraph,
@@ -45,12 +48,9 @@ from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py
 WITNESS_CAP = 32
 DEFAULT_CAP_DS = 200
 DEFAULT_CAP_NA = 120
-DEFAULT_CAP_MH = 48
+DEFAULT_CAP_MH = 64
 # search_mh via NA searches order N/2, so it shares the NA cap.
 DEFAULT_CAP_MH_VIA_NA = 2 * DEFAULT_CAP_NA
-# Memo value of a candidate pruned by the running minimum or not strongly
-# connected; the memo's 16-bit slots hold any diameter of an order below it.
-PRUNED = 0xFFFF
 
 
 class SearchError(ValueError):
@@ -102,44 +102,56 @@ def _run_search(
     ``optima`` holds the first WITNESS_CAP candidates attaining ``best``, in
     enumeration order.
 
-    BFS runs once per multiplier orbit.  Its result goes to the memo slot
-    of every image, and the later candidates of the orbit read it there.
-    A slot holds 0 until evaluated (a candidate's diameter is at least 1),
-    an exact diameter, or PRUNED.  Storing "pruned" for good is sound
-    because the limit ``best`` only falls.  An exact value above the
-    current ``best`` neither beats nor ties it, so it counts as pruned, as
-    BFS with that limit would return.
+    BFS runs once per multiplier orbit, on its representative: the member
+    that comes first in enumeration order, so the representatives meet the
+    running minimum ``best`` as the orbits' first members would.  A
+    representative stands for its whole orbit: its weight counts as that
+    many candidates examined and, when it attains ``best``, as that many
+    optima.  Every member has the same diameter, and BFS with the limit
+    ``best`` returns None exactly when it exceeds the limit, which only
+    falls.  The optima themselves come from expanding the optimal orbits.
     """
     fam = FAMILIES[family]
-    rows_of, sources, orbit = fam.rows, range(fam.period), fam.orbit
-    # Only the Manhattan generator takes the filter; the others never see it.
-    generate = fam.candidates
-    candidates = generate(n, mod4_filter=True) if mod4_filter else generate(n)
-    size, slot = fam.slots(n)
-    memo = array("H", bytes(2 * size))
+    space = {"mod4_filter": True} if mod4_filter else {}
+    rows_of, sources, weight = fam.rows, range(fam.period), fam.weight
     best: Optional[int] = None
-    optima: list[tuple[int, ...]] = []
+    optimal_reps: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps in candidates:
-        examined += 1
-        d = memo[slot(steps)]
-        if not d:
-            found = bounded_diameter(rows_of(n, steps), n, best, sources)
-            d = PRUNED if found is None else found
-            for image in orbit(n, steps):
-                memo[slot(image)] = d
-        if d == PRUNED:
+    for steps in fam.candidates(n, least_leads=True, **space):
+        size = weight(n, steps, **space)
+        if size is None:
+            continue
+        examined += size
+        d = bounded_diameter(rows_of(n, steps), n, best, sources)
+        if d is None:
             continue
         if best is None or d < best:
             best = d
-            optima = [steps]
-            n_optima = 1
+            optimal_reps = [steps]
+            n_optima = size
         elif d == best:
-            n_optima += 1
-            if len(optima) < WITNESS_CAP:
-                optima.append(steps)
-    return best, optima, n_optima, examined
+            optimal_reps.append(steps)
+            n_optima += size
+    return best, _first_members(fam, n, optimal_reps, space), n_optima, examined
+
+
+def _first_members(
+    fam: Family, n: int, reps: list[tuple[int, ...]], space: dict
+) -> list[tuple[int, ...]]:
+    """The first WITNESS_CAP members of the orbits of ``reps``, in key order.
+
+    ``reps`` are representatives in key order, and every member of an orbit
+    follows its representative, so the expansion stops at the first
+    representative past a full list.
+    """
+    first: list[tuple[int, ...]] = []
+    for rep in reps:
+        if len(first) == WITNESS_CAP and fam.key(first[-1]) < fam.key(rep):
+            break
+        members = {*first, *fam.orbit(n, rep, **space)}
+        first = sorted(members, key=fam.key)[:WITNESS_CAP]
+    return first
 
 
 def _prediction(theorem: str, n: int, min_d: Optional[int]) -> str:

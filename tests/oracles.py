@@ -1,12 +1,11 @@
 """Test-only reference implementations.
 
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
-is the search loop without the orbit memo: one BFS per candidate, through
-gridnet's generators, row builders and ``bounded_diameter``.  The
-summation forms
-of the Moore bounds, the arc-relaxation distance oracle and the
-isomorphism test use only gridnet's error types, ``Digraph`` accessors and,
-for the isomorphism invariants, its plain BFS.
+is the search loop without orbit representatives: one BFS per candidate,
+through gridnet's generators, row builders and ``bounded_diameter``.  The
+summation forms of the Moore bounds, the arc-relaxation distance oracle and
+the isomorphism test use only gridnet's error types, ``Digraph`` accessors
+and, for the isomorphism invariants, its plain BFS.
 
 Import from test modules as ``from oracles import ...``; pytest puts the
 ``tests`` directory on ``sys.path`` for them.
@@ -67,7 +66,7 @@ def brute_na_minimum(n):
 
 
 def plain_search_slice(family, n, stop, mod4_filter):
-    """``search._run_search`` without the orbit memo: BFS on every candidate.
+    """``search._run_search`` without orbit representatives: BFS on every candidate.
 
     ``stop`` None evaluates every candidate, otherwise the first ``stop``.
     """

@@ -1,17 +1,17 @@
-"""Multiplier orbits and the search's orbit memo.
+"""Multiplier orbits and the search's orbit representatives.
 
 Each family's ``orbit`` map lists the candidates whose digraphs are
 isomorphic to a candidate's under x -> ux (u a unit of Z_N) combined with
-translations.  ``search._run_search`` runs BFS once per orbit and reads
-the other members' diameters from a dense memo.  These tests check the maps
-against brute force and the memoised search against ``plain_search_slice``,
-the same loop with one BFS per candidate.
+translations.  ``search._run_search`` runs BFS once per orbit, on the
+member that comes first in enumeration order (least ``key``), which the
+family's ``weight`` test recognises and weighs by the orbit's size.  These
+tests check the maps against brute force, the representative tests against
+the orbits they list, and the search against ``plain_search_slice``, the
+same loop with one BFS per candidate.
 """
 
-import dataclasses
 import math
 from functools import lru_cache
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,11 +29,9 @@ def candidate_set(family, n):
     return frozenset(FAMILIES[family].candidates(n))
 
 
-def assert_slots_distinct(family, n, steps_list):
-    size, slot = FAMILIES[family].slots(n)
-    slots = {slot(s) for s in steps_list}
-    assert len(slots) == len(steps_list)
-    assert all(0 <= i < size for i in slots)
+def assert_keys_distinct(family, steps_list):
+    key = FAMILIES[family].key
+    assert len({key(s) for s in steps_list}) == len(steps_list)
 
 
 @pytest.mark.parametrize(
@@ -47,7 +45,7 @@ def test_every_image_is_an_isomorphic_candidate(family, orders):
             steps: diameter(compile_params(fam.params(n, *steps), strict=False))
             for steps in fam.candidates(n)
         }
-        assert_slots_distinct(family, n, list(diameters))
+        assert_keys_distinct(family, list(diameters))
         for steps, d in diameters.items():
             images = list(fam.orbit(n, steps))
             assert steps in images
@@ -68,7 +66,7 @@ def assert_orbit_sound(family, n, steps):
         assert image in candidate_set(family, n), image
         assert set(fam.orbit(n, image)) == images, image
         assert reduced_diameter(image) == d, image
-    assert_slots_distinct(family, n, list(images))
+    assert_keys_distinct(family, list(images))
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,32 +99,87 @@ def test_manhattan_orbit_property(quarter, raw):
     assert_orbit_sound("mh", n, steps)
 
 
-MEMO_CASES = (
+SEARCH_CASES = (
     [("na", n, False) for n in range(4, 41, 2)]
     + [("ds", n, False) for n in range(3, 61)]
     + [("mh", n, f) for n in (8, 12, 16) for f in (False, True)]
+    + [("mh", n, True) for n in (20, 24, 28)]
 )
 
 
-@pytest.mark.parametrize("family,n,mod4_filter", MEMO_CASES)
+@pytest.mark.parametrize("family,n,mod4_filter", SEARCH_CASES)
 def test_memo_matches_one_bfs_per_candidate(family, n, mod4_filter):
     assert search._run_search(family, n, mod4_filter) == (
         plain_search_slice(family, n, None, mod4_filter)
     )
 
 
-def test_memo_holds_diameters_past_one_byte(monkeypatch):
-    # DS (1, 2) at N = 1100 has diameter 275; its image (2, 549) is the
-    # 823rd candidate and reads that value back from the memo.  The search
-    # runs on a DS record whose enumeration stops there.
-    n, stop = 1100, 823
-    expected = plain_search_slice("ds", n, stop, False)
-    ds = FAMILIES["ds"]
-    truncated = dataclasses.replace(
-        ds, candidates=lambda n: islice(ds.candidates(n), stop)
-    )
-    monkeypatch.setitem(FAMILIES, "ds", truncated)
-    assert search._run_search("ds", n) == expected
+# (family, order, mod4_filter) spaces small enough to list every orbit.
+SPACES = (
+    [("ds", n, False) for n in range(3, 41)]
+    + [("na", n, False) for n in range(4, 31, 2)]
+    + [("mh", n, False) for n in (8, 12, 16)]
+    + [("mh", n, True) for n in (8, 12, 16)]
+)
+
+
+def space_orbits(family, n, mod4_filter):
+    """Each candidate of the space with its orbit: set(orbit) within the space."""
+    fam = FAMILIES[family]
+    space = {"mod4_filter": True} if mod4_filter else {}
+    candidates = list(fam.candidates(n, **space))
+    in_space = frozenset(candidates)
+    orbits = {}
+    for steps in candidates:
+        if steps not in orbits:
+            orbit = frozenset(fam.orbit(n, steps)) & in_space
+            orbits.update(dict.fromkeys(orbit, orbit))
+    return candidates, orbits
+
+
+@pytest.mark.parametrize("family,n,mod4_filter", SPACES)
+def test_representative_is_the_key_least_orbit_member(family, n, mod4_filter):
+    fam = FAMILIES[family]
+    space = {"mod4_filter": True} if mod4_filter else {}
+    candidates, orbits = space_orbits(family, n, mod4_filter)
+    assert sorted(candidates, key=fam.key) == candidates
+    # The least-lead walk skips only candidates that are no representative,
+    # and the weight test then tells the representatives apart.
+    walked = list(fam.candidates(n, least_leads=True, **space))
+    assert sorted(walked, key=fam.key) == walked
+    assert set(walked) <= set(candidates)
+    reps = {s for s in candidates if s == min(orbits[s], key=fam.key)}
+    assert reps <= set(walked)
+    for steps in walked:
+        orbit = orbits[steps]
+        weight = fam.weight(n, steps, **space)
+        assert (weight is not None) == (steps in reps), steps
+        if weight is not None:
+            assert weight == len(orbit), steps
+            assert set(fam.orbit(n, steps, **space)) == orbit, steps
+
+
+@pytest.mark.parametrize("family,n", [("ds", 60), ("na", 30), ("mh", 12)])
+def test_weights_count_orbits_with_nontrivial_stabilisers(family, n):
+    # The weight is the group's order over the representative's stabiliser:
+    # orbits of different sizes show stabilisers beyond the maps that fix
+    # every candidate, and the weights still add up to the candidate count.
+    fam = FAMILIES[family]
+    candidates, orbits = space_orbits(family, n, False)
+    weights = {}
+    for steps in fam.candidates(n, least_leads=True):
+        weight = fam.weight(n, steps)
+        if weight is not None:
+            weights[steps] = weight
+    assert weights == {min(o, key=fam.key): len(o) for o in orbits.values()}
+    assert sum(weights.values()) == len(candidates)
+    assert len(set(weights.values())) > 1
+
+
+def test_direct_search_counts_at_32():
+    r = search.search_mh(32, direct=True)
+    assert (r.min_diameter, r.witness_total, r.candidates_examined) == (
+        5, 32_768, 921_600)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from gridnet.families import (
 )
 from gridnet.graphs import diameter
 from gridnet.search import (
+    DEFAULT_CAP_MH,
     DEFAULT_CAP_MH_VIA_NA,
     SearchError,
     search_ds,
@@ -177,6 +178,14 @@ class TestSearchMh:
             search_mh(28, cap=24)
         with pytest.raises(SearchError):
             search_mh(DEFAULT_CAP_MH_VIA_NA + 4)
+
+    def test_direct_honours_cap(self):
+        # Order 64, the default cap, takes about 3.5 s; CI pins its answer.
+        assert DEFAULT_CAP_MH == 64
+        with pytest.raises(SearchError, match="direct-mode cap 64"):
+            search_mh(DEFAULT_CAP_MH + 4, direct=True)
+        with pytest.raises(SearchError, match="direct-mode cap 12"):
+            search_mh(16, direct=True, cap=12)
 
     def test_via_na_default_cap_covers_theorem_43_sweep(self):
         # verify 4.3 --exhaustive runs search_mh up to order 8(k+1)^2+4
