@@ -14,9 +14,8 @@ the ranges as the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class BoundsError(ValueError):
@@ -51,8 +50,7 @@ def moore_mh(k: int) -> int:
     return 2 * km1 * km1 if k % 2 == 1 else 2 * (km1 * km1 + 1)
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """A family's Moore bound ``moore(k)`` (the largest order at diameter k)
     and its theorem's cases for its canonical steps.  Case k >= 1 holds the
     orders first(k), first(k) + step, ..., split into segments (last, d):
@@ -170,8 +168,7 @@ achievable_range_na = partial(achievable_range, "4.2")
 achievable_range_mh = partial(achievable_range, "4.3")
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     family: str  # "ds" | "na" | "mh"
     k: int
     moore_value: int

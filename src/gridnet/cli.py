@@ -127,7 +127,7 @@ def _cmd_diameter(args) -> int:
 def _cmd_bounds(args) -> int:
     report = bounds_mod.bounds_report(args.family, args.k)
     if args.json:
-        print(json.dumps(report.__dict__, sort_keys=True))
+        print(json.dumps(report._asdict(), sort_keys=True))
         return EXIT_OK
     print(f"family        {report.family}")
     print(f"diameter      {report.k}")

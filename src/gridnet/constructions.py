@@ -10,7 +10,7 @@ derives the chain of one DS graph and bounds both derived diameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import (
     DoubleStepGraph,
@@ -122,8 +122,7 @@ def check_mh_conditions(na: NewAmsterdamDigraph, mh: ManhattanDigraph) -> list[s
     return failures
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     ds: DoubleStepGraph
     k: int
     na_diameter: int

@@ -8,8 +8,9 @@ odd step pair (a_j, b_j) per residue class mod 4.
 
 Each family is described once.  Its parameter record, a ``FamilyParams``
 subclass, declares its tag, its translation period (also its least order)
-and its step fields; one constructor serves all three and stores the steps
-as canonical residues in 0..N-1 (negative inputs reduce on entry).  Its
+and its step fields; one constructor serves all three and lays the record
+out as the tuple ``(n, *steps)``, the steps canonical residues in 0..N-1
+(negative inputs reduce on entry).  Its
 ``Family`` record in ``FAMILIES`` holds the graph machinery: parameter
 class, validator, row builder (plain successor tuples for (N, steps), on
 which the search runs BFS directly), candidate generator, orbit map,
@@ -29,9 +30,8 @@ family_rows, family_diameter and line_diameter never validate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Digraph, bounded_diameter, line_rows
 
@@ -40,8 +40,7 @@ class FamilyError(ValueError):
     """Raised when compiling parameters with hard validity violations."""
 
 
-@dataclass(frozen=True)
-class Validation:
+class Validation(NamedTuple):
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 
@@ -50,58 +49,64 @@ class Validation:
         return not self.errors
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(tuple):
     """What the three parameter records share.
 
-    A record is the order ``n`` and the step fields its class declares after
-    it, each reduced mod n on entry.  ``steps`` holds the reduced steps as
-    one tuple, stored at construction.  A class also declares its ``tag``
-    and its ``period``: the out-steps of vertex i depend only on i mod
-    period, which is also the least order (one vertex per residue class).
+    A record is the tuple ``(n, *steps)``: the order ``n``, then the step
+    fields its class declares after it, each reduced mod n on entry.
+    ``steps`` is that tuple's tail.  A class also declares its ``tag`` and
+    its ``period``: the out-steps of vertex i depend only on i mod period,
+    which is also the least order (one vertex per residue class).
     """
 
+    __slots__ = ()
     tag: ClassVar[str]
     period: ClassVar[int]
 
+    def __new__(cls, *args: int, **kwargs: int) -> "FamilyParams":
+        # The field tuple's __new__ binds positional and keyword arguments.
+        n, *steps = super().__new__(cls, *args, **kwargs)
+        if n < cls.period:
+            raise FamilyError(f"order must be at least {cls.period}, got {n}")
+        return tuple.__new__(cls, (n, *[step % n for step in steps]))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _make and _replace check and reduce too
+        return cls(*iterable)
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        return self[1:]
+
+
+class _DoubleStepFields(NamedTuple):
     n: int
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if n < self.period:
-            raise FamilyError(f"order must be at least {self.period}, got {n}")
-        names = self.__match_args__[1:]
-        steps = tuple(getattr(self, name) % n for name in names)
-        for name, step in zip(names, steps):
-            object.__setattr__(self, name, step)
-        object.__setattr__(self, "steps", steps)
-
-
-@dataclass(frozen=True)
-class DoubleStepGraph(FamilyParams):
-    tag: ClassVar[str] = "ds"
-    period: ClassVar[int] = 1
-
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class NewAmsterdamDigraph(FamilyParams):
-    tag: ClassVar[str] = "na"
-    period: ClassVar[int] = 2
+class DoubleStepGraph(FamilyParams, _DoubleStepFields):
+    __slots__ = ()
+    tag = "ds"
+    period = 1
 
+
+class _NewAmsterdamFields(NamedTuple):
+    n: int
     alpha: int
     beta: int
     gamma: int
     delta: int
 
 
-@dataclass(frozen=True)
-class ManhattanDigraph(FamilyParams):
-    tag: ClassVar[str] = "mh"
-    period: ClassVar[int] = 4
+class NewAmsterdamDigraph(FamilyParams, _NewAmsterdamFields):
+    __slots__ = ()
+    tag = "na"
+    period = 2
 
+
+class _ManhattanFields(NamedTuple):
+    n: int
     a0: int
     b0: int
     a1: int
@@ -110,6 +115,12 @@ class ManhattanDigraph(FamilyParams):
     b2: int
     a3: int
     b3: int
+
+
+class ManhattanDigraph(FamilyParams, _ManhattanFields):
+    __slots__ = ()
+    tag = "mh"
+    period = 4
 
 
 def validate_ds(p: DoubleStepGraph) -> Validation:
@@ -504,8 +515,7 @@ def mh_weight(
     return (4 if mod4_filter else 16) * len(_units(n)) // fixed
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything that differs between the three families, stated once.
 
     ``rows(n, steps)`` lists the successors of each vertex.  The out-steps
@@ -635,6 +645,6 @@ def parse_params(text: str) -> FamilyParams:
     except ValueError as exc:
         raise FamilyError(f"malformed parameter text {text!r}") from exc
     family = FAMILIES.get(tag.strip().lower())
-    if family is None or len(values) != len(fields(family.params)):
+    if family is None or len(values) != len(family.params._fields):
         raise FamilyError(f"malformed parameter text {text!r}")
     return family.params(*values)

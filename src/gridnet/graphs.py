@@ -11,37 +11,42 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 class GraphError(ValueError):
     """Raised for malformed digraphs or out-of-contract arguments."""
 
 
-@dataclass(frozen=True)
-class Digraph:
+class _DigraphFields(NamedTuple):
+    order: int
+    out_arcs: tuple[tuple[int, ...], ...]
+
+
+class Digraph(_DigraphFields):
     """Immutable digraph on vertices 0..order-1 with ordered out-lists.
 
     Parallel arcs are forbidden; loops are representable but never produced
     by the step-graph families.
     """
 
-    order: int
-    out_arcs: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise GraphError(f"order must be positive, got {self.order}")
-        if len(self.out_arcs) != self.order:
-            raise GraphError(
-                f"out_arcs has {len(self.out_arcs)} rows for order {self.order}"
-            )
-        for u, heads in enumerate(self.out_arcs):
+    def __new__(cls, order: int, out_arcs: tuple[tuple[int, ...], ...]) -> "Digraph":
+        if order < 1:
+            raise GraphError(f"order must be positive, got {order}")
+        if len(out_arcs) != order:
+            raise GraphError(f"out_arcs has {len(out_arcs)} rows for order {order}")
+        for u, heads in enumerate(out_arcs):
             if len(set(heads)) != len(heads):
                 raise GraphError(f"duplicate out-arcs at vertex {u}: {heads}")
             for v in heads:
-                if not 0 <= v < self.order:
-                    raise GraphError(f"arc {u}->{v} out of range 0..{self.order - 1}")
+                if not 0 <= v < order:
+                    raise GraphError(f"arc {u}->{v} out of range 0..{order - 1}")
+        return tuple.__new__(cls, (order, out_arcs))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _make and _replace check too
+        return cls(*iterable)
 
     @classmethod
     def from_lists(cls, order: int, lists: Sequence[Sequence[int]]) -> "Digraph":
@@ -90,8 +95,7 @@ def regular_degree(out_arcs: Sequence[Sequence[int]]) -> Optional[int]:
     return d
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     """Single-source BFS result.
 
     ``dist`` entries are exact shortest-path lengths, with None marking

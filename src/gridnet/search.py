@@ -24,8 +24,7 @@ callers and has no effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bounds
 from .constructions import na_to_mh
@@ -69,8 +68,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     family: str
     n: int
     min_diameter: Optional[int]  # None: no strongly connected instance
@@ -250,8 +248,7 @@ def search_mh(
                    inner.candidates_examined)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     theorem: str
     k: int
     n: int

@@ -109,6 +109,11 @@ class TestBounds:
         assert payload["moore_value"] == 16
         assert payload["missing_order"] == 14
 
+    def test_json_keys(self, capsys):
+        _, out, _ = run(capsys, "bounds", "mh", "--k", "3", "--json")
+        assert set(json.loads(out)) == {"family", "k", "moore_value", "range_low",
+                                        "range_high", "missing_order"}
+
 
 class TestDerive:
     def test_na_from_ds(self, capsys):

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -157,6 +156,10 @@ class TestRecords:
         assert (p.alpha, p.beta, p.gamma, p.delta) == (9, 1, 3, 7)
         q = ManhattanDigraph(20, -1, 21, 3, -3, 41, 5, -19, 7)
         assert q.steps == (19, 1, 3, 17, 1, 5, 1, 7)
+        assert DoubleStepGraph(13, 2, 3)._replace(a=-1).steps == (12, 3)
+        assert DoubleStepGraph._make((13, -2, 16)).steps == (11, 3)
+        with pytest.raises(FamilyError):
+            DoubleStepGraph(13, 2, 3)._replace(n=0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(FAMILIES)), st.integers(4, 64), st.data())
@@ -165,7 +168,7 @@ class TestRecords:
         raw = data.draw(st.lists(st.integers(-200, 200), min_size=arity(family),
                                  max_size=arity(family)))
         p = family.params(n, *raw)
-        named = tuple(getattr(p, f.name) for f in fields(p)[1:])
+        named = tuple(getattr(p, name) for name in type(p).__match_args__[1:])
         assert p.steps == named == tuple(x % n for x in raw)
         assert isinstance(p, FamilyParams)
 
@@ -187,6 +190,17 @@ class TestRecords:
         assert NewAmsterdamDigraph(10, 9, 1, 3, 7) != ManhattanDigraph(
             10, 9, 1, 3, 7, 0, 0, 0, 0)
         assert len({p, q, DoubleStepGraph(n=13, a=2, b=3)}) == 1
+
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    def test_fields_are_read_only(self, tag):
+        family = FAMILIES[tag]
+        p = family.params(family.period, *(1,) * arity(family))
+        with pytest.raises(AttributeError):
+            p.n = 8
+        with pytest.raises(AttributeError):
+            setattr(p, family.params.__match_args__[1], 0)
+        with pytest.raises(AttributeError):
+            family.validate(p).errors = ()
 
 
 class TestParamText:
@@ -220,7 +234,7 @@ CANONICAL = {
 
 
 def arity(family):
-    return len(fields(family.params)) - 1  # the fields after the order n
+    return len(family.params.__match_args__) - 1  # the fields after the order n
 
 
 def brute_force_classes(family, n, values):

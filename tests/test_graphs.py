@@ -44,6 +44,21 @@ class TestDigraph:
         with pytest.raises(GraphError):
             Digraph.from_lists(3, [[1], [2]])
 
+    def test_keyword_construction_is_checked(self):
+        with pytest.raises(GraphError):
+            Digraph(order=2, out_arcs=((1, 1), (0,)))
+        with pytest.raises(GraphError):
+            Digraph(2, ((1, 1), (0,)))
+        with pytest.raises(GraphError):
+            Digraph._make((2, ((1, 1), (0,))))
+        with pytest.raises(GraphError):
+            cycle(2)._replace(out_arcs=((1, 1), (0,)))
+
+    def test_fields_are_read_only(self):
+        g = cycle(3)
+        with pytest.raises(AttributeError):
+            g.order = 4
+
 
 class TestBfsProfile:
     def test_directed_3_cycle(self):

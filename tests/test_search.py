@@ -192,6 +192,20 @@ class TestSearchMh:
         assert DEFAULT_CAP_MH_VIA_NA >= 8 * 5 * 5 + 4
 
 
+class TestSearchResult:
+    def test_fields_are_read_only(self):
+        r = search_ds(13)
+        with pytest.raises(AttributeError):
+            r.min_diameter = 1
+
+    def test_json_keys(self):
+        assert set(search_ds(13).to_json_dict()) == {
+            "family", "n", "min_diameter", "witnesses", "witness_total",
+            "candidates_examined", "moore_bound_for_min",
+            "meets_theorem_prediction",
+        }
+
+
 class TestDeterminism:
     def test_worker_count_independence(self):
         results = [
@@ -230,6 +244,25 @@ class TestLazyPool:
             "cli.main(['search', 'na', '--n', '16', '--workers', '2'])\n"
             "print(sorted(m for m in ('concurrent.futures.process', "
             "'multiprocessing') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.splitlines()[-1] == "[]"
+
+    def test_cli_runs_load_no_dataclasses(self):
+        # The records are named tuples: a CLI process that imports no
+        # dataclasses also skips the inspect, dis, tokenize and ast chain.
+        src = os.path.dirname(os.path.dirname(search.__file__))
+        code = (
+            "import sys\n"
+            "from gridnet import cli\n"
+            "cli.main(['bounds', 'na', '--k', '1', '--json'])\n"
+            "cli.main(['search', 'mh', '--direct', '--n', '12'])\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
