@@ -145,8 +145,10 @@ def achievable_range(theorem: str, d: int) -> tuple[int, int]:
     d=4 and 6 (minima 5 and 7), and MH order 28 reaches d=5 only with steps
     that break the mod-4 condition (mh:28,1,3,1,9,1,27,25,17).
 
-    One range disagrees with THEOREMS: case 1 of 4.2 and ``search na --n 6``
-    give diameter 3 at order 6, yet the paper's NA range at d=3 is 8..10.
+    The printed NA ranges leave out order 6: case 1 of 4.2 and ``search na
+    --n 6`` give diameter 3 there, yet the range at d=3 is 8..10, and the
+    only range holding 6 is d=2's 4..6, where 6 is the missing order.  The
+    ranges keep the paper's values.
     """
     t = THEOREMS[theorem]
     if t.least_range_d is None or d < t.least_range_d:

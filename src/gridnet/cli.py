@@ -19,11 +19,11 @@ from .families import (
     FAMILIES,
     FamilyError,
     compile_params,
-    family_diameter,
     family_rows,
     format_params,
-    line_diameter,
+    line_rows_diameter,
     parse_params,
+    rows_diameter,
 )
 from .graphs import GraphError, diameter, from_json, regular_degree, to_dot, to_json
 from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py traces it)
@@ -213,13 +213,13 @@ def _line_digraph_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
             rows = family_rows(p)
             if regular_degree(rows) != 2:
                 continue
-            d = family_diameter(p)
+            d = rows_diameter(rows, na.period)
             if d is None:
                 continue
             # The line digraph has one vertex per arc of the NA digraph.
             passed = (
                 sum(len(heads) for heads in rows) == 2 * n
-                and line_diameter(p) == d + 1
+                and line_rows_diameter(rows, na.period) == d + 1
             )
             yield None if passed else f"FAIL line-digraph {format_params(p)}"
 

@@ -24,7 +24,7 @@ branching on the family.  Compilation deduplicates coincident heads of the
 same rows so the resulting Digraph never carries parallel arcs, even for
 degenerate step choices.  require_valid is the one validity gate:
 compile_params (when strict) and the step translations call it, and
-family_rows, family_diameter and line_diameter never validate.
+family_rows and the diameters on rows never validate.
 """
 
 from __future__ import annotations
@@ -596,36 +596,54 @@ def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
     return Digraph(p.n, tuple(family_rows(p)))
 
 
-def _period(p: FamilyParams) -> int:
-    """p.period if it divides p.n (the shift is then an automorphism), else p.n."""
-    return p.period if p.n % p.period == 0 else p.n
+def _sources(n: int, period: int) -> range:
+    """Vertices 0..period-1 if period divides n (the shift is then an
+    automorphism), else every vertex."""
+    return range(period if n % period == 0 else n)
+
+
+def rows_diameter(rows: Sequence[Sequence[int]], period: int) -> Optional[int]:
+    """Diameter of the digraph with out-rows ``rows``, or None when it is not
+    strongly connected.
+
+    ``rows`` are a family's rows, whose out-steps depend only on the vertex
+    mod ``period``: BFS runs from one vertex per translation class, as in
+    the search, without building a Digraph, and from every vertex where the
+    period does not divide the order.  Rows may repeat a head.
+    """
+    return bounded_diameter(rows, len(rows), None, _sources(len(rows), period))
+
+
+def line_rows_diameter(rows: Sequence[Sequence[int]], period: int) -> Optional[int]:
+    """Diameter of the line digraph of ``rows``, or None as in rows_diameter.
+
+    The line digraph is numbered as in graphs.line_digraph, so ``rows``
+    must not repeat a head, but no Digraph is built.  Shifting by the
+    period sends arc (u, j) to (u + period, j), so it adds the number of
+    arcs out of vertices 0..period-1 to every arc index (mod the arc
+    count): BFS from those arcs alone gives the diameter.  When the period
+    does not divide the order, BFS runs from every arc.
+    """
+    arcs = line_rows(rows)
+    tails = _sources(len(rows), period)
+    sources = range(sum(len(heads) for heads in rows[:len(tails)]))
+    return bounded_diameter(arcs, len(arcs), None, sources)
 
 
 def family_diameter(p: FamilyParams) -> Optional[int]:
     """Diameter of p's digraph, or None when it is not strongly connected.
 
-    BFS runs on the family's rows from one vertex per translation class,
-    as in the search, without building a Digraph.  p is not validated: the
-    period falls back to every vertex where it does not divide the order.
+    rows_diameter of the family's rows; p is not validated.
     """
-    rows = FAMILIES[p.tag].rows(p.n, p.steps)
-    return bounded_diameter(rows, p.n, None, range(_period(p)))
+    return rows_diameter(FAMILIES[p.tag].rows(p.n, p.steps), p.period)
 
 
 def line_diameter(p: FamilyParams) -> Optional[int]:
     """Diameter of the line digraph of p's digraph, or None as in diameter.
 
-    The line digraph is that of the rows family_rows(p), numbered as in
-    graphs.line_digraph, but no Digraph is built.  Shifting by the period
-    sends arc (u, j) to (u + period, j), so it adds the number of arcs out
-    of vertices 0..period-1 to every arc index (mod the arc count): BFS from
-    those arcs alone gives the diameter.  When the period does not divide
-    the order, BFS runs from every arc.  p is not validated.
+    line_rows_diameter of family_rows(p); p is not validated.
     """
-    rows = family_rows(p)
-    arcs = line_rows(rows)
-    sources = range(sum(len(heads) for heads in rows[:_period(p)]))
-    return bounded_diameter(arcs, len(arcs), None, sources)
+    return line_rows_diameter(family_rows(p), p.period)
 
 
 # Per-family names for the same compiler, for callers that name the family.

@@ -1,8 +1,12 @@
 """Generic digraph core.
 
 Immutable adjacency-list digraphs plus all distance machinery used by the
-step-graph families: BFS distance profiles, diameter, line digraph, and
-byte-deterministic DOT / JSON exports.  The independent all-pairs distance
+step-graph families: BFS distance profiles, line digraph, and
+byte-deterministic DOT / JSON exports, and two diameter routines that
+answer different questions by different algorithms.  ``bounded_diameter``
+is the search kernel: BFS from a few given sources with an early exit at a
+limit.  ``diameter`` certifies a whole ``Digraph`` from every source at
+once by reach sets, without calling it.  The independent all-pairs distance
 oracle and the isomorphism test that the suite checks these against live
 in ``tests/oracles.py``.
 """
@@ -137,30 +141,53 @@ def bfs_profile(g: Digraph, source: int) -> DistanceProfile:
 
 
 def diameter(g: Digraph) -> Optional[int]:
-    """Max eccentricity over all sources, or None when not strongly connected."""
-    return bounded_diameter(g.out_arcs, g.order)
+    """Max eccentricity over all sources, or None when not strongly connected.
+
+    Every source at once, by reach sets: ``reach[u]`` is the bit set of the
+    vertices within k arcs of u, and one level ORs each vertex's set with
+    those of its out-neighbours.  The diameter is the first k at which every
+    set is full; a level that changes no set before that means some vertex
+    never reaches some other.  This costs D * (N + arcs) big-int ORs, and it
+    shares no code with ``bounded_diameter``, so it certifies what the
+    searches find by a second algorithm.
+    """
+    n, rows = g.order, g.out_arcs
+    full = (1 << n) - 1
+    reach = [1 << u for u in range(n)]
+    k = 0
+    while any(r != full for r in reach):
+        level = []
+        for r, heads in zip(reach, rows):
+            for v in heads:
+                r |= reach[v]
+            level.append(r)
+        if level == reach:
+            return None
+        reach = level
+        k += 1
+    return k
 
 
 def bounded_diameter(
     out_arcs: Sequence[Sequence[int]],
     n: int,
-    limit: Optional[int] = None,
-    sources: Optional[Iterable[int]] = None,
+    limit: Optional[int],
+    sources: Iterable[int],
 ) -> Optional[int]:
-    """Max eccentricity over ``sources`` (default: every vertex), or None.
+    """Max eccentricity over ``sources``, or None.
 
     None means some source fails to reach every vertex, or some eccentricity
-    exceeds ``limit``.  With all sources that is the diameter.  When every
-    vertex is the image of a source under an automorphism, as with the
-    translation classes of the step families, the given sources suffice for
-    both the diameter and strong connectivity.  Rows may repeat a head.
+    exceeds ``limit``.  When every vertex is the image of a source under an
+    automorphism, as with the translation classes of the step families, the
+    given sources suffice for both the diameter and strong connectivity.
+    Rows may repeat a head.
 
     BFS runs level by level and stops as soon as the next level would pass
     ``limit``.  That early exit is what makes the exhaustive step searches
     affordable; it never changes which candidates attain the running minimum.
     """
     best = 0
-    for source in range(n) if sources is None else sources:
+    for source in sources:
         seen = [False] * n
         seen[source] = True
         frontier = [source]

@@ -14,7 +14,8 @@ walks only candidates whose leading step no map lowers, its weight test
 picks the representatives among them and gives each orbit's size, so every
 candidate is still counted without being visited.  Only the reported
 witnesses are compiled into a ``Digraph``, and each is re-verified there by
-all-source BFS.
+``graphs.diameter``: reach sets from every vertex at once, an algorithm
+that shares no code with the search's period BFS.
 
 A search is one pass over the representatives in this process.  The kept
 witnesses are the first ``WITNESS_CAP`` optima in enumeration order, taken
@@ -221,7 +222,7 @@ def search_mh(
 
     Default mode runs search_na(n/2) and lifts the optimum through the
     line-digraph relation (min diameter + 1, witnesses the na_to_mh images
-    of the NA witnesses); _finish certifies every image by all-source BFS.
+    of the NA witnesses); _finish certifies every image by graphs.diameter.
     Direct mode enumerates the Manhattan step space itself, restricted by
     ``mod4_filter`` to a_j = 3, b_j = 1 (mod 4); the filter without direct
     mode is an error.  ``cap`` bounds n in either mode; it defaults to

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from gridnet.cli import main
-from gridnet.families import DoubleStepGraph, compile_ds
+from gridnet.families import FAMILIES, DoubleStepGraph, compile_ds
 from gridnet.graphs import to_dot, to_json
 
 from test_graphs import MALFORMED_TYPES
@@ -108,6 +108,20 @@ class TestBounds:
         assert code == 0
         assert payload["moore_value"] == 16
         assert payload["missing_order"] == 14
+
+    def test_printed_na_ranges_leave_out_order_6(self, capsys):
+        # The paper's range at diameter 3 is 8..10, yet order 6 has diameter 3
+        # (case 1 of Theorem 4.2) and the search finds it.  The output keeps
+        # the paper's values; this pins them, so a change to them is deliberate.
+        code, out, _ = run(capsys, "bounds", "na", "--k", "3", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["range_low"], payload["range_high"]) == (8, 10)
+        code, out, _ = run(capsys, "search", "na", "--n", "6", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["min_diameter"] == 3
+        assert payload["meets_theorem_prediction"] == "yes"
 
     def test_json_keys(self, capsys):
         _, out, _ = run(capsys, "bounds", "mh", "--k", "3", "--json")
@@ -215,6 +229,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "12")
         assert code == 0
         assert "0 failures" in out
+
+    def test_line_digraph_builds_each_candidates_rows_once(self, capsys, monkeypatch):
+        na = FAMILIES["na"]
+        builds = []
+
+        def counting_rows(n, steps):
+            builds.append((n, steps))
+            return na.rows(n, steps)
+
+        monkeypatch.setitem(FAMILIES, "na", na._replace(rows=counting_rows))
+        code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "24")
+        assert code == 0
+        assert "0 failures" in out
+        candidates = [(n, steps) for n in range(4, 25, 2) for steps in na.candidates(n)]
+        assert builds == candidates
 
     @pytest.mark.parametrize("claim", ["sandwich", "line-digraph"])
     def test_csv_rejected_where_there_are_no_rows(self, capsys, claim):

@@ -108,6 +108,40 @@ class TestDiameter:
         assert diameter(Digraph.from_lists(2, [[1], []])) is None
 
 
+def oracle_diameter(g):
+    m = all_pairs_oracle(g)
+    return None if any(None in row for row in m) else max(max(row) for row in m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diameter_every_digraph_on_at_most_3_vertices(n):
+    # Every subset of the n*n arcs, loops included: 2, 16 and 512 digraphs,
+    # most of them not strongly connected.
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    for mask in range(1 << len(pairs)):
+        rows = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                rows[u].append(v)
+        g = Digraph.from_lists(n, rows)
+        assert diameter(g) == oracle_diameter(g), rows
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Digraph.from_lists(1, [[]]),
+        Digraph.from_lists(1, [[0]]),
+        Digraph.from_lists(4, [[1, 2], [2, 3], [3, 0], []]),  # a sink
+        Digraph.from_lists(4, [[1], [2], [3], [0, 1]]),
+        cycle(200),  # D = N - 1: the most levels
+    ],
+    ids=["order-1", "order-1-loop", "sink", "cycle-4-chord", "cycle-200"],
+)
+def test_diameter_against_oracle(g):
+    assert diameter(g) == oracle_diameter(g)
+
+
 class TestLineDigraph:
     def test_cycle_maps_to_cycle(self):
         assert are_isomorphic(line_digraph(cycle(3)), cycle(3))
@@ -207,8 +241,7 @@ def test_oracle_equivalence_random():
     rng = random.Random(7)
     for _ in range(30):
         g = random_strongly_connected(rng, rng.randrange(2, 33))
-        m = all_pairs_oracle(g)
-        assert diameter(g) == max(max(row) for row in m)
+        assert diameter(g) == oracle_diameter(g)
 
 
 def test_triangle_inequality_along_arcs():

@@ -2,7 +2,8 @@
 
 The search evaluates a candidate from its successor rows with BFS from one
 vertex per translation class only.  These tests check that this gives the
-all-source ``diameter`` of the compiled ``Digraph``, for every limit.  The
+all-source ``diameter`` of the compiled ``Digraph``, for every limit; that
+diameter comes from reach sets, a second algorithm, not from BFS.  The
 same holds for line digraphs, where ``line_diameter`` runs BFS only from
 the arcs out of one period of vertices.
 """

@@ -109,6 +109,22 @@ class TestSearchNa:
         for w in r.witnesses:
             assert diameter(compile_params(w, strict=False)) == r.min_diameter
 
+    def test_certifier_does_not_share_the_search_kernel(self, monkeypatch):
+        # A period-BFS kernel that reports one less than the truth must be
+        # caught by the re-verification, which may not call it.
+        from gridnet import graphs
+
+        real = graphs.bounded_diameter
+
+        def lying(out_arcs, n, limit, sources):
+            d = real(out_arcs, n, None if limit is None else limit + 1, sources)
+            return None if d is None else d - 1
+
+        monkeypatch.setattr(graphs, "bounded_diameter", lying)
+        monkeypatch.setattr(search, "bounded_diameter", lying)
+        with pytest.raises(SearchError, match="fails re-verification"):
+            search_na(24)
+
     def test_moore_lower_bound_holds(self):
         for n in range(4, 27, 2):
             r = search_na(n)
