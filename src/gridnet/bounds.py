@@ -8,7 +8,8 @@ algebra.
 (4.1 DS, 4.2 NA, 4.3 MH) once, as data; ``Theorem.family`` alone says which
 belong to a family.  The predictions, the case of an order, the orders of a
 case, its missing order, the paper's order range at a diameter and the
-bounds report are read from it.  The tests hold the paper's closed forms of
+bounds report are read from it, with the step between orders the family's
+period in ``families.FAMILIES``.  The tests hold the paper's closed forms of
 the ranges as the check.
 """
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from functools import partial
 from typing import Callable, NamedTuple, Optional
+
+from .families import FAMILIES
 
 
 class BoundsError(ValueError):
@@ -53,29 +56,29 @@ def moore_mh(k: int) -> int:
 class Theorem(NamedTuple):
     """A family's Moore bound ``moore(k)`` (the largest order at diameter k)
     and its theorem's cases for its canonical steps.  Case k >= 1 holds the
-    orders first(k), first(k) + step, ..., split into segments (last, d):
-    diameter d up to order last, and d None at the missing order.
+    orders first(k), first(k) + P, ..., P the family's period
+    (``FAMILIES[family].period``), split into segments (last, d): diameter
+    d up to order last, and d None at the missing order.
     The paper's order ranges start at diameter ``least_range_d`` (None: no
     range).  At k = 0 the lambdas give the missing orders 6 (NA) and 12 (MH),
     where case 1's first range starts, and the NA range 4..6 at d=2."""
 
     family: str
     moore: Callable[[int], int]
-    step: int
     first: Callable[[int], int]
     segments: Callable[[int], tuple[tuple[int, Optional[int]], ...]]
     least_range_d: Optional[int]
 
 
 THEOREMS = {
-    "4.1": Theorem("ds", moore_ds, 1, lambda k: moore_ds(k - 1) + 1,
+    "4.1": Theorem("ds", moore_ds, lambda k: moore_ds(k - 1) + 1,
                    lambda k: ((moore_ds(k), k),), None),
-    "4.2": Theorem("na", moore_na, 2, lambda k: 4 * k * k + 2,
+    "4.2": Theorem("na", moore_na, lambda k: 4 * k * k + 2,
                    lambda k: ((4 * k * k + 4 * k + 2, 2 * k + 1),
                               (4 * k * k + 4 * k + 4, 2 * k + 2),
                               (4 * k * k + 4 * k + 6, None),
                               (4 * (k + 1) ** 2 + 2, 2 * k + 3)), 2),
-    "4.3": Theorem("mh", moore_mh, 4, lambda k: 8 * k * k + 8,
+    "4.3": Theorem("mh", moore_mh, lambda k: 8 * k * k + 8,
                    lambda k: ((8 * k * k + 8 * k + 4, 2 * k + 2),
                               (8 * k * k + 8 * k + 8, 2 * k + 3),
                               (8 * k * k + 8 * k + 12, None),
@@ -112,7 +115,7 @@ def case_of(theorem: str, n: int) -> int:
 def case_orders(theorem: str, k: int) -> range:
     """Every order of case k, the missing one included."""
     t = THEOREMS[theorem]
-    return range(t.first(k), t.segments(k)[-1][0] + 1, t.step)
+    return range(t.first(k), t.segments(k)[-1][0] + 1, FAMILIES[t.family].period)
 
 
 def missing_order(theorem: str, k: int) -> Optional[int]:
@@ -124,8 +127,9 @@ def predicted_diameter(theorem: str, n: int, k: Optional[int] = None) -> Optiona
     """Diameter the canonical steps achieve at order n in case k (by
     default the least case holding n); None where case k misses n."""
     t = THEOREMS[theorem]
-    if n % t.step != 0:
-        raise BoundsError(f"order must be a multiple of {t.step}, got {n}")
+    step = FAMILIES[t.family].period
+    if n % step != 0:
+        raise BoundsError(f"order must be a multiple of {step}, got {n}")
     if k is None:
         k = case_of(theorem, n)
     if k < 1:
@@ -139,11 +143,12 @@ def achievable_range(theorem: str, d: int) -> tuple[int, int]:
     """Order range the paper gives at diameter d, read from THEOREMS.
 
     Case k's segments have diameters d0, d0+1, the missing order, then
-    d0+2.  The range at d0 runs from case k-1's missing order + step to the
-    end of case k's first segment; at d0+1, from case k's second segment to
-    its missing order, which is open: NA orders 14 and 30 are unattained at
-    d=4 and 6 (minima 5 and 7), and MH order 28 reaches d=5 only with steps
-    that break the mod-4 condition (mh:28,1,3,1,9,1,27,25,17).
+    d0+2.  The range at d0 runs from the order after case k-1's missing
+    order (one family period on) to the end of case k's first segment; at
+    d0+1, from case k's second segment to its missing order, which is
+    open: NA orders 14 and 30 are unattained at d=4 and 6 (minima 5 and 7),
+    and MH order 28 reaches d=5 only with steps that break the mod-4
+    condition (mh:28,1,3,1,9,1,27,25,17).
 
     The printed NA ranges leave out order 6: case 1 of 4.2 and ``search na
     --n 6`` give diameter 3 there, yet the range at d=3 is 8..10, and the
@@ -156,7 +161,7 @@ def achievable_range(theorem: str, d: int) -> tuple[int, int]:
     k = _least(lambda k: t.segments(k)[1][1] >= d, 0)
     (last, d0), (second, _) = t.segments(k)[:2]
     if d == d0:
-        return missing_order(theorem, k - 1) + t.step, last
+        return missing_order(theorem, k - 1) + FAMILIES[t.family].period, last
     return second, missing_order(theorem, k)
 
 

@@ -108,6 +108,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
+    if args.input and args.params:
+        raise UsageError("diameter takes parameters or --input, not both")
     if args.input:
         if args.input == "-":
             text = sys.stdin.read()

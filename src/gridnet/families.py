@@ -7,24 +7,25 @@ to 0 mod N.  Manhattan digraphs live on Z_N with N a multiple of 4 and one
 odd step pair (a_j, b_j) per residue class mod 4.
 
 Each family is described once.  Its parameter record, a ``FamilyParams``
-subclass, declares its tag, its translation period (also its least order)
-and its step fields; one constructor serves all three and lays the record
-out as the tuple ``(n, *steps)``, the steps canonical residues in 0..N-1
-(negative inputs reduce on entry).  Its
-``Family`` record in ``FAMILIES`` holds the graph machinery: parameter
-class, validator, row builder (plain successor tuples for (N, steps), on
-which the search runs BFS directly), candidate generator, orbit map,
-enumeration key and representative test.  The generator lists candidates
-in key order, and on request only those whose leading step is the least
-its multiplier orbit reaches; the test then accepts the orbit's key-least
-member and weighs it by the orbit's size, counting only the maps that keep
-the leading step.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
-Callers look the record up by tag or by ``params.tag`` instead of
-branching on the family.  Compilation deduplicates coincident heads of the
-same rows so the resulting Digraph never carries parallel arcs, even for
-degenerate step choices.  require_valid is the one validity gate:
-compile_params (when strict) and the step translations call it, and
-family_rows and the diameters on rows never validate.
+subclass, declares its tag, its translation period and its step fields; one
+constructor serves all three, admits only orders that are positive
+multiples of the period, and lays the record out as the tuple
+``(n, *steps)``, the steps canonical residues in 0..N-1 (negative inputs
+reduce on entry).  Its ``Family`` record in ``FAMILIES`` holds the graph
+machinery: parameter class, validator, row builder (plain successor tuples
+for (N, steps), on which the search runs BFS directly), candidate
+generator, orbit map, enumeration key and representative test.  The
+generator lists candidates in key order, and on request only those whose
+leading step is the least its multiplier orbit reaches; the test then
+accepts the orbit's key-least member and weighs it by the orbit's size,
+counting only the maps that keep the leading step.  Its Moore bound and
+theorem are in ``bounds.THEOREMS``.  Callers look the record up by tag or
+by ``params.tag`` instead of branching on the family.  Compilation
+deduplicates coincident heads of the same rows so the resulting Digraph
+never carries parallel arcs, even for degenerate step choices.
+require_valid is the one validity gate: compile_params (when strict) and
+the step translations call it, and family_rows and the diameters on rows
+never validate.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class FamilyParams(tuple):
     fields its class declares after it, each reduced mod n on entry.
     ``steps`` is that tuple's tail.  A class also declares its ``tag`` and
     its ``period``: the out-steps of vertex i depend only on i mod period,
-    which is also the least order (one vertex per residue class).
+    and the order must be a positive multiple of it, so that shifting every
+    vertex by the period is an automorphism.
     """
 
     __slots__ = ()
@@ -68,6 +70,8 @@ class FamilyParams(tuple):
         n, *steps = super().__new__(cls, *args, **kwargs)
         if n < cls.period:
             raise FamilyError(f"order must be at least {cls.period}, got {n}")
+        if n % cls.period:
+            raise FamilyError(f"order must be a multiple of {cls.period}, got {n}")
         return tuple.__new__(cls, (n, *[step % n for step in steps]))
 
     @classmethod
@@ -148,9 +152,6 @@ def validate_na(p: NewAmsterdamDigraph) -> Validation:
     errors: list[str] = []
     warnings: list[str] = []
     n = p.n
-    if n % 2 != 0:
-        errors.append(f"order {n} is odd")
-        return Validation(tuple(errors), tuple(warnings))
     for name, step in zip(("alpha", "beta", "gamma", "delta"), p.steps):
         if step % 2 == 0:
             errors.append(f"step {name} = {step} is even")
@@ -167,9 +168,6 @@ def validate_mh(p: ManhattanDigraph) -> Validation:
     errors: list[str] = []
     warnings: list[str] = []
     n = p.n
-    if n % 4 != 0:
-        errors.append(f"order {n} is not a multiple of 4")
-        return Validation(tuple(errors), tuple(warnings))
     pairs = [p.steps[2 * j:2 * j + 2] for j in range(4)]
     for j, (aj, bj) in enumerate(pairs):
         if aj % 2 == 0:
@@ -293,8 +291,8 @@ def mh_candidates(
     """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
 
     Yields (a0,b0,a1,b1,a2,b2,a3,b3).  With mod4_filter, restricts to
-    a_j = 3, b_j = 1 (mod 4).  The filter assumes 4 | N (every Manhattan
-    order): residues mod 4 then survive reduction mod N, so a0 = a2 = 3
+    a_j = 3, b_j = 1 (mod 4).  Since 4 | N (a law of every Manhattan
+    record), residues mod 4 survive reduction mod N, so a0 = a2 = 3
     gives s = 2 and forces a3 = -s-a1 = 3, b2 = s-b0 = 1, b3 = -s-b1 = 1.
 
     With ``least_leads`` the step pairs of classes j and j + 2, (a0, a2),
@@ -519,10 +517,10 @@ class Family(NamedTuple):
     """Everything that differs between the three families, stated once.
 
     ``rows(n, steps)`` lists the successors of each vertex.  The out-steps
-    of vertex i depend only on i mod ``period`` (the parameter class's), so
-    shifting every vertex by the period is an automorphism and vertices
-    0..period-1 represent every translation class: their eccentricities give
-    the diameter.
+    of vertex i depend only on i mod ``period`` (the parameter class's),
+    which divides every order the record admits, so shifting every vertex
+    by the period is an automorphism and vertices 0..period-1 represent
+    every translation class: their eccentricities give the diameter.
     ``candidates(n)`` yields every valid step tuple of order n once, up to
     the family's symmetry, in increasing ``key`` order; with
     ``least_leads=True`` it skips candidates that cannot come first in
@@ -596,22 +594,16 @@ def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
     return Digraph(p.n, tuple(family_rows(p)))
 
 
-def _sources(n: int, period: int) -> range:
-    """Vertices 0..period-1 if period divides n (the shift is then an
-    automorphism), else every vertex."""
-    return range(period if n % period == 0 else n)
-
-
 def rows_diameter(rows: Sequence[Sequence[int]], period: int) -> Optional[int]:
     """Diameter of the digraph with out-rows ``rows``, or None when it is not
     strongly connected.
 
     ``rows`` are a family's rows, whose out-steps depend only on the vertex
-    mod ``period``: BFS runs from one vertex per translation class, as in
-    the search, without building a Digraph, and from every vertex where the
-    period does not divide the order.  Rows may repeat a head.
+    mod ``period``, a divisor of their count: BFS runs from one vertex per
+    translation class, as in the search, without building a Digraph.
+    Rows may repeat a head.
     """
-    return bounded_diameter(rows, len(rows), None, _sources(len(rows), period))
+    return bounded_diameter(rows, len(rows), None, range(period))
 
 
 def line_rows_diameter(rows: Sequence[Sequence[int]], period: int) -> Optional[int]:
@@ -621,13 +613,10 @@ def line_rows_diameter(rows: Sequence[Sequence[int]], period: int) -> Optional[i
     must not repeat a head, but no Digraph is built.  Shifting by the
     period sends arc (u, j) to (u + period, j), so it adds the number of
     arcs out of vertices 0..period-1 to every arc index (mod the arc
-    count): BFS from those arcs alone gives the diameter.  When the period
-    does not divide the order, BFS runs from every arc.
+    count): the line digraph is periodic with that period, and
+    rows_diameter of its rows gives the diameter.
     """
-    arcs = line_rows(rows)
-    tails = _sources(len(rows), period)
-    sources = range(sum(len(heads) for heads in rows[:len(tails)]))
-    return bounded_diameter(arcs, len(arcs), None, sources)
+    return rows_diameter(line_rows(rows), sum(map(len, rows[:period])))
 
 
 def family_diameter(p: FamilyParams) -> Optional[int]:

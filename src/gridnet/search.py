@@ -81,16 +81,8 @@ class SearchResult(NamedTuple):
     meets_theorem_prediction: str  # "yes" | "no" | "not-covered"
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "min_diameter": self.min_diameter,
-            "witnesses": [format_params(w) for w in self.witnesses],
-            "witness_total": self.witness_total,
-            "candidates_examined": self.candidates_examined,
-            "moore_bound_for_min": self.moore_bound_for_min,
-            "meets_theorem_prediction": self.meets_theorem_prediction,
-        }
+        return {**self._asdict(),
+                "witnesses": [format_params(w) for w in self.witnesses]}
 
 
 def _run_search(

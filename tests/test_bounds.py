@@ -140,10 +140,6 @@ class TestTheoremTable:
         for name, t in THEOREMS.items():
             assert theorem_of(t.family) == name
 
-    def test_order_step_is_the_family_period(self):
-        for t in THEOREMS.values():
-            assert t.step == FAMILIES[t.family].period, t.family
-
     def test_moore_bound_is_the_family_bound(self):
         moore = {"ds": moore_ds, "na": moore_na, "mh": moore_mh}
         for t in THEOREMS.values():

@@ -38,6 +38,13 @@ class TestGen:
         assert code == 0
         assert out.startswith("digraph")
 
+    def test_loose_does_not_admit_an_order_off_the_period(self, capsys):
+        # --loose relaxes only the step conditions; the order is the record's.
+        code, out, err = run(capsys, "gen", "--loose", "na:9,1,3,5,7")
+        assert code == 64
+        assert out == ""
+        assert "order must be a multiple of 2, got 9" in err
+
 
 class TestDiameter:
     def test_extremal_na(self, capsys):
@@ -91,9 +98,22 @@ class TestDiameter:
         assert "Traceback" not in err
 
     def test_malformed_params_usage_error(self, capsys):
-        code, _, err = run(capsys, "diameter", "bogus")
+        # An order off the family's period is no record, like malformed text.
+        for text in ("bogus", "na:9,1,3,5,7", "mh:18,1,7,-3,7,1,-5,1,-9"):
+            code, out, err = run(capsys, "diameter", text)
+            assert code == 64, text
+            assert out == "" and "usage" in err, text
+
+    def test_params_and_input_together_usage_error(self, capsys, tmp_path):
+        # The digraph would come from the file and the parameters be ignored.
+        _, text, _ = run(capsys, "gen", "ds:5,1,2", "--format", "json")
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "diameter", "na:10,-1,1,3,-3",
+                             "--input", str(path))
         assert code == 64
-        assert "usage" in err
+        assert out == ""
+        assert "not both" in err and "usage" in err
 
 
 class TestBounds:
