@@ -15,17 +15,17 @@ from typing import Iterator, Optional, Sequence
 from . import bounds as bounds_mod
 from . import search as search_mod
 from .constructions import check_diameter_sandwich, ds_to_mh, ds_to_na, na_to_mh
-from .families import (
-    FAMILIES,
-    FamilyError,
-    compile_params,
-    family_rows,
-    format_params,
-    line_rows_diameter,
-    parse_params,
-    rows_diameter,
+from .families import FAMILIES, FamilyError, compile_params, format_params, parse_params
+from .graphs import (
+    GraphError,
+    bounded_diameter,
+    diameter,
+    from_json,
+    line_classes,
+    regular_step_degree,
+    to_dot,
+    to_json,
 )
-from .graphs import GraphError, diameter, from_json, regular_degree, to_dot, to_json
 from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py traces it)
 
 EXIT_OK = 0
@@ -211,19 +211,18 @@ def _line_digraph_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
     na = FAMILIES["na"]
     for n in range(first, n_max + 1, 2):
         for steps in na.candidates(n):
-            p = na.params(n, *steps)
-            rows = family_rows(p)
-            if regular_degree(rows) != 2:
+            classes = na.classes(n, steps)
+            if regular_step_degree(classes) != 2:
                 continue
-            d = rows_diameter(rows, na.period)
+            d = bounded_diameter(classes, n, None)
             if d is None:
                 continue
             # The line digraph has one vertex per arc of the NA digraph.
-            passed = (
-                sum(len(heads) for heads in rows) == 2 * n
-                and line_rows_diameter(rows, na.period) == d + 1
+            line, order = line_classes(classes, n)
+            passed = order == 2 * n and bounded_diameter(line, order, None) == d + 1
+            yield None if passed else (
+                f"FAIL line-digraph {format_params(na.params(n, *steps))}"
             )
-            yield None if passed else f"FAIL line-digraph {format_params(p)}"
 
 
 def _print_rows(rows, csv: bool) -> None:

@@ -12,20 +12,21 @@ constructor serves all three, admits only orders that are positive
 multiples of the period, and lays the record out as the tuple
 ``(n, *steps)``, the steps canonical residues in 0..N-1 (negative inputs
 reduce on entry).  Its ``Family`` record in ``FAMILIES`` holds the graph
-machinery: parameter class, validator, row builder (plain successor tuples
-for (N, steps), on which the search runs BFS directly), candidate
-generator, orbit map, enumeration key and representative test.  The
-generator lists candidates in key order, and on request only those whose
-leading step is the least its multiplier orbit reaches; the test then
-accepts the orbit's key-least member and weighs it by the orbit's size,
-counting only the maps that keep the leading step.  Its Moore bound and
-theorem are in ``bounds.THEOREMS``.  Callers look the record up by tag or
-by ``params.tag`` instead of branching on the family.  Compilation
-deduplicates coincident heads of the same rows so the resulting Digraph
-never carries parallel arcs, even for degenerate step choices.
-require_valid is the one validity gate: compile_params (when strict) and
-the step translations call it, and family_rows and the diameters on rows
-never validate.
+machinery: parameter class, validator, step classes (the out-steps of
+residues 0..period-1, on which the search runs the period BFS of
+graphs.bounded_diameter directly), candidate generator, orbit map,
+enumeration key and representative test.  The generator lists candidates
+in key order, and on request only those whose leading step is the least
+its multiplier orbit reaches; the test then accepts the orbit's key-least
+member and weighs it by the orbit's size, counting only the maps that keep
+the leading step.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
+Callers look the record up by tag or by ``params.tag`` instead of
+branching on the family.  Only compilation builds per-vertex rows, from
+the classes by graphs.step_rows, which merges coincident heads so the
+resulting Digraph never carries parallel arcs, even for degenerate step
+choices.  require_valid is the one validity gate: compile_params (when
+strict) and the step translations call it, and family_rows,
+family_diameter and line_diameter never validate.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from functools import lru_cache
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import Digraph, bounded_diameter, line_rows
+from .graphs import Digraph, bounded_diameter, line_classes, step_rows
 
 
 class FamilyError(ValueError):
@@ -191,44 +192,26 @@ def validate_mh(p: ManhattanDigraph) -> Validation:
     return Validation(tuple(errors), tuple(warnings))
 
 
-def _dedup(heads: tuple[int, ...]) -> tuple[int, ...]:
-    seen: list[int] = []
-    for h in heads:
-        if h not in seen:
-            seen.append(h)
-    return tuple(seen)
-
-
-def _pair_rows(n: int, pairs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """Out-rows on Z_n where vertex i steps by ``pairs[i % len(pairs)]``."""
-    p = len(pairs)
-    rows: list = [None] * n
-    for r, (x, y) in enumerate(pairs):
-        rows[r::p] = [((i + x) % n, (i + y) % n) for i in range(r, n, p)]
-    return rows
-
-
-def ds_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """i -> i+a, i-a, i+b, i-b (mod N); coincident heads are kept."""
+def ds_classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every vertex steps by a, -a, b, -b (mod N); coincident steps are kept."""
     a, b = steps
-    return [((i + a) % n, (i - a) % n, (i + b) % n, (i - b) % n) for i in range(n)]
+    return ((a, -a % n, b, -b % n),)
 
 
-def na_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Even i -> i+alpha, i+beta; odd i -> i+gamma, i+delta (mod N)."""
-    return _pair_rows(n, (steps[0:2], steps[2:4]))
+def na_classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Even vertices step by alpha, beta; odd ones by gamma, delta."""
+    return (steps[0:2], steps[2:4])
 
 
-def mh_rows(n: int, steps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """i in V_j -> i+a_j, i+b_j (mod N), with classes indexed by j = -i (mod 4).
+def mh_classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Residue i mod 4 steps by the pair (a_j, b_j) of class j = -i (mod 4).
 
     The clockwise class indexing is the one under which the step-translated
     Manhattan digraph coincides with the line digraph of its New Amsterdam
     digraph (and extends the parity convention there, since -i = i mod 2).
-    Residues i = 0, 1, 2, 3 (mod 4) therefore take the pairs of V_0, V_3,
-    V_2, V_1.
+    Residues 0, 1, 2, 3 therefore take the pairs of V_0, V_3, V_2, V_1.
     """
-    return _pair_rows(n, (steps[0:2], steps[6:8], steps[4:6], steps[2:4]))
+    return (steps[0:2], steps[6:8], steps[4:6], steps[2:4])
 
 
 def _leads(
@@ -391,7 +374,7 @@ def mh_orbit(
 ) -> Iterator[tuple[int, ...]]:
     """x -> ux + t for each unit u and t = 0..3, and the a/b swaps.
 
-    Residue r = i mod 4 steps by the pair of class -r mod 4 (see mh_rows).
+    Residue r = i mod 4 steps by the pair of class -r mod 4 (see mh_classes).
     The map sends residue r to ur + t and scales its pair by u.  Swapping
     a and b in both even classes, or in both odd classes, keeps the sum
     conditions and the digraph itself.  With mod4_filter only the maps
@@ -516,11 +499,13 @@ def mh_weight(
 class Family(NamedTuple):
     """Everything that differs between the three families, stated once.
 
-    ``rows(n, steps)`` lists the successors of each vertex.  The out-steps
-    of vertex i depend only on i mod ``period`` (the parameter class's),
-    which divides every order the record admits, so shifting every vertex
-    by the period is an automorphism and vertices 0..period-1 represent
-    every translation class: their eccentricities give the diameter.
+    ``classes(n, steps)`` lists the out-steps of residues 0..period-1:
+    vertex i steps to i + x (mod n) for each x in ``classes[i % period]``.
+    The period (the parameter class's) divides every order the record
+    admits, so shifting every vertex by it is an automorphism and vertices
+    0..period-1 represent every translation class: their eccentricities
+    give the diameter, which graphs.bounded_diameter finds from the classes
+    alone, with no per-vertex rows.
     ``candidates(n)`` yields every valid step tuple of order n once, up to
     the family's symmetry, in increasing ``key`` order; with
     ``least_leads=True`` it skips candidates that cannot come first in
@@ -539,7 +524,7 @@ class Family(NamedTuple):
 
     params: type
     validate: Callable[..., Validation]
-    rows: Callable[[int, tuple[int, ...]], list[tuple[int, ...]]]
+    classes: Callable[[int, tuple[int, ...]], tuple[tuple[int, ...], ...]]
     candidates: Callable[..., Iterator[tuple[int, ...]]]
     orbit: Callable[..., Iterator[tuple[int, ...]]]
     key: Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -557,11 +542,11 @@ class Family(NamedTuple):
 FAMILIES: dict[str, Family] = {
     f.tag: f
     for f in (
-        Family(DoubleStepGraph, validate_ds, ds_rows, ds_candidates,
+        Family(DoubleStepGraph, validate_ds, ds_classes, ds_candidates,
                ds_orbit, ds_key, ds_weight),
-        Family(NewAmsterdamDigraph, validate_na, na_rows, na_candidates,
+        Family(NewAmsterdamDigraph, validate_na, na_classes, na_candidates,
                na_orbit, na_key, na_weight),
-        Family(ManhattanDigraph, validate_mh, mh_rows, mh_candidates,
+        Family(ManhattanDigraph, validate_mh, mh_classes, mh_candidates,
                mh_orbit, mh_key, mh_weight),
     )
 }
@@ -579,12 +564,12 @@ def require_valid(p: FamilyParams) -> None:
 
 
 def family_rows(p: FamilyParams) -> list[tuple[int, ...]]:
-    """The family's rows of p with coincident heads merged.
+    """The out-lists of compile_params(p), without the Digraph.
 
-    These are the out-lists of compile_params, without the Digraph.  p is
-    not validated.
+    step_rows of the family's classes, coincident heads merged; p is not
+    validated.  Only compilation builds these rows.
     """
-    return [_dedup(heads) for heads in FAMILIES[p.tag].rows(p.n, p.steps)]
+    return step_rows(FAMILIES[p.tag].classes(p.n, p.steps), p.n)
 
 
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
@@ -594,45 +579,22 @@ def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
     return Digraph(p.n, tuple(family_rows(p)))
 
 
-def rows_diameter(rows: Sequence[Sequence[int]], period: int) -> Optional[int]:
-    """Diameter of the digraph with out-rows ``rows``, or None when it is not
-    strongly connected.
-
-    ``rows`` are a family's rows, whose out-steps depend only on the vertex
-    mod ``period``, a divisor of their count: BFS runs from one vertex per
-    translation class, as in the search, without building a Digraph.
-    Rows may repeat a head.
-    """
-    return bounded_diameter(rows, len(rows), None, range(period))
-
-
-def line_rows_diameter(rows: Sequence[Sequence[int]], period: int) -> Optional[int]:
-    """Diameter of the line digraph of ``rows``, or None as in rows_diameter.
-
-    The line digraph is numbered as in graphs.line_digraph, so ``rows``
-    must not repeat a head, but no Digraph is built.  Shifting by the
-    period sends arc (u, j) to (u + period, j), so it adds the number of
-    arcs out of vertices 0..period-1 to every arc index (mod the arc
-    count): the line digraph is periodic with that period, and
-    rows_diameter of its rows gives the diameter.
-    """
-    return rows_diameter(line_rows(rows), sum(map(len, rows[:period])))
-
-
 def family_diameter(p: FamilyParams) -> Optional[int]:
     """Diameter of p's digraph, or None when it is not strongly connected.
 
-    rows_diameter of the family's rows; p is not validated.
+    graphs.bounded_diameter of the family's classes; p is not validated.
     """
-    return rows_diameter(FAMILIES[p.tag].rows(p.n, p.steps), p.period)
+    return bounded_diameter(FAMILIES[p.tag].classes(p.n, p.steps), p.n, None)
 
 
 def line_diameter(p: FamilyParams) -> Optional[int]:
     """Diameter of the line digraph of p's digraph, or None as in diameter.
 
-    line_rows_diameter of family_rows(p); p is not validated.
+    graphs.bounded_diameter of the line classes of the family's classes;
+    p is not validated.
     """
-    return line_rows_diameter(family_rows(p), p.period)
+    line, order = line_classes(FAMILIES[p.tag].classes(p.n, p.steps), p.n)
+    return bounded_diameter(line, order, None)
 
 
 # Per-family names for the same compiler, for callers that name the family.

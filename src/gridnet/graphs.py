@@ -4,18 +4,23 @@ Immutable adjacency-list digraphs plus all distance machinery used by the
 step-graph families: BFS distance profiles, line digraph, and
 byte-deterministic DOT / JSON exports, and two diameter routines that
 answer different questions by different algorithms.  ``bounded_diameter``
-is the search kernel: BFS from a few given sources with an early exit at a
-limit.  ``diameter`` certifies a whole ``Digraph`` from every source at
-once by reach sets, without calling it.  The independent all-pairs distance
-oracle and the isomorphism test that the suite checks these against live
-in ``tests/oracles.py``.
+is the search kernel: bit-parallel BFS on a step digraph given by its step
+classes, from one vertex per translation class, with an early exit at a
+limit; ``step_rows``, ``line_classes`` and ``regular_step_degree`` give
+the rows, the line digraph and the regularity of such a digraph.
+``diameter`` certifies a whole ``Digraph`` from every source at once by
+reach sets, without calling it.  The independent all-pairs distance oracle
+and the isomorphism test that the suite checks these against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Optional, Sequence
+
 
 class GraphError(ValueError):
     """Raised for malformed digraphs or out-of-contract arguments."""
@@ -168,48 +173,113 @@ def diameter(g: Digraph) -> Optional[int]:
     return k
 
 
+@lru_cache(maxsize=32)
+def period_layout(n: int, p: int) -> tuple[int, int, tuple[int, ...]]:
+    """(sources, full, class masks) of the period BFS on Z_n with period p.
+
+    Source s, vertex s, owns the bits [2ns, 2ns + n), one per vertex, and
+    the n bits above them take the carry of a shift.  ``full`` sets every
+    vertex bit of every block; class mask r the bits of the vertices i = r
+    (mod p).  p must divide n.
+    """
+    blocks = sum(1 << 2 * n * s for s in range(p))
+    sources = sum(1 << (2 * n + 1) * s for s in range(p))
+    residue = int("1".rjust(p, "0") * (n // p), 2) * blocks
+    return sources, ((1 << n) - 1) * blocks, tuple(residue << r for r in range(p))
+
+
 def bounded_diameter(
-    out_arcs: Sequence[Sequence[int]],
+    classes: Sequence[Sequence[int]],
     n: int,
     limit: Optional[int],
-    sources: Iterable[int],
+    layout: Optional[tuple[int, int, tuple[int, ...]]] = None,
 ) -> Optional[int]:
-    """Max eccentricity over ``sources``, or None.
+    """Diameter of the step digraph on Z_n with these classes, or None.
 
-    None means some source fails to reach every vertex, or some eccentricity
-    exceeds ``limit``.  When every vertex is the image of a source under an
-    automorphism, as with the translation classes of the step families, the
-    given sources suffice for both the diameter and strong connectivity.
-    Rows may repeat a head.
+    Vertex i steps to i + x (mod n) for each x in ``classes[i % p]``, the
+    steps residues 0..n-1 that may repeat, and p = len(classes) divides n.
+    Shifting every vertex by p is then an automorphism, so the sources
+    0..p-1 represent every vertex: their largest eccentricity is the
+    diameter, and the digraph is strongly connected iff they reach every
+    vertex.  None means it is not, or the diameter exceeds ``limit``.
 
-    BFS runs level by level and stops as soon as the next level would pass
-    ``limit``.  That early exit is what makes the exhaustive step searches
-    affordable; it never changes which candidates attain the running minimum.
+    BFS runs from all p sources at once on one int laid out by
+    ``layout``, period_layout(n, p), which a search over one order looks
+    up once and passes in.  One level shifts the frontier's slice of each
+    class by each of its steps, folds the carry back once and keeps the
+    new bits.  It stops as soon as the next level would pass ``limit``.
+    That early exit is what makes the exhaustive step searches affordable;
+    it never changes which candidates attain the running minimum.
     """
-    best = 0
-    for source in sources:
-        seen = [False] * n
-        seen[source] = True
-        frontier = [source]
-        reached = 1
-        ecc = 0
-        while reached < n:
-            if limit is not None and ecc >= limit:
-                return None
-            level = []
-            for u in frontier:
-                for v in out_arcs[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        level.append(v)
-            if not level:
-                return None
-            ecc += 1
-            reached += len(level)
-            frontier = level
-        if ecc > best:
-            best = ecc
-    return best
+    sources, full, masks = layout or period_layout(n, len(classes))
+    frontier, unseen = sources, full ^ sources
+    k = 0
+    while unseen:
+        if k == limit:
+            return None
+        level = 0
+        for mask, steps in zip(masks, classes):
+            f = frontier & mask
+            for x in steps:
+                level |= f << x
+        frontier = (level | level >> n) & unseen
+        if not frontier:
+            return None
+        unseen ^= frontier
+        k += 1
+    return k
+
+
+def step_rows(classes: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Out-rows of the step digraph on Z_n with these classes (see
+    bounded_diameter), coincident heads merged."""
+    p = len(classes)
+    merged = [tuple(dict.fromkeys(steps)) for steps in classes]
+    return [tuple((i + x) % n for x in merged[i % p]) for i in range(n)]
+
+
+def line_classes(
+    classes: Sequence[Sequence[int]], n: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(classes, order) of the line digraph of the step digraph on Z_n.
+
+    Its vertices are numbered as in line_digraph(Digraph(n, step_rows)).
+    Shifting by the period p sends arc (u, j) to (u + p, j), which adds
+    the number A of arcs out of vertices 0..p-1 to every arc index: the
+    line digraph is a step digraph on Z_{A n / p} with period A.  Arc c < A
+    leaves residue r by step x, and r + x = m p + t: it leads to the arcs
+    e < A out of residue t, m periods on, by the steps m A + e - c.
+    """
+    p = len(classes)
+    merged = [tuple(dict.fromkeys(steps)) for steps in classes]
+    succ, arcs = [], 0
+    for steps in merged:
+        succ.append(range(arcs, arcs + len(steps)))
+        arcs += len(steps)
+    order = arcs * n // p
+    line: list[tuple[int, ...]] = []
+    for r, steps in enumerate(merged):
+        for x in steps:
+            m, t = divmod(r + x, p)
+            shift = m * arcs - len(line)
+            line.append(tuple((shift + e) % order for e in succ[t]))
+    return tuple(line), order
+
+
+def regular_step_degree(classes: Sequence[Sequence[int]]) -> Optional[int]:
+    """regular_degree of step_rows(classes, n) for any n that p divides.
+
+    Residue r has one out-arc per distinct step x, into residue r + x
+    (mod p), so the in-degrees too are those of the p residues.
+    """
+    p = len(classes)
+    merged = [set(steps) for steps in classes]
+    indeg = [0] * p
+    for r, steps in enumerate(merged):
+        for x in steps:
+            indeg[(r + x) % p] += 1
+    degs = {*map(len, merged), *indeg}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def line_rows(out_arcs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

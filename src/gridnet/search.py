@@ -5,17 +5,18 @@ minimum diameter; this is the independent oracle behind the optimality and
 non-attainability claims.  The family's record in ``FAMILIES`` supplies
 the candidates, and its theorem in ``bounds.THEOREMS`` the Moore bound and
 the prediction.  Each candidate is evaluated straight from its step
-arithmetic: the record's row builder gives the successor rows, and BFS runs
-only from one vertex per translation class (0 for DS, 0-1 for NA, 0-3 for
-MH).  Candidates whose digraphs are isomorphic under a multiplier map
-x -> ux form an orbit, and BFS runs once per orbit, on its representative:
-the member that comes first in enumeration order.  The record's generator
-walks only candidates whose leading step no map lowers, its weight test
-picks the representatives among them and gives each orbit's size, so every
-candidate is still counted without being visited.  Only the reported
-witnesses are compiled into a ``Digraph``, and each is re-verified there by
-``graphs.diameter``: reach sets from every vertex at once, an algorithm
-that shares no code with the search's period BFS.
+arithmetic: the record's step classes give the out-steps of each residue
+mod the period, and one bit-parallel BFS runs on them from one vertex per
+translation class (0 for DS, 0-1 for NA, 0-3 for MH) at once, with no
+per-vertex rows.  Candidates whose digraphs are isomorphic under a
+multiplier map x -> ux form an orbit, and BFS runs once per orbit, on its
+representative: the member that comes first in enumeration order.  The
+record's generator walks only candidates whose leading step no map lowers,
+its weight test picks the representatives among them and gives each
+orbit's size, so every candidate is still counted without being visited.
+Only the reported witnesses are compiled into a ``Digraph``, and each is
+re-verified there by ``graphs.diameter``: reach sets from every vertex at
+once, an algorithm that shares no code with the search's period BFS.
 
 A search is one pass over the representatives in this process.  The kept
 witnesses are the first ``WITNESS_CAP`` optima in enumeration order, taken
@@ -42,7 +43,7 @@ from .families import (
     format_params,
     line_diameter,
 )
-from .graphs import bounded_diameter, diameter
+from .graphs import bounded_diameter, diameter, period_layout
 from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py traces it)
 
 WITNESS_CAP = 32
@@ -104,7 +105,8 @@ def _run_search(
     """
     fam = FAMILIES[family]
     space = {"mod4_filter": True} if mod4_filter else {}
-    rows_of, sources, weight = fam.rows, range(fam.period), fam.weight
+    classes_of, weight = fam.classes, fam.weight
+    layout = period_layout(n, fam.period)
     best: Optional[int] = None
     optimal_reps: list[tuple[int, ...]] = []
     n_optima = 0
@@ -114,7 +116,7 @@ def _run_search(
         if size is None:
             continue
         examined += size
-        d = bounded_diameter(rows_of(n, steps), n, best, sources)
+        d = bounded_diameter(classes_of(n, steps), n, best, layout)
         if d is None:
             continue
         if best is None or d < best:
@@ -192,7 +194,7 @@ def search_na(
     n: int, cap: int = DEFAULT_CAP_NA, workers: Optional[int] = None
 ) -> SearchResult:
     """Minimum diameter over NA digraphs of order n; ``workers`` is ignored."""
-    if n < 4 or n % 2 != 0:
+    if n < 4 or n % FAMILIES["na"].period:
         raise SearchError(f"order must be an even integer >= 4, got {n}")
     return _search_capped("na", n, cap)
 
@@ -221,7 +223,7 @@ def search_mh(
     DEFAULT_CAP_MH_VIA_NA via NA and to DEFAULT_CAP_MH in direct mode.
     ``workers`` is accepted and ignored.
     """
-    if n < 8 or n % 4 != 0:
+    if n < 8 or n % FAMILIES["mh"].period:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
     if direct:
         cap = DEFAULT_CAP_MH if cap is None else cap
@@ -271,7 +273,7 @@ def theorem_42_params(n: int, k: int) -> NewAmsterdamDigraph:
 def theorem_43_params(n: int, k: int) -> ManhattanDigraph:
     """Canonical MH steps na_to_mh(theorem_42_params(n/2, k)):
     a = (1,-3,1,1), b = (4k+3, 4k+3, -4k-1, -4k-5)."""
-    if n % 4:  # n // 2 would round an odd n down to another order
+    if n % FAMILIES["mh"].period:  # n // 2 would round an odd n down to another order
         raise FamilyError(f"order {n} is not a multiple of 4")
     return na_to_mh(theorem_42_params(n // 2, k))
 

@@ -2,7 +2,7 @@
 
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
 is the search loop without orbit representatives: one BFS per candidate,
-through gridnet's generators, row builders and ``bounded_diameter``.  The
+through gridnet's generators, step classes and ``bounded_diameter``.  The
 summation forms of the Moore bounds, the arc-relaxation distance oracle and
 the isomorphism test use only gridnet's error types, ``Digraph`` accessors
 and, for the isomorphism invariants, its plain BFS.
@@ -73,14 +73,13 @@ def plain_search_slice(family, n, stop, mod4_filter):
     fam = FAMILIES[family]
     generate = fam.candidates
     candidates = generate(n, mod4_filter=True) if mod4_filter else generate(n)
-    sources = range(fam.period)
     best = None
     optima = []
     n_optima = 0
     examined = 0
     for steps in islice(candidates, stop):
         examined += 1
-        d = bounded_diameter(fam.rows(n, steps), n, best, sources)
+        d = bounded_diameter(fam.classes(n, steps), n, best)
         if d is None:
             continue
         if best is None or d < best:

@@ -250,20 +250,30 @@ class TestVerify:
         assert code == 0
         assert "0 failures" in out
 
-    def test_line_digraph_builds_each_candidates_rows_once(self, capsys, monkeypatch):
+    def test_line_digraph_reads_each_candidates_classes_once(self, capsys, monkeypatch):
+        # The check works on the step classes alone: one Family.classes call
+        # per candidate, and no per-vertex rows of the digraph or its line
+        # digraph.
+        from gridnet import families, graphs
+
         na = FAMILIES["na"]
-        builds = []
+        reads = []
 
-        def counting_rows(n, steps):
-            builds.append((n, steps))
-            return na.rows(n, steps)
+        def counting_classes(n, steps):
+            reads.append((n, steps))
+            return na.classes(n, steps)
 
-        monkeypatch.setitem(FAMILIES, "na", na._replace(rows=counting_rows))
+        def no_rows(*args):
+            raise AssertionError("per-vertex rows built")
+
+        monkeypatch.setitem(FAMILIES, "na", na._replace(classes=counting_classes))
+        monkeypatch.setattr(families, "step_rows", no_rows)
+        monkeypatch.setattr(graphs, "line_rows", no_rows)
         code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "24")
         assert code == 0
         assert "0 failures" in out
         candidates = [(n, steps) for n in range(4, 25, 2) for steps in na.candidates(n)]
-        assert builds == candidates
+        assert reads == candidates
 
     @pytest.mark.parametrize("claim", ["sandwich", "line-digraph"])
     def test_csv_rejected_where_there_are_no_rows(self, capsys, claim):

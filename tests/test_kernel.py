@@ -1,11 +1,11 @@
 """The search kernel against the all-source diameter of the compiled digraph.
 
-The search evaluates a candidate from its successor rows with BFS from one
-vertex per translation class only.  These tests check that this gives the
-all-source ``diameter`` of the compiled ``Digraph``, for every limit; that
-diameter comes from reach sets, a second algorithm, not from BFS.  The
-same holds for line digraphs, where ``line_diameter`` runs BFS only from
-the arcs out of one period of vertices.
+The search evaluates a candidate from its step classes, the out-steps of
+residues 0..p-1, with one bit-parallel BFS from the p vertices 0..p-1.
+These tests check that this gives the all-source ``diameter`` of the
+compiled ``Digraph``, for every limit; that diameter comes from reach sets,
+a second algorithm.  The same holds for line digraphs, whose classes
+``graphs.line_classes`` derives from one period's arcs.
 """
 
 import pytest
@@ -27,34 +27,35 @@ from gridnet.families import (
 from gridnet.graphs import (
     bounded_diameter,
     diameter,
+    line_classes,
     line_digraph,
-    line_rows,
     regular_degree,
+    regular_step_degree,
+    step_rows,
 )
 
 PARAMS = {"ds": DoubleStepGraph, "na": NewAmsterdamDigraph, "mh": ManhattanDigraph}
 
 
 def assert_kernel_matches(family, n, steps):
-    rows_of, period = FAMILIES[family].rows, FAMILIES[family].period
-    rows = rows_of(n, steps)
-    sources = range(period)
     params = PARAMS[family](n, *steps)
+    classes = FAMILIES[family].classes(n, steps)
     expected = diameter(compile_params(params, strict=False))
-    assert bounded_diameter(rows, n, None, sources) == expected
+    assert bounded_diameter(classes, n, None) == expected
     assert family_diameter(params) == expected
     if expected is None:
-        assert bounded_diameter(rows, n, n, sources) is None
+        assert bounded_diameter(classes, n, n) is None
         return
     for limit in range(expected):
-        assert bounded_diameter(rows, n, limit, sources) is None
-    assert bounded_diameter(rows, n, expected, sources) == expected
+        assert bounded_diameter(classes, n, limit) is None
+    assert bounded_diameter(classes, n, expected) == expected
 
 
 def assert_line_kernel_matches(family, n, steps):
     params = PARAMS[family](n, *steps)
     lg = line_digraph(compile_params(params, strict=False))
-    assert line_rows(family_rows(params)) == list(lg.out_arcs)
+    line, order = line_classes(FAMILIES[family].classes(n, steps), n)
+    assert step_rows(line, order) == list(lg.out_arcs)
     assert line_diameter(params) == diameter(lg)
 
 
@@ -104,16 +105,17 @@ def test_line_diameter_every_small_candidate(family, orders):
             assert_line_kernel_matches(family, n, steps)
 
 
-def test_line_digraph_filter_on_rows():
+def test_line_digraph_filter_on_classes():
     # The 2-regular NA candidates are those with gamma != delta: the odd
     # vertices then have two out-arcs and the even ones two in-arcs.
     na = FAMILIES["na"]
     for n in range(4, 31, 2):
         for steps in na.candidates(n):
             p = na.params(n, *steps)
-            on_rows = regular_degree(family_rows(p)) == 2
-            assert on_rows == (compile_params(p, strict=False).is_regular() == 2)
-            assert on_rows == (steps[2] != steps[3])
+            on_classes = regular_step_degree(na.classes(n, steps)) == 2
+            assert on_classes == (regular_degree(family_rows(p)) == 2)
+            assert on_classes == (compile_params(p, strict=False).is_regular() == 2)
+            assert on_classes == (steps[2] != steps[3])
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,6 +150,48 @@ def test_manhattan_property(quarter, steps):
     n = 4 * quarter
     assert_kernel_matches("mh", n, tuple(s % n for s in steps))
     assert_line_kernel_matches("mh", n, tuple(s % n for s in steps))
+
+
+@st.composite
+def records(draw, max_order):
+    """A record of any family, of order up to ``max_order``, valid or not.
+
+    Steps are drawn from all residues, from 0, 1, N/2 and N-1, and from the
+    steps drawn before, so zero, self-inverse and repeated steps are common.
+    """
+    params = draw(st.sampled_from(list(PARAMS.values())))
+    n = params.period * draw(st.integers(1, max_order // params.period))
+    special = st.sampled_from([0, 1, n // 2, n - 1])
+    steps: list[int] = []
+    for _ in params._fields[1:]:
+        drawn = [st.integers(0, n - 1), special]
+        if steps:
+            drawn.append(st.sampled_from(steps))
+        steps.append(draw(st.one_of(*drawn)))
+    return params(n, *steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records(max_order=200))
+@example(DoubleStepGraph(200, 1, 0))  # the two-way cycle: D = 100
+@example(NewAmsterdamDigraph(198, 1, 1, 1, 1))  # the directed cycle
+@example(ManhattanDigraph(200, 0, 100, 100, 0, 1, 1, 199, 199))
+def test_kernel_every_limit_large_orders(p):
+    # Periods 1, 2 and 4; a source block of 2N bits spans up to 7 machine
+    # words, so shifts and the carry fold cross word boundaries.
+    assert_kernel_matches(p.tag, p.n, p.steps)
+
+
+# Smaller orders: the reach-set diameter of a line digraph of up to 4N
+# vertices is the slow side of this comparison.
+@settings(max_examples=100, deadline=None)
+@given(records(max_order=120))
+@example(NewAmsterdamDigraph(8, 1, 1, 3, 3))  # every class repeats its step
+@example(ManhattanDigraph(4, 0, 0, 1, 2, 0, 2, 3, 3))
+def test_line_classes_are_the_line_digraph(p):
+    classes = FAMILIES[p.tag].classes(p.n, p.steps)
+    assert regular_step_degree(classes) == regular_degree(family_rows(p))
+    assert_line_kernel_matches(p.tag, p.n, p.steps)
 
 
 def test_order_not_a_multiple_of_the_period():

@@ -59,7 +59,7 @@ def assert_orbit_sound(family, n, steps):
     assert steps in images
 
     def reduced_diameter(s):
-        return bounded_diameter(fam.rows(n, s), n, None, range(fam.period))
+        return bounded_diameter(fam.classes(n, s), n, None)
 
     d = reduced_diameter(steps)
     for image in images:
