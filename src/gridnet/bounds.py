@@ -19,9 +19,10 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .families import FAMILIES
+from .graphs import GridnetError
 
 
-class BoundsError(ValueError):
+class BoundsError(GridnetError):
     pass
 
 

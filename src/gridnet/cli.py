@@ -8,16 +8,15 @@ validation failure, 2 verification mismatch, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Iterator, Optional, Sequence
 
-from . import bounds as bounds_mod
-from . import search as search_mod
+# ``bounds``, ``search`` and ``json`` are imported by the verbs that use
+# them, so that the other verbs' processes do not compile them.
 from .constructions import check_diameter_sandwich, ds_to_mh, ds_to_na, na_to_mh
 from .families import FAMILIES, FamilyError, compile_params, format_params, parse_params
 from .graphs import (
-    GraphError,
+    GridnetError,
     bounded_diameter,
     diameter,
     from_json,
@@ -127,8 +126,12 @@ def _cmd_diameter(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bounds_mod.bounds_report(args.family, args.k)
+    from .bounds import bounds_report
+
+    report = bounds_report(args.family, args.k)
     if args.json:
+        import json
+
         print(json.dumps(report._asdict(), sort_keys=True))
         return EXIT_OK
     print(f"family        {report.family}")
@@ -174,12 +177,16 @@ def _cmd_search(args) -> int:
         )
     if args.mod4_filter and not args.direct:
         raise UsageError("search mh --mod4-filter needs --direct")
+    from . import search as search_mod
+
     search = getattr(search_mod, "search_" + args.family)
     kwargs = {} if args.cap is None else {"cap": args.cap}
     if args.direct:
         kwargs.update(direct=True, mod4_filter=args.mod4_filter)
     payload = search(args.n, workers=args.workers, **kwargs).to_json_dict()
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
         print(",".join(_SEARCH_FIELDS + ("witnesses",)))
@@ -291,7 +298,9 @@ def _cmd_verify(args) -> int:
     k_max = 3 if args.k_max is None else args.k_max
     _check_positive("--k-max", k_max)
     _check_positive("--workers", args.workers)
-    rows = search_mod.sweep_verify(args.claim, k_max, exhaustive=args.exhaustive)
+    from .search import sweep_verify
+
+    rows = sweep_verify(args.claim, k_max, exhaustive=args.exhaustive)
     _print_rows(rows, args.csv)
     failures = sum(1 for r in rows if not r.passed)
     print(f"theorem {args.claim}: {len(rows)} orders, {failures} failures")
@@ -300,7 +309,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     _check_positive("--k-max", args.k_max)
-    rows = search_mod.sweep_verify(bounds_mod.theorem_of(args.family), args.k_max)
+    from .bounds import theorem_of
+    from .search import sweep_verify
+
+    rows = sweep_verify(theorem_of(args.family), args.k_max)
     _print_rows(rows, args.csv)
     return EXIT_OK
 
@@ -325,8 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (FamilyError, GraphError, bounds_mod.BoundsError,
-            search_mod.SearchError, UnicodeDecodeError) as exc:
+    except (GridnetError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

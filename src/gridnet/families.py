@@ -35,10 +35,16 @@ import math
 from functools import lru_cache
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import Digraph, bounded_diameter, line_classes, step_rows
+from .graphs import (
+    Digraph,
+    GridnetError,
+    bounded_diameter,
+    line_classes,
+    step_rows,
+)
 
 
-class FamilyError(ValueError):
+class FamilyError(GridnetError):
     """Raised when compiling parameters with hard validity violations."""
 
 

@@ -16,13 +16,17 @@ and the isomorphism test that the suite checks these against live in
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 
-class GraphError(ValueError):
+class GridnetError(ValueError):
+    """Base of the errors the library raises for invalid input: the CLI
+    reports any of them as a validation failure."""
+
+
+class GraphError(GridnetError):
     """Raised for malformed digraphs or out-of-contract arguments."""
 
 
@@ -205,20 +209,22 @@ def bounded_diameter(
 
     BFS runs from all p sources at once on one int laid out by
     ``layout``, period_layout(n, p), which a search over one order looks
-    up once and passes in.  One level shifts the frontier's slice of each
-    class by each of its steps, folds the carry back once and keeps the
-    new bits.  It stops as soon as the next level would pass ``limit``.
-    That early exit is what makes the exhaustive step searches affordable;
-    it never changes which candidates attain the running minimum.
+    up once and passes in.  Each class mask is paired with its steps once
+    per call.  One level shifts the frontier's slice of each class by each
+    of its steps, folds the carry back once and keeps the new bits.  It
+    stops as soon as the next level would pass ``limit``.  That early exit
+    is what makes the exhaustive step searches affordable; it never
+    changes which candidates attain the running minimum.
     """
     sources, full, masks = layout or period_layout(n, len(classes))
+    pairs = tuple(zip(masks, classes))
     frontier, unseen = sources, full ^ sources
     k = 0
     while unseen:
         if k == limit:
             return None
         level = 0
-        for mask, steps in zip(masks, classes):
+        for mask, steps in pairs:
             f = frontier & mask
             for x in steps:
                 level |= f << x
@@ -312,6 +318,8 @@ def to_dot(g: Digraph) -> str:
 
 def to_json(g: Digraph) -> str:
     """JSON adjacency export; byte-deterministic for a given digraph."""
+    import json
+
     payload = {"order": g.order, "arcs": [list(h) for h in g.out_arcs]}
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
@@ -327,6 +335,8 @@ def from_json(text: str) -> Digraph:
     list; anything else, nesting too deep to parse included, raises
     GraphError, as do the Digraph checks.
     """
+    import json
+
     try:
         payload = json.loads(text)
         order = payload["order"]

@@ -43,7 +43,7 @@ from .families import (
     format_params,
     line_diameter,
 )
-from .graphs import bounded_diameter, diameter, period_layout
+from .graphs import GridnetError, bounded_diameter, diameter, period_layout
 from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py traces it)
 
 WITNESS_CAP = 32
@@ -54,7 +54,7 @@ DEFAULT_CAP_MH = 64
 DEFAULT_CAP_MH_VIA_NA = 2 * DEFAULT_CAP_NA
 
 
-class SearchError(ValueError):
+class SearchError(GridnetError):
     pass
 
 

@@ -1,12 +1,24 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from gridnet.bounds import BoundsError, bounds_report
 from gridnet.cli import main
-from gridnet.families import FAMILIES, DoubleStepGraph, compile_ds
-from gridnet.graphs import to_dot, to_json
+from gridnet.families import (
+    FAMILIES,
+    DoubleStepGraph,
+    FamilyError,
+    compile_ds,
+    compile_params,
+    parse_params,
+)
+from gridnet.graphs import GraphError, GridnetError, from_json, to_dot, to_json
+from gridnet.search import SearchError, search_na
 
 from test_graphs import MALFORMED_TYPES
 
@@ -353,3 +365,47 @@ def test_unknown_verb_exit_64(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 64
     assert "usage" in err
+
+
+BAD_GRAPH = '{"order": 2, "arcs": [[5],[0]]}'
+
+# One input of each error kind: (error class, library call raising it, the
+# CLI call with its stdin, the message).
+ERROR_INPUTS = [
+    (FamilyError, lambda: compile_params(parse_params("ds:10,0,0")),
+     ["gen", "ds:10,0,0"], "",
+     "step a = 0 (mod N); step b = 0 (mod N); a = b (mod N); a = -b (mod N); "
+     "gcd(N,a,b) = 10 != 1"),
+    (GraphError, lambda: from_json(BAD_GRAPH),
+     ["diameter", "--input", "-"], BAD_GRAPH, "arc 0->5 out of range 0..1"),
+    (BoundsError, lambda: bounds_report("mh", 1),
+     ["bounds", "mh", "--k", "1"], "", "diameter must be at least 2, got 1"),
+    (SearchError, lambda: search_na(7),
+     ["search", "na", "--n", "7"], "", "order must be an even integer >= 4, got 7"),
+]
+
+
+class TestOneErrorBase:
+    @pytest.mark.parametrize("cls", [FamilyError, GraphError, BoundsError, SearchError])
+    def test_every_error_class_is_a_gridnet_error(self, cls):
+        assert issubclass(cls, GridnetError)
+        assert issubclass(cls, ValueError)
+
+    @pytest.mark.parametrize(
+        "cls, call, argv, stdin, message", ERROR_INPUTS,
+        ids=[case[0].__name__ for case in ERROR_INPUTS],
+    )
+    def test_each_kind_exits_1_with_one_error_line(self, cls, call, argv,
+                                                   stdin, message):
+        with pytest.raises(cls) as raised:
+            call()
+        assert str(raised.value) == message
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridnet.cli", *argv], input=stdin,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: {message}\n"
+        )
