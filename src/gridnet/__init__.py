@@ -14,14 +14,12 @@ from importlib import import_module as _import_module
 # Defining module -> the public names the package re-exports from it.
 _EXPORTS = {
     "bounds": (
-        "BoundsError", "BoundsReport", "achievable_range",
-        "achievable_range_mh", "achievable_range_na", "bounds_report",
-        "moore_ds", "moore_mh", "moore_na", "theorem_42_expected_diameter",
-        "theorem_43_expected_diameter",
+        "BoundsError", "BoundsReport", "achievable_range", "bounds_report",
+        "moore_ds", "moore_mh", "moore_na",
     ),
     "constructions": (
-        "SandwichReport", "check_diameter_sandwich", "check_mh_conditions",
-        "check_na_conditions", "ds_to_mh", "ds_to_na", "na_to_mh",
+        "SandwichReport", "check_diameter_sandwich", "ds_to_mh", "ds_to_na",
+        "na_to_mh",
     ),
     "families": (
         "DoubleStepGraph", "FamilyError", "ManhattanDigraph",

@@ -15,7 +15,6 @@ the ranges as the check.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .families import FAMILIES
@@ -164,16 +163,6 @@ def achievable_range(theorem: str, d: int) -> tuple[int, int]:
     if d == d0:
         return missing_order(theorem, k - 1) + FAMILIES[t.family].period, last
     return second, missing_order(theorem, k)
-
-
-# Per-theorem shorthands, imported by the package and the tests.
-theorem_41_expected_diameter = partial(predicted_diameter, "4.1")
-theorem_42_expected_diameter = partial(predicted_diameter, "4.2")
-theorem_43_expected_diameter = partial(predicted_diameter, "4.3")
-na_missing_order = partial(missing_order, "4.2")
-mh_missing_order = partial(missing_order, "4.3")
-achievable_range_na = partial(achievable_range, "4.2")
-achievable_range_mh = partial(achievable_range, "4.3")
 
 
 class BoundsReport(NamedTuple):

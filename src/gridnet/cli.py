@@ -80,7 +80,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, help="largest k for 4.x (default 3)")
     p.add_argument("--n-max", type=int, help="order cap for sandwich/line-digraph")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--workers", type=int, help="accepted; has no effect")
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("table", help="order -> diameter tables for na/mh theorems")
@@ -274,7 +273,6 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"verify {args.claim} has no CSV output")
         for flag, given in (
             ("--exhaustive", args.exhaustive),
-            ("--workers", args.workers is not None),
             ("--k-max", args.k_max is not None),
         ):
             if given:
@@ -297,7 +295,6 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"verify {args.claim} takes no --n-max")
     k_max = 3 if args.k_max is None else args.k_max
     _check_positive("--k-max", k_max)
-    _check_positive("--workers", args.workers)
     from .search import sweep_verify
 
     rows = sweep_verify(args.claim, k_max, exhaustive=args.exhaustive)

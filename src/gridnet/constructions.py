@@ -2,8 +2,8 @@
 
 Each map doubles the order and carries the explicit particular solution of
 the corresponding condition system; it passes its input through
-families.require_valid first.  The condition checkers let callers validate
-alternative solutions of the same systems.  The chain DS -> NA ->
+families.require_valid first.  The tests check every map against the
+condition systems themselves (``tests/oracles.py``).  The chain DS -> NA ->
 MH is written once: ds_to_mh is the composition.  check_diameter_sandwich
 derives the chain of one DS graph and bounds both derived diameters.
 """
@@ -65,61 +65,6 @@ def ds_to_mh(p: DoubleStepGraph) -> ManhattanDigraph:
     Steps: a = (1, -3, 1, 1), b = (4a+3, 4b-1, -4a-1, -4b-1).
     """
     return na_to_mh(ds_to_na(p))
-
-
-def check_na_conditions(ds: DoubleStepGraph, na: NewAmsterdamDigraph) -> list[str]:
-    """Violations of the ds->na condition system for an arbitrary NA candidate.
-
-    (i) all steps odd; (ii) alpha+gamma = -beta-delta = 2a;
-    (iii) beta+gamma = -alpha-delta = 2b (all mod N_NA).
-    """
-    failures: list[str] = []
-    n = na.n
-    if n != 2 * ds.n:
-        failures.append(f"order {n} != 2*{ds.n}")
-        return failures
-    if any(s % 2 == 0 for s in na.steps):
-        failures.append("(i) some step is even")
-    a2, b2 = (2 * ds.a) % n, (2 * ds.b) % n
-    alpha, beta, gamma, delta = na.steps
-    if (alpha + gamma) % n != a2 or (-(beta + delta)) % n != a2:
-        failures.append("(ii) alpha+gamma = -beta-delta = 2a fails")
-    if (beta + gamma) % n != b2 or (-(alpha + delta)) % n != b2:
-        failures.append("(iii) beta+gamma = -alpha-delta = 2b fails")
-    return failures
-
-
-def check_mh_conditions(na: NewAmsterdamDigraph, mh: ManhattanDigraph) -> list[str]:
-    """Violations of the na->mh condition system for an arbitrary MH candidate.
-
-    (i) all steps odd; (ii) a0+a2 = -(a1+a3) = b0+b2 = -(b1+b3);
-    (iii) a0+a1 = 2alpha, b1+b2 = 2beta, b3-a1 = 2delta, b0-a0 = 2gamma
-    (all mod N_MH).
-    """
-    failures: list[str] = []
-    n = mh.n
-    if n != 2 * na.n:
-        failures.append(f"order {n} != 2*{na.n}")
-        return failures
-    if any(s % 2 == 0 for s in mh.steps):
-        failures.append("(i) some step is even")
-    s = (mh.a0 + mh.a2) % n
-    if not (
-        (-(mh.a1 + mh.a3)) % n == s
-        and (mh.b0 + mh.b2) % n == s
-        and (-(mh.b1 + mh.b3)) % n == s
-    ):
-        failures.append("(ii) a0+a2 = -(a1+a3) = b0+b2 = -(b1+b3) fails")
-    pairs = (
-        ("a0+a1 = 2alpha", mh.a0 + mh.a1, 2 * na.alpha),
-        ("b1+b2 = 2beta", mh.b1 + mh.b2, 2 * na.beta),
-        ("b3-a1 = 2delta", mh.b3 - mh.a1, 2 * na.delta),
-        ("b0-a0 = 2gamma", mh.b0 - mh.a0, 2 * na.gamma),
-    )
-    for label, lhs, rhs in pairs:
-        if lhs % n != rhs % n:
-            failures.append(f"(iii) {label} fails")
-    return failures
 
 
 class SandwichReport(NamedTuple):

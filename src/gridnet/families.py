@@ -25,8 +25,8 @@ branching on the family.  Only compilation builds per-vertex rows, from
 the classes by graphs.step_rows, which merges coincident heads so the
 resulting Digraph never carries parallel arcs, even for degenerate step
 choices.  require_valid is the one validity gate: compile_params (when
-strict) and the step translations call it, and family_rows,
-family_diameter and line_diameter never validate.
+strict) and the step translations call it, and family_diameter and
+line_diameter never validate.
 """
 
 from __future__ import annotations
@@ -569,20 +569,12 @@ def require_valid(p: FamilyParams) -> None:
         raise FamilyError("; ".join(v.errors))
 
 
-def family_rows(p: FamilyParams) -> list[tuple[int, ...]]:
-    """The out-lists of compile_params(p), without the Digraph.
-
-    step_rows of the family's classes, coincident heads merged; p is not
-    validated.  Only compilation builds these rows.
-    """
-    return step_rows(FAMILIES[p.tag].classes(p.n, p.steps), p.n)
-
-
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
-    """family_rows(p) as a Digraph; with ``strict``, require_valid(p) first."""
+    """p's digraph: step_rows of the family's classes, coincident heads
+    merged.  With ``strict``, require_valid(p) first."""
     if strict:
         require_valid(p)
-    return Digraph(p.n, tuple(family_rows(p)))
+    return Digraph(p.n, tuple(step_rows(FAMILIES[p.tag].classes(p.n, p.steps), p.n)))
 
 
 def family_diameter(p: FamilyParams) -> Optional[int]:

@@ -9,9 +9,9 @@ classes, from one vertex per translation class, with an early exit at a
 limit; ``step_rows``, ``line_classes`` and ``regular_step_degree`` give
 the rows, the line digraph and the regularity of such a digraph.
 ``diameter`` certifies a whole ``Digraph`` from every source at once by
-reach sets, without calling it.  The independent all-pairs distance oracle
-and the isomorphism test that the suite checks these against live in
-``tests/oracles.py``.
+reach sets, without calling it.  The independent all-pairs distance oracle,
+the regularity and directed-cycle tests and the isomorphism test that the
+suite checks these against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -74,38 +74,6 @@ class Digraph(_DigraphFields):
         for u, heads in enumerate(self.out_arcs):
             for v in heads:
                 yield (u, v)
-
-    def in_degrees(self) -> list[int]:
-        return _in_degrees(self.out_arcs)
-
-    def is_regular(self) -> Optional[int]:
-        """The common out/in-degree if the digraph is regular, else None."""
-        return regular_degree(self.out_arcs)
-
-    def is_directed_cycle(self) -> bool:
-        return (
-            all(len(heads) == 1 for heads in self.out_arcs)
-            and diameter(self) is not None
-        )
-
-
-def _in_degrees(out_arcs: Sequence[Sequence[int]]) -> list[int]:
-    indeg = [0] * len(out_arcs)
-    for heads in out_arcs:
-        for v in heads:
-            indeg[v] += 1
-    return indeg
-
-
-def regular_degree(out_arcs: Sequence[Sequence[int]]) -> Optional[int]:
-    """The common out/in-degree of the rows (heads distinct), else None."""
-    degs = {len(heads) for heads in out_arcs}
-    if len(degs) != 1:
-        return None
-    d = degs.pop()
-    if any(x != d for x in _in_degrees(out_arcs)):
-        return None
-    return d
 
 
 class DistanceProfile(NamedTuple):
@@ -193,10 +161,7 @@ def period_layout(n: int, p: int) -> tuple[int, int, tuple[int, ...]]:
 
 
 def bounded_diameter(
-    classes: Sequence[Sequence[int]],
-    n: int,
-    limit: Optional[int],
-    layout: Optional[tuple[int, int, tuple[int, ...]]] = None,
+    classes: Sequence[Sequence[int]], n: int, limit: Optional[int]
 ) -> Optional[int]:
     """Diameter of the step digraph on Z_n with these classes, or None.
 
@@ -207,16 +172,16 @@ def bounded_diameter(
     diameter, and the digraph is strongly connected iff they reach every
     vertex.  None means it is not, or the diameter exceeds ``limit``.
 
-    BFS runs from all p sources at once on one int laid out by
-    ``layout``, period_layout(n, p), which a search over one order looks
-    up once and passes in.  Each class mask is paired with its steps once
-    per call.  One level shifts the frontier's slice of each class by each
-    of its steps, folds the carry back once and keeps the new bits.  It
-    stops as soon as the next level would pass ``limit``.  That early exit
-    is what makes the exhaustive step searches affordable; it never
-    changes which candidates attain the running minimum.
+    BFS runs from all p sources at once on one int laid out by the cached
+    period_layout(n, p), so a search over one order lays it out once.  Each
+    class mask is paired with its steps once per call.  One level shifts
+    the frontier's slice of each class by each of its steps, folds the
+    carry back once and keeps the new bits.  It stops as soon as the next
+    level would pass ``limit``.  That early exit is what makes the
+    exhaustive step searches affordable; it never changes which candidates
+    attain the running minimum.
     """
-    sources, full, masks = layout or period_layout(n, len(classes))
+    sources, full, masks = period_layout(n, len(classes))
     pairs = tuple(zip(masks, classes))
     frontier, unseen = sources, full ^ sources
     k = 0
@@ -273,7 +238,8 @@ def line_classes(
 
 
 def regular_step_degree(classes: Sequence[Sequence[int]]) -> Optional[int]:
-    """regular_degree of step_rows(classes, n) for any n that p divides.
+    """The common out/in-degree of the rows step_rows(classes, n), for any
+    n that p divides, or None when that digraph is not regular.
 
     Residue r has one out-arc per distinct step x, into residue r + x
     (mod p), so the in-degrees too are those of the p residues.
@@ -288,23 +254,17 @@ def regular_step_degree(classes: Sequence[Sequence[int]]) -> Optional[int]:
     return degs.pop() if len(degs) == 1 else None
 
 
-def line_rows(out_arcs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Out-rows of the line digraph: one vertex per arc, numbered by
-    (tail, out-list position).  Arc u -> v leads to every arc out of v."""
-    succ = []
-    total = 0
-    for heads in out_arcs:
-        succ.append(tuple(range(total, total + len(heads))))
-        total += len(heads)
-    return [succ[v] for heads in out_arcs for v in heads]
-
-
 def line_digraph(g: Digraph) -> Digraph:
-    """Line digraph: one vertex per arc of g, ordered by (tail, out-list position)."""
+    """Line digraph: one vertex per arc of g, numbered by (tail, out-list
+    position).  Arc u -> v leads to every arc out of v."""
     if g.arc_count == 0:
         raise GraphError("line digraph of an arcless digraph is undefined")
-    rows = line_rows(g.out_arcs)
-    return Digraph(len(rows), tuple(rows))
+    succ = []
+    total = 0
+    for heads in g.out_arcs:
+        succ.append(tuple(range(total, total + len(heads))))
+        total += len(heads)
+    return Digraph(total, tuple(succ[v] for heads in g.out_arcs for v in heads))
 
 
 def to_dot(g: Digraph) -> str:

@@ -43,7 +43,7 @@ from .families import (
     format_params,
     line_diameter,
 )
-from .graphs import GridnetError, bounded_diameter, diameter, period_layout
+from .graphs import GridnetError, bounded_diameter, diameter
 from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py traces it)
 
 WITNESS_CAP = 32
@@ -106,7 +106,6 @@ def _run_search(
     fam = FAMILIES[family]
     space = {"mod4_filter": True} if mod4_filter else {}
     classes_of, weight = fam.classes, fam.weight
-    layout = period_layout(n, fam.period)
     best: Optional[int] = None
     optimal_reps: list[tuple[int, ...]] = []
     n_optima = 0
@@ -116,7 +115,7 @@ def _run_search(
         if size is None:
             continue
         examined += size
-        d = bounded_diameter(classes_of(n, steps), n, best, layout)
+        d = bounded_diameter(classes_of(n, steps), n, best)
         if d is None:
             continue
         if best is None or d < best:

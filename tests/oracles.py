@@ -3,21 +3,28 @@
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
 is the search loop without orbit representatives: one BFS per candidate,
 through gridnet's generators, step classes and ``bounded_diameter``.  The
-summation forms of the Moore bounds, the arc-relaxation distance oracle and
-the isomorphism test use only gridnet's error types, ``Digraph`` accessors
-and, for the isomorphism invariants, its plain BFS.
+paper's condition systems of the step translations read only the parameter
+records.  The summation forms of the Moore bounds, the arc-relaxation
+distance oracle, the degree tests and the isomorphism test use only
+gridnet's error types, ``Digraph`` accessors and, for the directed-cycle
+test and the isomorphism invariants, its diameter and plain BFS.
 
 Import from test modules as ``from oracles import ...``; pytest puts the
 ``tests`` directory on ``sys.path`` for them.
 """
 
 from collections import Counter, deque
-from itertools import islice, product
+from itertools import product
 from typing import Optional
 
 from gridnet.bounds import BoundsError
-from gridnet.families import FAMILIES
-from gridnet.graphs import Digraph, GraphError, _bfs_dist, bounded_diameter
+from gridnet.families import (
+    FAMILIES,
+    DoubleStepGraph,
+    ManhattanDigraph,
+    NewAmsterdamDigraph,
+)
+from gridnet.graphs import Digraph, GraphError, _bfs_dist, bounded_diameter, diameter
 from gridnet.search import WITNESS_CAP
 
 ISO_ORDER_CAP = 128
@@ -65,11 +72,8 @@ def brute_na_minimum(n):
     return best
 
 
-def plain_search_slice(family, n, stop, mod4_filter):
-    """``search._run_search`` without orbit representatives: BFS on every candidate.
-
-    ``stop`` None evaluates every candidate, otherwise the first ``stop``.
-    """
+def plain_search_slice(family, n, mod4_filter):
+    """``search._run_search`` without orbit representatives: BFS on every candidate."""
     fam = FAMILIES[family]
     generate = fam.candidates
     candidates = generate(n, mod4_filter=True) if mod4_filter else generate(n)
@@ -77,7 +81,7 @@ def plain_search_slice(family, n, stop, mod4_filter):
     optima = []
     n_optima = 0
     examined = 0
-    for steps in islice(candidates, stop):
+    for steps in candidates:
         examined += 1
         d = bounded_diameter(fam.classes(n, steps), n, best)
         if d is None:
@@ -91,6 +95,61 @@ def plain_search_slice(family, n, stop, mod4_filter):
             if len(optima) < WITNESS_CAP:
                 optima.append(steps)
     return best, optima, n_optima, examined
+
+
+def check_na_conditions(ds: DoubleStepGraph, na: NewAmsterdamDigraph) -> list[str]:
+    """Violations of the ds->na condition system for an arbitrary NA candidate.
+
+    (i) all steps odd; (ii) alpha+gamma = -beta-delta = 2a;
+    (iii) beta+gamma = -alpha-delta = 2b (all mod N_NA).
+    """
+    failures: list[str] = []
+    n = na.n
+    if n != 2 * ds.n:
+        failures.append(f"order {n} != 2*{ds.n}")
+        return failures
+    if any(s % 2 == 0 for s in na.steps):
+        failures.append("(i) some step is even")
+    a2, b2 = (2 * ds.a) % n, (2 * ds.b) % n
+    alpha, beta, gamma, delta = na.steps
+    if (alpha + gamma) % n != a2 or (-(beta + delta)) % n != a2:
+        failures.append("(ii) alpha+gamma = -beta-delta = 2a fails")
+    if (beta + gamma) % n != b2 or (-(alpha + delta)) % n != b2:
+        failures.append("(iii) beta+gamma = -alpha-delta = 2b fails")
+    return failures
+
+
+def check_mh_conditions(na: NewAmsterdamDigraph, mh: ManhattanDigraph) -> list[str]:
+    """Violations of the na->mh condition system for an arbitrary MH candidate.
+
+    (i) all steps odd; (ii) a0+a2 = -(a1+a3) = b0+b2 = -(b1+b3);
+    (iii) a0+a1 = 2alpha, b1+b2 = 2beta, b3-a1 = 2delta, b0-a0 = 2gamma
+    (all mod N_MH).
+    """
+    failures: list[str] = []
+    n = mh.n
+    if n != 2 * na.n:
+        failures.append(f"order {n} != 2*{na.n}")
+        return failures
+    if any(s % 2 == 0 for s in mh.steps):
+        failures.append("(i) some step is even")
+    s = (mh.a0 + mh.a2) % n
+    if not (
+        (-(mh.a1 + mh.a3)) % n == s
+        and (mh.b0 + mh.b2) % n == s
+        and (-(mh.b1 + mh.b3)) % n == s
+    ):
+        failures.append("(ii) a0+a2 = -(a1+a3) = b0+b2 = -(b1+b3) fails")
+    pairs = (
+        ("a0+a1 = 2alpha", mh.a0 + mh.a1, 2 * na.alpha),
+        ("b1+b2 = 2beta", mh.b1 + mh.b2, 2 * na.beta),
+        ("b3-a1 = 2delta", mh.b3 - mh.a1, 2 * na.delta),
+        ("b0-a0 = 2gamma", mh.b0 - mh.a0, 2 * na.gamma),
+    )
+    for label, lhs, rhs in pairs:
+        if lhs % n != rhs % n:
+            failures.append(f"(iii) {label} fails")
+    return failures
 
 
 def moore_ds_sum(k: int) -> int:
@@ -173,8 +232,29 @@ def all_pairs_oracle(g: Digraph) -> tuple[tuple[Optional[int], ...], ...]:
     return tuple(rows)
 
 
+def _in_degrees(g: Digraph) -> list[int]:
+    indeg = [0] * g.order
+    for heads in g.out_arcs:
+        for v in heads:
+            indeg[v] += 1
+    return indeg
+
+
+def is_regular(g: Digraph) -> Optional[int]:
+    """The common out/in-degree if the digraph is regular, else None."""
+    degs = {*map(len, g.out_arcs), *_in_degrees(g)}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def is_directed_cycle(g: Digraph) -> bool:
+    return (
+        all(len(heads) == 1 for heads in g.out_arcs)
+        and diameter(g) is not None
+    )
+
+
 def _vertex_invariants(g: Digraph) -> list[tuple]:
-    indeg = g.in_degrees()
+    indeg = _in_degrees(g)
     eccs = []
     for v in range(g.order):
         raw = _bfs_dist(g.out_arcs, g.order, v)

@@ -9,12 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from gridnet.bounds import (
-    moore_ds,
-    moore_mh,
-    moore_na,
-    na_missing_order,
-)
+from gridnet.bounds import missing_order, moore_ds, moore_mh, moore_na
 from gridnet.constructions import check_diameter_sandwich
 from gridnet.families import (
     FAMILIES,
@@ -37,6 +32,8 @@ from gridnet.search import (
 from oracles import (
     all_pairs_oracle,
     brute_na_minimum,
+    is_directed_cycle,
+    is_regular,
     moore_ds_sum,
     moore_mh_sum,
     moore_na_sum,
@@ -114,7 +111,7 @@ def test_criterion_06_line_digraph_law():
             for steps in FAMILIES["na"].candidates(n):
                 g = compile_na(NewAmsterdamDigraph(n, *steps), strict=False)
                 d = diameter(g)
-                if d is None or g.is_regular() != 2 or g.is_directed_cycle():
+                if d is None or is_regular(g) != 2 or is_directed_cycle(g):
                     continue
                 lg = line_digraph(g)
                 assert lg.order == 2 * n and diameter(lg) == d + 1
@@ -133,7 +130,7 @@ def test_criterion_06_line_digraph_law():
                 continue
             g = compile_na(p)
             d = diameter(g)
-            if d is None or g.is_regular() != 2 or g.is_directed_cycle():
+            if d is None or is_regular(g) != 2 or is_directed_cycle(g):
                 continue
             lg = line_digraph(g)
             assert lg.order == 2 * n and diameter(lg) == d + 1
@@ -163,7 +160,7 @@ def test_criterion_08_missing_value_discovery():
         # Theorem 4.2 steps attain it.  brute_na_minimum certifies the
         # minimum with no code shared with gridnet.search.
         for k in (1, 2):
-            n = na_missing_order(k)
+            n = missing_order("4.2", k)
             r = search_na(n)
             assert r.min_diameter == brute_na_minimum(n) == 2 * k + 3
             assert r.meets_theorem_prediction == "not-covered"

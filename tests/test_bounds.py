@@ -5,18 +5,13 @@ from gridnet.bounds import (
     BoundsError,
     BoundsReport,
     achievable_range,
-    achievable_range_mh,
-    achievable_range_na,
     bounds_report,
     case_of,
-    mh_missing_order,
+    missing_order,
     moore_ds,
     moore_mh,
     moore_na,
-    na_missing_order,
-    theorem_41_expected_diameter,
-    theorem_42_expected_diameter,
-    theorem_43_expected_diameter,
+    predicted_diameter,
     theorem_of,
 )
 from gridnet.families import FAMILIES
@@ -66,63 +61,63 @@ class TestMooreBounds:
 
 class TestAchievableRanges:
     def test_na_examples(self):
-        assert achievable_range_na(3) == (8, 10)
-        assert achievable_range_na(4) == (12, 14)
-        assert achievable_range_na(5) == (16, 26)
+        assert achievable_range("4.2", 3) == (8, 10)
+        assert achievable_range("4.2", 4) == (12, 14)
+        assert achievable_range("4.2", 5) == (16, 26)
 
     def test_mh_examples(self):
-        assert achievable_range_mh(4) == (16, 20)
-        assert achievable_range_mh(5) == (24, 28)
-        assert achievable_range_mh(6) == (32, 52)
+        assert achievable_range("4.3", 4) == (16, 20)
+        assert achievable_range("4.3", 5) == (24, 28)
+        assert achievable_range("4.3", 6) == (32, 52)
 
     def test_na_odd_upper_bound_attains_moore(self):
         for k in range(1, 51):
             d = 2 * k + 1
-            assert achievable_range_na(d)[1] == moore_na(d)
+            assert achievable_range("4.2", d)[1] == moore_na(d)
 
     def test_na_odd_lower_bound_matches_case_c_boundary(self):
         # (D-1)^2 - 2D + 10 at D = 2k+3 equals the case-(c) start 4k^2+4k+8
         for k in range(0, 51):
             d = 2 * k + 3
-            assert achievable_range_na(d)[0] == 4 * k * k + 4 * k + 8
+            assert achievable_range("4.2", d)[0] == 4 * k * k + 4 * k + 8
 
     def test_mh_even_upper_bound_attains_moore(self):
         for k in range(2, 51):
             d = 2 * k
-            assert achievable_range_mh(d)[1] == moore_mh(d)
+            assert achievable_range("4.3", d)[1] == moore_mh(d)
 
     def test_preconditions(self):
         with pytest.raises(BoundsError):
-            achievable_range_na(1)
+            achievable_range("4.2", 1)
         with pytest.raises(BoundsError):
-            achievable_range_mh(3)
+            achievable_range("4.3", 3)
 
 
 @pytest.mark.parametrize(
-    "achievable,closed",
+    "theorem,closed",
     [
-        (achievable_range_na, achievable_range_na_closed),
-        (achievable_range_mh, achievable_range_mh_closed),
+        ("4.2", achievable_range_na_closed),
+        ("4.3", achievable_range_mh_closed),
     ],
     ids=["na", "mh"],
 )
-def test_ranges_from_theorems_match_closed_forms(achievable, closed):
+def test_ranges_from_theorems_match_closed_forms(theorem, closed):
     # A scan over the cases would not finish at the huge diameters.
     for d in [*range(-3, 201), 10**12, 10**12 + 1, 10**18 + 1]:
         try:
             expected = closed(d)
         except BoundsError:
             with pytest.raises(BoundsError):
-                achievable(d)
+                achievable_range(theorem, d)
         else:
-            assert achievable(d) == expected, d
+            assert achievable_range(theorem, d) == expected, d
 
 
 def test_case_of_huge_order():
     assert case_of("4.2", 4 * 10**12 + 4) == 10**6
     assert case_of("4.2", 4 * 10**12 + 2) == 10**6 - 1
     assert case_of("4.3", 8 * 10**12 + 4) == 10**6 - 1
-    assert theorem_42_expected_diameter(4 * 10**12 + 4 * 10**6 + 6) is None
+    assert predicted_diameter("4.2", 4 * 10**12 + 4 * 10**6 + 6) is None
 
 
 def test_case_of_is_the_least_case_holding_the_order():
@@ -153,30 +148,30 @@ def test_theorem_41_gives_no_range():
 
 class TestCasePredictions:
     def test_na_k1_cases(self):
-        assert theorem_42_expected_diameter(10, 1) == 3  # case (a)
-        assert theorem_42_expected_diameter(12, 1) == 4  # case (b)
-        assert theorem_42_expected_diameter(14, 1) is None  # missing value
-        assert theorem_42_expected_diameter(16, 1) == 5  # case (c)
-        assert theorem_42_expected_diameter(6, 1) == 3  # companion 4k^2+2
+        assert predicted_diameter("4.2", 10, 1) == 3  # case (a)
+        assert predicted_diameter("4.2", 12, 1) == 4  # case (b)
+        assert predicted_diameter("4.2", 14, 1) is None  # missing value
+        assert predicted_diameter("4.2", 16, 1) == 5  # case (c)
+        assert predicted_diameter("4.2", 6, 1) == 3  # companion 4k^2+2
 
     def test_mh_k1_cases(self):
-        assert theorem_43_expected_diameter(20, 1) == 4
-        assert theorem_43_expected_diameter(24, 1) == 5
-        assert theorem_43_expected_diameter(28, 1) is None  # missing value
-        assert theorem_43_expected_diameter(32, 1) == 6
+        assert predicted_diameter("4.3", 20, 1) == 4
+        assert predicted_diameter("4.3", 24, 1) == 5
+        assert predicted_diameter("4.3", 28, 1) is None  # missing value
+        assert predicted_diameter("4.3", 32, 1) == 6
 
     def test_missing_orders(self):
-        assert na_missing_order(1) == 14
-        assert na_missing_order(2) == 30
-        assert mh_missing_order(1) == 28
+        assert missing_order("4.2", 1) == 14
+        assert missing_order("4.2", 2) == 30
+        assert missing_order("4.3", 1) == 28
 
     def test_k_inference_matches_explicit_k(self):
         for n in range(6, 200, 2):
             k = case_of("4.2", n)
-            assert theorem_42_expected_diameter(n) == theorem_42_expected_diameter(n, k)
+            assert predicted_diameter("4.2", n) == predicted_diameter("4.2", n, k)
         for n in range(16, 400, 4):
             k = case_of("4.3", n)
-            assert theorem_43_expected_diameter(n) == theorem_43_expected_diameter(n, k)
+            assert predicted_diameter("4.3", n) == predicted_diameter("4.3", n, k)
 
     def test_na_cases_tile_with_one_gap_per_k(self):
         for k in range(1, 30):
@@ -184,7 +179,7 @@ class TestCasePredictions:
             uncovered = [
                 n
                 for n in range(lo, hi + 1, 2)
-                if theorem_42_expected_diameter(n, k) is None
+                if predicted_diameter("4.2", n, k) is None
             ]
             assert uncovered == [4 * k * k + 4 * k + 6]
 
@@ -194,13 +189,13 @@ class TestCasePredictions:
             uncovered = [
                 n
                 for n in range(lo, hi + 1, 4)
-                if theorem_43_expected_diameter(n, k) is None
+                if predicted_diameter("4.3", n, k) is None
             ]
             assert uncovered == [8 * k * k + 8 * k + 12]
 
     def test_odd_order_rejected(self):
         with pytest.raises(BoundsError):
-            theorem_42_expected_diameter(9)
+            predicted_diameter("4.2", 9)
 
 
 # The case statements of Theorems 4.2 and 4.3, written out from the paper:
@@ -228,20 +223,20 @@ def mh_case(n, k):
 
 
 @pytest.mark.parametrize(
-    "predict,case,first,last,step",
+    "theorem,case,first,last,step",
     [
-        (theorem_42_expected_diameter, na_case,
+        ("4.2", na_case,
          lambda k: 4 * k * k + 2, lambda k: 4 * (k + 1) ** 2 + 2, 2),
-        (theorem_43_expected_diameter, mh_case,
+        ("4.3", mh_case,
          lambda k: 8 * k * k + 8, lambda k: 8 * (k + 1) ** 2 + 4, 4),
     ],
     ids=["4.2", "4.3"],
 )
-def test_case_table_matches_case_statements(predict, case, first, last, step):
+def test_case_table_matches_case_statements(theorem, case, first, last, step):
     for k in range(1, 41):
         for n in range(first(k), last(k) + 1, step):
-            assert predict(n, k) == case(n, k), (n, k)
-            assert predict(n) == case(n, k), (n, k)
+            assert predicted_diameter(theorem, n, k) == case(n, k), (n, k)
+            assert predicted_diameter(theorem, n) == case(n, k), (n, k)
 
 
 def test_theorem_41_is_least_diameter_whose_moore_bound_holds_n():
@@ -249,7 +244,7 @@ def test_theorem_41_is_least_diameter_whose_moore_bound_holds_n():
     for n in range(2, 5001):
         while moore_ds(k) < n:
             k += 1
-        assert theorem_41_expected_diameter(n) == k, n
+        assert predicted_diameter("4.1", n) == k, n
 
 
 class TestBoundsReport:
@@ -277,21 +272,21 @@ class TestBoundsReport:
             assert bounds_report("ds", k) == BoundsReport("ds", k, moore_ds(k))
 
     @pytest.mark.parametrize(
-        "family,moore,achievable,first,missing",
+        "family,moore,theorem,first,missing",
         [
-            ("na", moore_na, achievable_range_na, 1,
-             lambda k: na_missing_order((k - 2) // 2) if k % 2 == 0 else None),
-            ("mh", moore_mh, achievable_range_mh, 2,
-             lambda k: mh_missing_order((k - 3) // 2) if k % 2 == 1 else None),
+            ("na", moore_na, "4.2", 1,
+             lambda k: missing_order("4.2", (k - 2) // 2) if k % 2 == 0 else None),
+            ("mh", moore_mh, "4.3", 2,
+             lambda k: missing_order("4.3", (k - 3) // 2) if k % 2 == 1 else None),
         ],
         ids=["na", "mh"],
     )
     def test_report_is_range_with_missing_order(
-        self, family, moore, achievable, first, missing
+        self, family, moore, theorem, first, missing
     ):
         for k in [*range(first, 61), 10**12, 10**12 + 1]:
             try:
-                low, high = achievable(k)
+                low, high = achievable_range(theorem, k)
             except BoundsError:
                 expected = BoundsReport(family, k, moore(k))
             else:

@@ -264,8 +264,8 @@ class TestVerify:
 
     def test_line_digraph_reads_each_candidates_classes_once(self, capsys, monkeypatch):
         # The check works on the step classes alone: one Family.classes call
-        # per candidate, and no per-vertex rows of the digraph or its line
-        # digraph.
+        # per candidate, and no per-vertex rows of the digraph (step_rows)
+        # or its line digraph (the Digraph that graphs.line_digraph builds).
         from gridnet import families, graphs
 
         na = FAMILIES["na"]
@@ -280,12 +280,43 @@ class TestVerify:
 
         monkeypatch.setitem(FAMILIES, "na", na._replace(classes=counting_classes))
         monkeypatch.setattr(families, "step_rows", no_rows)
-        monkeypatch.setattr(graphs, "line_rows", no_rows)
+        monkeypatch.setattr(graphs, "Digraph", no_rows)
         code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "24")
         assert code == 0
         assert "0 failures" in out
         candidates = [(n, steps) for n in range(4, 25, 2) for steps in na.candidates(n)]
         assert reads == candidates
+
+    @pytest.mark.parametrize(
+        "claim,fail,summary",
+        [
+            ("sandwich", "FAIL na-from-ds ds:5,1,2: k=1 derived=4 not in [2,3]",
+             "sandwich: 26 checks, 1 failures"),
+            ("line-digraph", "FAIL line-digraph na:4,1,3,1,3",
+             "line-digraph: 12 checks, 1 failures"),
+        ],
+    )
+    def test_one_failed_check(self, capsys, monkeypatch, claim, fail, summary):
+        from gridnet import cli
+
+        sandwich, bounded = cli.check_diameter_sandwich, cli.bounded_diameter
+
+        def wrong_sandwich(p):
+            r = sandwich(p)
+            if p == DoubleStepGraph(5, 1, 2):
+                return r._replace(na_diameter=r.na_diameter + 1)
+            return r
+
+        def wrong_line(classes, n, limit):
+            # The one order-8 line digraph (period 4) is that of na:4,1,3,1,3.
+            d = bounded(classes, n, limit)
+            return d + 1 if (n, len(classes)) == (8, 4) else d
+
+        monkeypatch.setattr(cli, "check_diameter_sandwich", wrong_sandwich)
+        monkeypatch.setattr(cli, "bounded_diameter", wrong_line)
+        code, out, _ = run(capsys, "verify", claim, "--n-max", "8")
+        assert code == 2
+        assert out == f"{fail}\n{summary}\n"
 
     @pytest.mark.parametrize("claim", ["sandwich", "line-digraph"])
     def test_csv_rejected_where_there_are_no_rows(self, capsys, claim):
@@ -305,11 +336,12 @@ class TestVerify:
              "verify line-digraph --n-max must be at least 4, got 3"),
             (("4.1", "--k-max", "0"), "--k-max must be at least 1, got 0"),
             (("4.3", "--k-max", "-2"), "--k-max must be at least 1, got -2"),
+            # verify has no --workers option, whatever its value.
             (("4.1", "--k-max", "1", "--workers", "0"),
-             "--workers must be at least 1, got 0"),
-            (("4.2", "--workers", "-2"), "--workers must be at least 1, got -2"),
+             "unrecognized arguments: --workers 0"),
+            (("4.2", "--workers", "-2"), "unrecognized arguments: --workers -2"),
             (("4.3", "--k-max", "1", "--workers", "0", "--exhaustive"),
-             "--workers must be at least 1, got 0"),
+             "unrecognized arguments: --workers 0"),
         ],
         ids=["sandwich-0", "sandwich-2", "line-digraph-3", "4.1-k0", "4.3-k-2",
              "4.1-workers0", "4.2-workers-2", "4.3-workers0"],
@@ -326,7 +358,7 @@ class TestVerify:
             (("sandwich", "--n-max", "8", "--exhaustive"),
              "verify sandwich takes no --exhaustive"),
             (("sandwich", "--n-max", "8", "--workers", "2"),
-             "verify sandwich takes no --workers"),
+             "unrecognized arguments: --workers 2"),
             (("line-digraph", "--n-max", "8", "--k-max", "9"),
              "verify line-digraph takes no --k-max"),
             (("4.1", "--k-max", "1", "--n-max", "8"),
@@ -369,8 +401,8 @@ def test_unknown_verb_exit_64(capsys):
 
 BAD_GRAPH = '{"order": 2, "arcs": [[5],[0]]}'
 
-# One input of each error kind: (error class, library call raising it, the
-# CLI call with its stdin, the message).
+# One input of each error kind: (error class, the call raising it, the CLI
+# call with its stdin, the message).
 ERROR_INPUTS = [
     (FamilyError, lambda: compile_params(parse_params("ds:10,0,0")),
      ["gen", "ds:10,0,0"], "",
@@ -382,6 +414,9 @@ ERROR_INPUTS = [
      ["bounds", "mh", "--k", "1"], "", "diameter must be at least 2, got 1"),
     (SearchError, lambda: search_na(7),
      ["search", "na", "--n", "7"], "", "order must be an even integer >= 4, got 7"),
+    (FileNotFoundError, lambda: open("missing-graph.json"),
+     ["diameter", "--input", "missing-graph.json"], "",
+     "[Errno 2] No such file or directory: 'missing-graph.json'"),
 ]
 
 

@@ -2,14 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridnet.constructions import (
-    check_diameter_sandwich,
-    check_mh_conditions,
-    check_na_conditions,
-    ds_to_mh,
-    ds_to_na,
-    na_to_mh,
-)
+from gridnet.constructions import check_diameter_sandwich, ds_to_mh, ds_to_na, na_to_mh
 from gridnet.families import (
     FAMILIES,
     DoubleStepGraph,
@@ -21,14 +14,19 @@ from gridnet.families import (
     compile_na,
     compile_params,
     family_diameter,
-    family_rows,
     line_diameter,
     validate_ds,
     validate_mh,
     validate_na,
 )
-from gridnet.graphs import diameter, line_digraph, regular_degree
-from oracles import are_isomorphic
+from gridnet.graphs import diameter, line_digraph
+from oracles import (
+    are_isomorphic,
+    check_mh_conditions,
+    check_na_conditions,
+    is_directed_cycle,
+    is_regular,
+)
 
 
 def valid_ds_instances(n_max):
@@ -192,7 +190,7 @@ class TestDiameterSandwich:
         for p in valid_ds_instances(20):
             na = ds_to_na(p)
             g = compile_na(na)
-            if g.is_regular() != 2 or g.is_directed_cycle():
+            if is_regular(g) != 2 or is_directed_cycle(g):
                 continue
             d_mh = diameter(compile_mh(na_to_mh(na)))
             d_l = diameter(line_digraph(g))
@@ -204,7 +202,7 @@ def two_regular_na_candidates(n_max):
     for n in range(4, n_max + 1, 2):
         for steps in na.candidates(n):
             p = na.params(n, *steps)
-            if regular_degree(family_rows(p)) == 2:
+            if is_regular(compile_params(p, strict=False)) == 2:
                 yield p
 
 

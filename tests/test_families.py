@@ -78,6 +78,8 @@ class TestValidateMh:
 
     def test_even_step_hard_violation(self):
         assert not validate_mh(ManhattanDigraph(20, 2, 7, -3, 7, 1, -5, 1, -9)).ok
+        v = validate_mh(ManhattanDigraph(20, 1, 2, -3, 7, 1, -5, 1, -9))
+        assert "step b0 = 2 is even" in v.errors
 
     def test_sum_condition_hard_violation(self):
         v = validate_mh(ManhattanDigraph(20, 1, 9, -3, 7, 1, -5, 1, -9))

@@ -14,7 +14,7 @@ from gridnet.graphs import (
     to_json,
 )
 
-from oracles import all_pairs_oracle, are_isomorphic
+from oracles import all_pairs_oracle, are_isomorphic, is_directed_cycle, is_regular
 
 
 def cycle(n):
@@ -26,6 +26,7 @@ MALFORMED_TYPES = [
     '{"order":2,"arcs":[[1],[0.5]]}',  # float head
     '{"order":"2","arcs":[[1],[0]]}',  # string order
     '{"order":2,"arcs":[1,0]}',  # rows that are not lists
+    '{"order":2,"arcs":{"0":[1]}}',  # arcs that is not a list
     '{"order":2,"arcs":[[true],[0]]}',  # bool head
 ]
 MH20_STEPS = "mh:20,1,7,17,7,1,15,1,11"  # Manhattan digraph derived from NA10
@@ -167,7 +168,7 @@ class TestLineDigraph:
                 p = NewAmsterdamDigraph(n, 1, n - 1, gamma, -gamma)
                 g = compile_na(p, strict=False)
                 d = diameter(g)
-                if d is None or g.is_regular() != 2 or g.is_directed_cycle():
+                if d is None or is_regular(g) != 2 or is_directed_cycle(g):
                     continue
                 lg = line_digraph(g)
                 assert lg.order == 2 * n
@@ -274,6 +275,8 @@ class TestExports:
     def test_malformed_json(self):
         with pytest.raises(GraphError):
             from_json("{}")
+        with pytest.raises(GraphError, match="order must be positive, got 0"):
+            from_json('{"order":0,"arcs":[]}')
 
     @pytest.mark.parametrize("text", MALFORMED_TYPES)
     def test_json_types_checked(self, text):

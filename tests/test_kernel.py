@@ -20,7 +20,6 @@ from gridnet.families import (
     NewAmsterdamDigraph,
     compile_params,
     family_diameter,
-    family_rows,
     line_diameter,
     parse_params,
 )
@@ -29,10 +28,10 @@ from gridnet.graphs import (
     diameter,
     line_classes,
     line_digraph,
-    regular_degree,
     regular_step_degree,
     step_rows,
 )
+from oracles import is_regular
 
 PARAMS = {"ds": DoubleStepGraph, "na": NewAmsterdamDigraph, "mh": ManhattanDigraph}
 
@@ -69,10 +68,9 @@ def assert_line_kernel_matches(family, n, steps):
     ids=["ds", "na", "mh"],
 )
 def test_family_diameter_measures_invalid_params(params):
-    # family_rows and the period-BFS diameters never validate: they measure
-    # what compile_params(params, strict=False) builds.
+    # The period-BFS diameters never validate: they measure what
+    # compile_params(params, strict=False) builds.
     g = compile_params(params, strict=False)
-    assert family_rows(params) == list(g.out_arcs)
     assert family_diameter(params) == diameter(g)
     assert line_diameter(params) == diameter(line_digraph(g))
 
@@ -113,8 +111,7 @@ def test_line_digraph_filter_on_classes():
         for steps in na.candidates(n):
             p = na.params(n, *steps)
             on_classes = regular_step_degree(na.classes(n, steps)) == 2
-            assert on_classes == (regular_degree(family_rows(p)) == 2)
-            assert on_classes == (compile_params(p, strict=False).is_regular() == 2)
+            assert on_classes == (is_regular(compile_params(p, strict=False)) == 2)
             assert on_classes == (steps[2] != steps[3])
 
 
@@ -190,7 +187,7 @@ def test_kernel_every_limit_large_orders(p):
 @example(ManhattanDigraph(4, 0, 0, 1, 2, 0, 2, 3, 3))
 def test_line_classes_are_the_line_digraph(p):
     classes = FAMILIES[p.tag].classes(p.n, p.steps)
-    assert regular_step_degree(classes) == regular_degree(family_rows(p))
+    assert regular_step_degree(classes) == is_regular(compile_params(p, strict=False))
     assert_line_kernel_matches(p.tag, p.n, p.steps)
 
 

@@ -110,7 +110,7 @@ SEARCH_CASES = (
 @pytest.mark.parametrize("family,n,mod4_filter", SEARCH_CASES)
 def test_memo_matches_one_bfs_per_candidate(family, n, mod4_filter):
     assert search._run_search(family, n, mod4_filter) == (
-        plain_search_slice(family, n, None, mod4_filter)
+        plain_search_slice(family, n, mod4_filter)
     )
 
 

@@ -1,13 +1,15 @@
-"""The package's lazy exports, and the modules each CLI verb loads.
+"""The package's lazy exports, the modules each CLI verb loads, and the
+names the benchmark reads.
 
 A ``gridnet`` process compiles only the modules its verb runs: the package
 resolves its exports on first access, and ``cli`` imports ``bounds``,
-``search`` and ``json`` inside the verbs that use them.  Each check runs in
-a fresh interpreter, since this one has loaded every module already.
+``search`` and ``json`` inside the verbs that use them.  Each such check
+runs in a fresh interpreter, since this one has loaded every module already.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,17 +22,17 @@ import gridnet
 SRC = Path(gridnet.__file__).resolve().parent.parent
 
 # The names the package exported when it imported every module eagerly, by
-# defining module: the spec that the lazy exports keep.
+# defining module: the spec that the lazy exports keep.  The per-theorem
+# aliases of achievable_range and predicted_diameter, and the condition
+# checks that moved to tests/oracles.py, are exported no more.
 EXPORTS = {
     "bounds": [
-        "BoundsError", "BoundsReport", "achievable_range",
-        "achievable_range_mh", "achievable_range_na", "bounds_report",
-        "moore_ds", "moore_mh", "moore_na", "theorem_42_expected_diameter",
-        "theorem_43_expected_diameter",
+        "BoundsError", "BoundsReport", "achievable_range", "bounds_report",
+        "moore_ds", "moore_mh", "moore_na",
     ],
     "constructions": [
-        "SandwichReport", "check_diameter_sandwich", "check_mh_conditions",
-        "check_na_conditions", "ds_to_mh", "ds_to_na", "na_to_mh",
+        "SandwichReport", "check_diameter_sandwich", "ds_to_mh", "ds_to_na",
+        "na_to_mh",
     ],
     "families": [
         "DoubleStepGraph", "FamilyError", "ManhattanDigraph",
@@ -121,3 +123,41 @@ class TestExports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             gridnet.no_such_name
+
+
+class TestBenchmarkNames:
+    """The names the benchmark in ``perfbench/`` reads from the package.
+
+    Its tracer swaps names in the modules and puts them back; its BFS probe
+    calls the compilers, the NA -> MH map and ``bfs_profile`` on the theorem
+    4.1 and 4.2 steps.  A name removed from the package breaks the benchmark.
+    """
+
+    PERFBENCH = SRC.parent / "perfbench"
+
+    def test_tracer_installs_and_undoes(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_layers", self.PERFBENCH / "layers.py"
+        )
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        installation = layers.install(gridnet, layers.Tracer())
+        try:
+            swapped = installation.leftovers()
+        finally:
+            installation.undo()
+        assert len(swapped) == len(installation.originals)
+        assert installation.leftovers() == []
+
+    def test_probe_names_resolve(self):
+        from gridnet import search
+
+        na = search.theorem_42_params(120, 5)
+        graphs = [
+            gridnet.compile_ds(search.theorem_41_params(24, 3)),
+            gridnet.compile_na(na),
+            gridnet.compile_mh(gridnet.na_to_mh(na)),
+        ]
+        assert [g.order for g in graphs] == [24, 120, 240]
+        for g in graphs:
+            assert gridnet.bfs_profile(g, 0).eccentricity is not None

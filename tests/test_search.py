@@ -7,14 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from gridnet import search
-from gridnet.bounds import (
-    case_orders,
-    mh_missing_order,
-    moore_ds,
-    moore_mh,
-    moore_na,
-    na_missing_order,
-)
+from gridnet.bounds import case_orders, missing_order, moore_ds, moore_mh, moore_na
 from gridnet.constructions import na_to_mh
 from gridnet.families import (
     FamilyError,
@@ -116,8 +109,8 @@ class TestSearchNa:
 
         real = graphs.bounded_diameter
 
-        def lying(out_arcs, n, limit, sources):
-            d = real(out_arcs, n, None if limit is None else limit + 1, sources)
+        def lying(classes, n, limit):
+            d = real(classes, n, None if limit is None else limit + 1)
             return None if d is None else d - 1
 
         monkeypatch.setattr(graphs, "bounded_diameter", lying)
@@ -380,21 +373,18 @@ def test_sweep_rows_match_theorem_cases(theorem):
 
 
 @pytest.mark.parametrize(
-    "theorem,first,last,step,missing",
+    "theorem,first,last,step",
     [
-        ("4.2", lambda k: 4 * k * k + 2, lambda k: 4 * (k + 1) ** 2 + 2, 2,
-         na_missing_order),
-        ("4.3", lambda k: 8 * k * k + 8, lambda k: 8 * (k + 1) ** 2 + 4, 4,
-         mh_missing_order),
+        ("4.2", lambda k: 4 * k * k + 2, lambda k: 4 * (k + 1) ** 2 + 2, 2),
+        ("4.3", lambda k: 8 * k * k + 8, lambda k: 8 * (k + 1) ** 2 + 4, 4),
     ],
     ids=["4.2", "4.3"],
 )
-def test_sweep_covers_each_case_but_the_missing_order(
-    theorem, first, last, step, missing
-):
+def test_sweep_covers_each_case_but_the_missing_order(theorem, first, last, step):
     by_k = _rows_by_k(theorem, 6)
     assert sorted(by_k) == list(range(1, 7))
     for k, rows in by_k.items():
-        expected = [n for n in range(first(k), last(k) + 1, step) if n != missing(k)]
+        missing = missing_order(theorem, k)
+        expected = [n for n in range(first(k), last(k) + 1, step) if n != missing]
         assert [r.n for r in rows] == expected
         assert all(r.passed for r in rows)
