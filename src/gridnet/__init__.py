@@ -1,8 +1,8 @@
 """Double-step graphs, New Amsterdam and Manhattan digraphs.
 
 Construction, validation, Moore-like bounds, step-translation between the
-families, and exhaustive minimum-diameter search, with every diameter
-claim certified by BFS.
+families, and exhaustive minimum-diameter search by a period BFS, with every
+reported diameter certified again by reach sets from every vertex.
 
 The exports and the submodules resolve on first access (PEP 562), so
 ``import gridnet``, and the package import that runs before

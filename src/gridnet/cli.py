@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Thin adapters over the library: every verb parses arguments, calls one
-library function, and formats the result.  Exit codes: 0 success, 1
-validation failure, 2 verification mismatch, 64 usage error.
+library function, and formats the result.  One sub-parser per search family
+and per verify claim states the options each takes.  Exit codes: 0
+success, 1 validation failure, 2 verification mismatch, 64 usage error.
 """
 
 from __future__ import annotations
@@ -34,12 +35,26 @@ EXIT_USAGE = 64
 
 
 class UsageError(Exception):
-    pass
+    usage = ""  # the usage of the parser that rejected the input, if one did
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        exc = UsageError(message)
+        exc.usage = self.format_usage()
+        raise exc
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> _Parser:
@@ -52,8 +67,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--loose", action="store_true", help="compile despite violations")
 
     p = sub.add_parser("diameter", help="diameter of a parameter set or JSON file")
-    p.add_argument("params", nargs="?")
-    p.add_argument("--input", help="JSON adjacency file ('-' for stdin)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("params", nargs="?")
+    source.add_argument("--input", help="JSON adjacency file ('-' for stdin)")
 
     p = sub.add_parser("bounds", help="Moore-like bound and achievable range")
     p.add_argument("family", choices=("ds", "na", "mh"))
@@ -64,27 +80,35 @@ def _build_parser() -> _Parser:
     p.add_argument("target", choices=("na", "mh"))
     p.add_argument("params")
 
-    p = sub.add_parser("search", help="exhaustive minimum-diameter step search")
-    p.add_argument("family", choices=("ds", "na", "mh"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--workers", type=int, help="accepted; has no effect")
-    p.add_argument("--direct", action="store_true")
-    p.add_argument("--mod4-filter", action="store_true")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    families = sub.add_parser(
+        "search", help="exhaustive minimum-diameter step search"
+    ).add_subparsers(dest="family", required=True)
+    for family in ("ds", "na", "mh"):
+        p = families.add_parser(family)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--cap", type=int)
+        p.add_argument("--workers", type=_at_least(1), help="accepted; has no effect")
+        if family == "mh":
+            p.add_argument("--direct", action="store_true")
+            p.add_argument("--mod4-filter", action="store_true", help="implies --direct")
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("verify", help="certify a theorem or structural law by BFS")
-    p.add_argument(
-        "claim", choices=("4.1", "4.2", "4.3", "sandwich", "line-digraph")
-    )
-    p.add_argument("--k-max", type=int, help="largest k for 4.x (default 3)")
-    p.add_argument("--n-max", type=int, help="order cap for sandwich/line-digraph")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    claims = sub.add_parser(
+        "verify", help="certify a theorem or structural law by BFS"
+    ).add_subparsers(dest="claim", required=True)
+    for theorem in ("4.1", "4.2", "4.3"):
+        p = claims.add_parser(theorem)
+        p.add_argument("--k-max", type=_at_least(1), default=3, help="default 3")
+        p.add_argument("--exhaustive", action="store_true")
+        p.add_argument("--csv", action="store_true")
+    for claim, (_, first, n_max) in _STRUCTURAL_CLAIMS.items():
+        claims.add_parser(claim).add_argument(
+            "--n-max", type=_at_least(first), default=n_max, help=f"default {n_max}"
+        )
 
     p = sub.add_parser("table", help="order -> diameter tables for na/mh theorems")
     p.add_argument("family", choices=("na", "mh"))
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=_at_least(1), required=True)
     p.add_argument("--csv", action="store_true")
 
     return parser
@@ -106,8 +130,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    if args.input and args.params:
-        raise UsageError("diameter takes parameters or --input, not both")
     if args.input:
         if args.input == "-":
             text = sys.stdin.read()
@@ -115,10 +137,8 @@ def _cmd_diameter(args) -> int:
             with open(args.input, encoding="utf-8") as f:
                 text = f.read()
         g = from_json(text)
-    elif args.params:
-        g = compile_params(_parse(args.params))
     else:
-        raise UsageError("diameter needs parameters or --input")
+        g = compile_params(_parse(args.params))
     d = diameter(g)
     print("not strongly connected" if d is None else d)
     return EXIT_OK
@@ -167,21 +187,12 @@ _SEARCH_FIELDS = ("family", "n", "min_diameter", "witness_total",
 
 
 def _cmd_search(args) -> int:
-    _check_positive("--workers", args.workers)
-    # --direct and --mod4-filter are Manhattan options, and the filter acts
-    # only on the direct enumeration.
-    if args.family != "mh" and (args.direct or args.mod4_filter):
-        raise UsageError(
-            f"search {args.family} takes neither --direct nor --mod4-filter"
-        )
-    if args.mod4_filter and not args.direct:
-        raise UsageError("search mh --mod4-filter needs --direct")
     from . import search as search_mod
 
     search = getattr(search_mod, "search_" + args.family)
     kwargs = {} if args.cap is None else {"cap": args.cap}
-    if args.direct:
-        kwargs.update(direct=True, mod4_filter=args.mod4_filter)
+    if args.family == "mh":
+        kwargs.update(direct=args.direct, mod4_filter=args.mod4_filter)
     payload = search(args.n, workers=args.workers, **kwargs).to_json_dict()
     if args.format == "json":
         import json
@@ -254,50 +265,28 @@ def _print_rows(rows, csv: bool) -> None:
 
 
 # Structural claim -> (its checks, first order checked, default --n-max).
+# The first order, ds:4,1,2's and the least NA order, is the least --n-max.
 # The checks yield one item each: None for a pass, else the FAIL line.
 _STRUCTURAL_CLAIMS = {
-    "sandwich": (_sandwich_checks, 3, 40),
+    "sandwich": (_sandwich_checks, 4, 40),
     "line-digraph": (_line_digraph_checks, 4, 24),
 }
 
 
-def _check_positive(flag: str, value: Optional[int]) -> None:
-    if value is not None and value < 1:
-        raise UsageError(f"{flag} must be at least 1, got {value}")
-
-
 def _cmd_verify(args) -> int:
     if args.claim in _STRUCTURAL_CLAIMS:
-        if args.csv:
-            # These claims print only FAIL lines and a count: no rows for CSV.
-            raise UsageError(f"verify {args.claim} has no CSV output")
-        for flag, given in (
-            ("--exhaustive", args.exhaustive),
-            ("--k-max", args.k_max is not None),
-        ):
-            if given:
-                raise UsageError(f"verify {args.claim} takes no {flag}")
-        checks, first, default = _STRUCTURAL_CLAIMS[args.claim]
-        n_max = default if args.n_max is None else args.n_max
-        if n_max < first:
-            raise UsageError(
-                f"verify {args.claim} --n-max must be at least {first}, got {n_max}"
-            )
+        checks, first, _ = _STRUCTURAL_CLAIMS[args.claim]
         rows = failures = 0
-        for line in checks(first, n_max):
+        for line in checks(first, args.n_max):
             rows += 1
             if line is not None:
                 failures += 1
                 print(line)
         print(f"{args.claim}: {rows} checks, {failures} failures")
         return EXIT_MISMATCH if failures else EXIT_OK
-    if args.n_max is not None:
-        raise UsageError(f"verify {args.claim} takes no --n-max")
-    k_max = 3 if args.k_max is None else args.k_max
-    _check_positive("--k-max", k_max)
     from .search import sweep_verify
 
-    rows = sweep_verify(args.claim, k_max, exhaustive=args.exhaustive)
+    rows = sweep_verify(args.claim, args.k_max, exhaustive=args.exhaustive)
     _print_rows(rows, args.csv)
     failures = sum(1 for r in rows if not r.passed)
     print(f"theorem {args.claim}: {len(rows)} orders, {failures} failures")
@@ -305,7 +294,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _check_positive("--k-max", args.k_max)
     from .bounds import theorem_of
     from .search import sweep_verify
 
@@ -332,12 +320,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.verb](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        sys.stderr.write(exc.usage or parser.format_usage())
         return EXIT_USAGE
-    except (GridnetError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (GridnetError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -217,20 +217,18 @@ def search_mh(
     line-digraph relation (min diameter + 1, witnesses the na_to_mh images
     of the NA witnesses); _finish certifies every image by graphs.diameter.
     Direct mode enumerates the Manhattan step space itself, restricted by
-    ``mod4_filter`` to a_j = 3, b_j = 1 (mod 4); the filter without direct
-    mode is an error.  ``cap`` bounds n in either mode; it defaults to
-    DEFAULT_CAP_MH_VIA_NA via NA and to DEFAULT_CAP_MH in direct mode.
-    ``workers`` is accepted and ignored.
+    ``mod4_filter`` to a_j = 3, b_j = 1 (mod 4); the filter acts only on
+    that enumeration, so it implies direct mode.  ``cap`` bounds n in either
+    mode; it defaults to DEFAULT_CAP_MH_VIA_NA via NA and to DEFAULT_CAP_MH
+    in direct mode.  ``workers`` is accepted and ignored.
     """
     if n < 8 or n % FAMILIES["mh"].period:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
-    if direct:
+    if direct or mod4_filter:
         cap = DEFAULT_CAP_MH if cap is None else cap
         if n > cap:
             raise SearchError(f"order {n} exceeds direct-mode cap {cap}")
         return _finish("mh", n, *_run_search("mh", n, mod4_filter))
-    if mod4_filter:
-        raise SearchError("mod4_filter needs direct=True")
 
     cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
     if n > cap:

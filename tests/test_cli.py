@@ -73,8 +73,11 @@ class TestDiameter:
         assert out.strip() == "3"
 
     def test_missing_argument_usage_error(self, capsys):
-        code, _, err = run(capsys, "diameter")
+        code, out, err = run(capsys, "diameter")
         assert code == 64
+        assert out == ""
+        assert err.startswith("error: one of the arguments params --input is required")
+        assert "usage: gridnet diameter" in err
 
     @pytest.mark.parametrize("text", MALFORMED_TYPES)
     def test_mistyped_json_exit_1(self, capsys, tmp_path, text):
@@ -125,7 +128,8 @@ class TestDiameter:
                              "--input", str(path))
         assert code == 64
         assert out == ""
-        assert "not both" in err and "usage" in err
+        assert err.startswith("error: argument --input: not allowed with argument params")
+        assert "usage: gridnet diameter" in err
 
 
 class TestBounds:
@@ -208,27 +212,36 @@ class TestSearch:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            # --direct and --mod4-filter are options of search mh alone.
             (("ds", "--n", "13", "--direct", "--mod4-filter"),
-             "search ds takes neither --direct nor --mod4-filter"),
+             "unrecognized arguments: --direct --mod4-filter"),
             (("na", "--n", "10", "--direct", "--mod4-filter"),
-             "search na takes neither --direct nor --mod4-filter"),
-            (("mh", "--n", "16", "--mod4-filter"),
-             "search mh --mod4-filter needs --direct"),
+             "unrecognized arguments: --direct --mod4-filter"),
             (("ds", "--n", "13", "--workers", "-3"),
-             "--workers must be at least 1, got -3"),
+             "argument --workers: must be at least 1, got -3"),
             (("na", "--n", "10", "--workers", "0"),
-             "--workers must be at least 1, got 0"),
+             "argument --workers: must be at least 1, got 0"),
             (("mh", "--n", "12", "--direct", "--workers", "0"),
-             "--workers must be at least 1, got 0"),
+             "argument --workers: must be at least 1, got 0"),
+            (("na", "--n", "10", "--workers", "two"),
+             "argument --workers: invalid integer value: 'two'"),
         ],
-        ids=["ds", "na", "mh-via-na", "ds-workers-3", "na-workers0",
-             "mh-direct-workers0"],
+        ids=["ds", "na", "ds-workers-3", "na-workers0", "mh-direct-workers0",
+             "na-workers-two"],
     )
     def test_options_that_do_not_apply_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "search", *argv)
         assert code == 64
         assert out == ""
         assert err.startswith(f"error: {message}")
+
+    def test_mod4_filter_implies_direct(self, capsys):
+        # The filter acts only on the direct enumeration, so it selects it.
+        filtered = run(capsys, "search", "mh", "--mod4-filter", "--n", "16")
+        direct = run(capsys, "search", "mh", "--direct", "--mod4-filter", "--n", "16")
+        assert filtered == direct
+        assert filtered[0] == 0
+        assert "candidates_examined       1024" in filtered[1]
 
     def test_workers_one_accepted(self, capsys):
         code, out, _ = run(capsys, "search", "ds", "--n", "13", "--workers", "1")
@@ -323,19 +336,33 @@ class TestVerify:
         code, out, err = run(capsys, "verify", claim, "--n-max", "8", "--csv")
         assert code == 64
         assert out == ""
-        assert err.startswith(f"error: verify {claim} has no CSV output")
+        assert err.startswith("error: unrecognized arguments: --csv")
+
+    def test_structural_claim_help_lists_only_its_option(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "sandwich", "-h"])
+        out = capsys.readouterr().out
+        assert exited.value.code == 0
+        assert out.startswith("usage: gridnet verify sandwich")
+        assert "--n-max" in out and "--k-max" not in out
 
     @pytest.mark.parametrize(
         "argv,message",
         [
             (("sandwich", "--n-max", "0"),
-             "verify sandwich --n-max must be at least 3, got 0"),
+             "argument --n-max: must be at least 4, got 0"),
             (("sandwich", "--n-max", "2"),
-             "verify sandwich --n-max must be at least 3, got 2"),
+             "argument --n-max: must be at least 4, got 2"),
+            # No DS graph has order 3: its steps need a < b <= N/2.
+            (("sandwich", "--n-max", "3"),
+             "argument --n-max: must be at least 4, got 3"),
             (("line-digraph", "--n-max", "3"),
-             "verify line-digraph --n-max must be at least 4, got 3"),
-            (("4.1", "--k-max", "0"), "--k-max must be at least 1, got 0"),
-            (("4.3", "--k-max", "-2"), "--k-max must be at least 1, got -2"),
+             "argument --n-max: must be at least 4, got 3"),
+            (("4.1", "--k-max", "0"), "argument --k-max: must be at least 1, got 0"),
+            (("4.3", "--k-max", "-2"), "argument --k-max: must be at least 1, got -2"),
+            (("sandwich", "--n-max", "4.5"),
+             "argument --n-max: invalid integer value: '4.5'"),
+            (("4.2", "--k-max", "x"), "argument --k-max: invalid integer value: 'x'"),
             # verify has no --workers option, whatever its value.
             (("4.1", "--k-max", "1", "--workers", "0"),
              "unrecognized arguments: --workers 0"),
@@ -343,8 +370,9 @@ class TestVerify:
             (("4.3", "--k-max", "1", "--workers", "0", "--exhaustive"),
              "unrecognized arguments: --workers 0"),
         ],
-        ids=["sandwich-0", "sandwich-2", "line-digraph-3", "4.1-k0", "4.3-k-2",
-             "4.1-workers0", "4.2-workers-2", "4.3-workers0"],
+        ids=["sandwich-0", "sandwich-2", "sandwich-3", "line-digraph-3", "4.1-k0",
+             "4.3-k-2", "sandwich-n-max-4.5", "4.2-k-max-x", "4.1-workers0",
+             "4.2-workers-2", "4.3-workers0"],
     )
     def test_vacuous_ranges_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
@@ -356,14 +384,14 @@ class TestVerify:
         "argv,message",
         [
             (("sandwich", "--n-max", "8", "--exhaustive"),
-             "verify sandwich takes no --exhaustive"),
+             "unrecognized arguments: --exhaustive"),
             (("sandwich", "--n-max", "8", "--workers", "2"),
              "unrecognized arguments: --workers 2"),
             (("line-digraph", "--n-max", "8", "--k-max", "9"),
-             "verify line-digraph takes no --k-max"),
+             "unrecognized arguments: --k-max 9"),
             (("4.1", "--k-max", "1", "--n-max", "8"),
-             "verify 4.1 takes no --n-max"),
-            (("4.2", "--n-max", "8"), "verify 4.2 takes no --n-max"),
+             "unrecognized arguments: --n-max 8"),
+            (("4.2", "--n-max", "8"), "unrecognized arguments: --n-max 8"),
         ],
         ids=["sandwich-exhaustive", "sandwich-workers", "line-digraph-k-max",
              "4.1-n-max", "4.2-n-max"],
@@ -390,7 +418,7 @@ class TestTable:
         code, out, err = run(capsys, "table", "na", "--k-max", "0")
         assert code == 64
         assert out == ""
-        assert err.startswith("error: --k-max must be at least 1, got 0")
+        assert err.startswith("error: argument --k-max: must be at least 1, got 0")
 
 
 def test_unknown_verb_exit_64(capsys):

@@ -174,9 +174,11 @@ class TestSearchMh:
             assert r.witness_total == len(lifted), n
             assert r.min_diameter == inner.min_diameter + 1, n
 
-    def test_mod4_filter_needs_direct(self):
-        with pytest.raises(SearchError, match="direct"):
-            search_mh(16, mod4_filter=True)
+    def test_mod4_filter_implies_direct(self):
+        # The filter acts only on the direct enumeration, so it selects it.
+        assert search_mh(16, mod4_filter=True) == search_mh(
+            16, direct=True, mod4_filter=True
+        )
 
     def test_bad_order_rejected(self):
         with pytest.raises(SearchError):
