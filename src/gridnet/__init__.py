@@ -23,10 +23,10 @@ _EXPORTS = {
     ),
     "families": (
         "DoubleStepGraph", "FamilyError", "ManhattanDigraph",
-        "NewAmsterdamDigraph", "Validation", "compile_ds", "compile_mh",
-        "compile_na", "compile_params", "family_diameter", "format_params",
-        "line_diameter", "parse_params", "require_valid", "validate",
-        "validate_ds", "validate_mh", "validate_na",
+        "NewAmsterdamDigraph", "compile_ds", "compile_mh", "compile_na",
+        "compile_params", "family_diameter", "format_params", "line_diameter",
+        "parse_params", "require_valid", "validate", "validate_ds",
+        "validate_mh", "validate_na",
     ),
     "graphs": (
         "Digraph", "DistanceProfile", "GraphError", "GridnetError",

@@ -44,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
         exc.usage = self.format_usage()
         raise exc
 
+    def parse_known_args(self, args=None, namespace=None):
+        # A sub-parser hands the arguments it does not take up to its
+        # parent; rejecting them here reports them with its own usage.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _at_least(low: int):
     """An argparse type: an integer no less than ``low``."""

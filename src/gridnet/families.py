@@ -45,16 +45,8 @@ from .graphs import (
 
 
 class FamilyError(GridnetError):
-    """Raised when compiling parameters with hard validity violations."""
-
-
-class Validation(NamedTuple):
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
+    """Raised for malformed parameters or ones that violate their family's
+    conditions."""
 
 
 class FamilyParams(tuple):
@@ -134,9 +126,9 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
     period = 4
 
 
-def validate_ds(p: DoubleStepGraph) -> Validation:
+def validate_ds(p: DoubleStepGraph) -> tuple[str, ...]:
+    """The double-step conditions p violates; empty when p is valid."""
     errors: list[str] = []
-    warnings: list[str] = []
     n, a, b = p.n, p.a, p.b
     if a == 0:
         errors.append("step a = 0 (mod N)")
@@ -148,35 +140,32 @@ def validate_ds(p: DoubleStepGraph) -> Validation:
         errors.append("a = -b (mod N)")
     if math.gcd(n, a, b) != 1:
         errors.append(f"gcd(N,a,b) = {math.gcd(n, a, b)} != 1")
-    if (2 * a) % n == 0 and a != 0:
-        warnings.append("2a = 0 (mod N): step a is self-inverse, out-degree < 4")
-    if (2 * b) % n == 0 and b != 0:
-        warnings.append("2b = 0 (mod N): step b is self-inverse, out-degree < 4")
-    return Validation(tuple(errors), tuple(warnings))
+    return tuple(errors)
 
 
-def validate_na(p: NewAmsterdamDigraph) -> Validation:
+def validate_na(p: NewAmsterdamDigraph) -> tuple[str, ...]:
+    """The New Amsterdam conditions p violates; empty when p is valid."""
     errors: list[str] = []
-    warnings: list[str] = []
-    n = p.n
     for name, step in zip(("alpha", "beta", "gamma", "delta"), p.steps):
         if step % 2 == 0:
             errors.append(f"step {name} = {step} is even")
     if p.alpha == p.beta:
         errors.append("alpha = beta (mod N)")
-    if sum(p.steps) % n != 0:
-        errors.append(f"alpha+beta+gamma+delta = {sum(p.steps) % n} != 0 (mod N)")
-    if p.gamma == p.delta:
-        warnings.append("gamma = delta (mod N): odd vertices have out-degree 1")
-    return Validation(tuple(errors), tuple(warnings))
+    if sum(p.steps) % p.n != 0:
+        errors.append(f"alpha+beta+gamma+delta = {sum(p.steps) % p.n} != 0 (mod N)")
+    return tuple(errors)
 
 
-def validate_mh(p: ManhattanDigraph) -> Validation:
+def validate_mh(p: ManhattanDigraph) -> tuple[str, ...]:
+    """The Manhattan conditions p violates; empty when p is valid.
+
+    The residues a_j = 3, b_j = 1 (mod 4) are no condition here: they
+    define the space of mh_candidates' mod4_filter.
+    """
     errors: list[str] = []
-    warnings: list[str] = []
     n = p.n
-    pairs = [p.steps[2 * j:2 * j + 2] for j in range(4)]
-    for j, (aj, bj) in enumerate(pairs):
+    for j in range(4):
+        aj, bj = p.steps[2 * j:2 * j + 2]
         if aj % 2 == 0:
             errors.append(f"step a{j} = {aj} is even")
         if bj % 2 == 0:
@@ -190,12 +179,7 @@ def validate_mh(p: ManhattanDigraph) -> Validation:
         errors.append("b0+b2 != a0+a2 (mod N)")
     if (-(p.b1 + p.b3)) % n != s:
         errors.append("-(b1+b3) != a0+a2 (mod N)")
-    for j, (aj, bj) in enumerate(pairs):
-        if aj % 4 != 3:
-            warnings.append(f"a{j} = {aj % 4} (mod 4), not 3")
-        if bj % 4 != 1:
-            warnings.append(f"b{j} = {bj % 4} (mod 4), not 1")
-    return Validation(tuple(errors), tuple(warnings))
+    return tuple(errors)
 
 
 def ds_classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -529,7 +513,7 @@ class Family(NamedTuple):
     """
 
     params: type
-    validate: Callable[..., Validation]
+    validate: Callable[..., tuple[str, ...]]
     classes: Callable[[int, tuple[int, ...]], tuple[tuple[int, ...], ...]]
     candidates: Callable[..., Iterator[tuple[int, ...]]]
     orbit: Callable[..., Iterator[tuple[int, ...]]]
@@ -558,15 +542,16 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def validate(p: FamilyParams) -> Validation:
+def validate(p: FamilyParams) -> tuple[str, ...]:
+    """The conditions of p's family that p violates; empty when p is valid."""
     return FAMILIES[p.tag].validate(p)
 
 
 def require_valid(p: FamilyParams) -> None:
-    """Raise FamilyError listing p's hard validity violations, if any."""
-    v = validate(p)
-    if not v.ok:
-        raise FamilyError("; ".join(v.errors))
+    """Raise FamilyError listing the conditions p violates, if any."""
+    errors = validate(p)
+    if errors:
+        raise FamilyError("; ".join(errors))
 
 
 def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:

@@ -3,11 +3,12 @@
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
 is the search loop without orbit representatives: one BFS per candidate,
 through gridnet's generators, step classes and ``bounded_diameter``.  The
-paper's condition systems of the step translations read only the parameter
-records.  The summation forms of the Moore bounds, the arc-relaxation
-distance oracle, the degree tests and the isomorphism test use only
-gridnet's error types, ``Digraph`` accessors and, for the directed-cycle
-test and the isomorphism invariants, its diameter and plain BFS.
+paper's condition systems of the step translations, and the residues of the
+Manhattan mod-4 space, read only the parameter records.  The summation
+forms of the Moore bounds, the arc-relaxation distance oracle, the degree
+tests and the isomorphism test use only gridnet's error types, ``Digraph``
+accessors and, for the directed-cycle test and the isomorphism invariants,
+its diameter and plain BFS.
 
 Import from test modules as ``from oracles import ...``; pytest puts the
 ``tests`` directory on ``sys.path`` for them.
@@ -150,6 +151,13 @@ def check_mh_conditions(na: NewAmsterdamDigraph, mh: ManhattanDigraph) -> list[s
         if lhs % n != rhs % n:
             failures.append(f"(iii) {label} fails")
     return failures
+
+
+def in_mod4_space(steps: tuple[int, ...]) -> bool:
+    """Whether Manhattan steps (a0, b0, ..., a3, b3), N a multiple of 4,
+    have a_j = 3 and b_j = 1 (mod 4): the space of the mod-4 filter."""
+    a_steps, b_steps = steps[0::2], steps[1::2]
+    return all(a % 4 == 3 for a in a_steps) and all(b % 4 == 1 for b in b_steps)
 
 
 def moore_ds_sum(k: int) -> int:

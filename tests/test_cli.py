@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -22,11 +23,29 @@ from gridnet.search import SearchError, search_na
 
 from test_graphs import MALFORMED_TYPES
 
+# The benchmark's answer gate, loaded by path: perfbench/ is no package.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_gate", Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
+)
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+REFERENCE = gate.load_reference()
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE))
+def test_benchmark_call_gives_its_reference_answer(capsys, key):
+    # Each benchmark call's exit code and stdout, byte for byte, as the
+    # benchmark's gate records them in perfbench/reference.json.
+    argv = key.split()
+    code, out, _ = run(capsys, *argv)
+    fp = gate.fingerprint(argv, code, out.encode())
+    assert gate.mismatch(REFERENCE, argv, fp) is None
 
 
 class TestGen:
@@ -233,7 +252,7 @@ class TestSearch:
         code, out, err = run(capsys, "search", *argv)
         assert code == 64
         assert out == ""
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: {message}\nusage: gridnet search {argv[0]} ")
 
     def test_mod4_filter_implies_direct(self, capsys):
         # The filter acts only on the direct enumeration, so it selects it.
@@ -336,7 +355,9 @@ class TestVerify:
         code, out, err = run(capsys, "verify", claim, "--n-max", "8", "--csv")
         assert code == 64
         assert out == ""
-        assert err.startswith("error: unrecognized arguments: --csv")
+        assert err.startswith(
+            f"error: unrecognized arguments: --csv\nusage: gridnet verify {claim} "
+        )
 
     def test_structural_claim_help_lists_only_its_option(self, capsys):
         with pytest.raises(SystemExit) as exited:
@@ -378,7 +399,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 64
         assert out == ""
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: {message}\nusage: gridnet verify {argv[0]} ")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -400,7 +421,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 64
         assert out == ""
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: {message}\nusage: gridnet verify {argv[0]} ")
 
 
 class TestTable:

@@ -34,7 +34,7 @@ def valid_ds_instances(n_max):
         for a in range(1, n // 2 + 1):
             for b in range(a + 1, n // 2 + 1):
                 p = DoubleStepGraph(n, a, b)
-                if validate_ds(p).ok:
+                if not validate_ds(p):
                     yield p
 
 
@@ -55,7 +55,7 @@ class TestDsToNa:
         for p in valid_ds_instances(20):
             na = ds_to_na(p)
             assert check_na_conditions(p, na) == []
-            assert validate_na(na).ok
+            assert not validate_na(na)
 
     def test_rejects_invalid_input(self):
         with pytest.raises(FamilyError):
@@ -82,7 +82,7 @@ class TestNaToMh:
             na = ds_to_na(p)
             mh = na_to_mh(na)
             assert check_mh_conditions(na, mh) == []
-            assert validate_mh(mh).ok
+            assert not validate_mh(mh)
 
     def test_sum_conditions_common_value_is_2(self):
         for p in valid_ds_instances(16):
@@ -233,7 +233,7 @@ def valid_ds(draw, n_max=200):
     a = draw(st.integers(1, n - 1))
     # Drawn from the valid partners of a: rejecting invalid draws is slow,
     # since the boundary values hypothesis favours (b = a, b = 0) are invalid.
-    partners = [b for b in range(1, n) if validate_ds(DoubleStepGraph(n, a, b)).ok]
+    partners = [b for b in range(1, n) if not validate_ds(DoubleStepGraph(n, a, b))]
     assume(partners)
     return DoubleStepGraph(n, a, draw(st.sampled_from(partners)))
 
@@ -243,10 +243,10 @@ def valid_ds(draw, n_max=200):
 def test_derived_steps_satisfy_the_condition_systems(p):
     na = ds_to_na(p)
     assert check_na_conditions(p, na) == []
-    assert validate_na(na).ok
+    assert not validate_na(na)
     mh = na_to_mh(na)
     assert check_mh_conditions(na, mh) == []
-    assert validate_mh(mh).ok
+    assert not validate_mh(mh)
 
 
 @settings(max_examples=300, deadline=None)

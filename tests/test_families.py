@@ -22,47 +22,44 @@ from gridnet.families import (
     validate_na,
 )
 from gridnet.graphs import diameter
+from oracles import in_mod4_space
 
 
 class TestValidateDs:
     def test_moore_steps_ok(self):
-        assert validate_ds(DoubleStepGraph(13, 2, 3)).ok
+        assert not validate_ds(DoubleStepGraph(13, 2, 3))
 
     def test_gcd_violation(self):
-        v = validate_ds(DoubleStepGraph(6, 2, 4))
-        assert any("gcd" in e for e in v.errors)
+        errors = validate_ds(DoubleStepGraph(6, 2, 4))
+        assert any("gcd" in e for e in errors)
 
     def test_negated_step_violation(self):
-        v = validate_ds(DoubleStepGraph(5, 1, 4))
-        assert any("a = -b" in e for e in v.errors)
+        errors = validate_ds(DoubleStepGraph(5, 1, 4))
+        assert any("a = -b" in e for e in errors)
 
     def test_zero_step_violation(self):
-        assert not validate_ds(DoubleStepGraph(6, 6, 1)).ok
+        assert validate_ds(DoubleStepGraph(6, 6, 1))
 
-    def test_self_inverse_step_is_warning(self):
-        v = validate_ds(DoubleStepGraph(8, 1, 4))
-        assert v.ok
-        assert any("self-inverse" in w for w in v.warnings)
+    def test_self_inverse_step_is_valid(self):
+        assert not validate_ds(DoubleStepGraph(8, 1, 4))
 
 
 class TestValidateNa:
     def test_extremal_instance_ok(self):
-        assert validate_na(NewAmsterdamDigraph(10, -1, 1, 3, -3)).ok
+        assert not validate_na(NewAmsterdamDigraph(10, -1, 1, 3, -3))
 
-    def test_gamma_equals_delta_is_warning_only(self):
-        v = validate_na(NewAmsterdamDigraph(6, -1, 1, 3, 3))
-        assert v.ok
-        assert any("gamma = delta" in w for w in v.warnings)
+    def test_gamma_equals_delta_is_valid(self):
+        assert not validate_na(NewAmsterdamDigraph(6, -1, 1, 3, 3))
 
     def test_sum_ok(self):
-        assert validate_na(NewAmsterdamDigraph(8, 1, 3, 5, 7)).ok  # sum 16 = 0 mod 8
+        assert not validate_na(NewAmsterdamDigraph(8, 1, 3, 5, 7))  # sum 16 = 0 mod 8
 
     def test_sum_violation(self):
-        v = validate_na(NewAmsterdamDigraph(8, 1, 3, 5, 5))
-        assert any("alpha+beta+gamma+delta" in e for e in v.errors)
+        errors = validate_na(NewAmsterdamDigraph(8, 1, 3, 5, 5))
+        assert any("alpha+beta+gamma+delta" in e for e in errors)
 
     def test_even_step_violation(self):
-        assert not validate_na(NewAmsterdamDigraph(8, 2, 3, 5, 6)).ok
+        assert validate_na(NewAmsterdamDigraph(8, 2, 3, 5, 6))
 
     def test_odd_order_violation(self):
         # The record admits only even orders, so no validator sees one.
@@ -72,18 +69,18 @@ class TestValidateNa:
 
 class TestValidateMh:
     def test_canonical_20_vertex_steps(self):
-        v = validate_mh(ManhattanDigraph(20, 1, 7, -3, 7, 1, -5, 1, -9))
-        assert v.ok
-        assert any("(mod 4)" in w for w in v.warnings)  # a0 = 1, not 3
+        # Valid although a0 = 1, not 3 (mod 4): the residues only define
+        # the mod4_filter space.
+        assert not validate_mh(ManhattanDigraph(20, 1, 7, -3, 7, 1, -5, 1, -9))
 
     def test_even_step_hard_violation(self):
-        assert not validate_mh(ManhattanDigraph(20, 2, 7, -3, 7, 1, -5, 1, -9)).ok
-        v = validate_mh(ManhattanDigraph(20, 1, 2, -3, 7, 1, -5, 1, -9))
-        assert "step b0 = 2 is even" in v.errors
+        assert validate_mh(ManhattanDigraph(20, 2, 7, -3, 7, 1, -5, 1, -9))
+        errors = validate_mh(ManhattanDigraph(20, 1, 2, -3, 7, 1, -5, 1, -9))
+        assert "step b0 = 2 is even" in errors
 
     def test_sum_condition_hard_violation(self):
-        v = validate_mh(ManhattanDigraph(20, 1, 9, -3, 7, 1, -5, 1, -9))
-        assert any("b0+b2" in e for e in v.errors)
+        errors = validate_mh(ManhattanDigraph(20, 1, 9, -3, 7, 1, -5, 1, -9))
+        assert any("b0+b2" in e for e in errors)
 
     def test_order_not_multiple_of_4(self):
         # The record admits only multiples of 4, so no validator sees one.
@@ -147,7 +144,7 @@ class TestCompile:
         for n in range(4, 17, 2):
             for gamma in range(1, n, 2):
                 p = NewAmsterdamDigraph(n, 1, n - 1, gamma, -gamma)
-                if not validate_na(p).ok:
+                if validate_na(p):
                     continue
                 g = compile_na(p)
                 d = diameter(g)
@@ -206,8 +203,6 @@ class TestRecords:
             p.n = 8
         with pytest.raises(AttributeError):
             setattr(p, family.params.__match_args__[1], 0)
-        with pytest.raises(AttributeError):
-            family.validate(p).errors = ()
 
 
 class TestParamText:
@@ -254,7 +249,7 @@ def brute_force_classes(family, n, values):
     return {
         CANONICAL[family.tag](n, steps)
         for steps in product(values, repeat=arity(family))
-        if family.validate(family.params(n, *steps)).ok
+        if not family.validate(family.params(n, *steps))
     }
 
 
@@ -279,19 +274,16 @@ class TestRegistry:
             assert set(generated) == brute_force_classes(family, n, values), n
 
     def test_mh_generator_with_and_without_mod4_filter(self):
-        # The filter keeps a_j = 3, b_j = 1 (mod 4): the valid tuples that
-        # validate_mh gives no warning.
-        valid, warning_free = set(), set()
-        for steps in product(range(1, 8, 2), repeat=8):
-            v = validate_mh(ManhattanDigraph(8, *steps))
-            if v.ok:
-                valid.add(steps)
-                if not v.warnings:
-                    warning_free.add(steps)
+        # The filter keeps the valid tuples with a_j = 3, b_j = 1 (mod 4).
+        valid = {
+            steps for steps in product(range(1, 8, 2), repeat=8)
+            if not validate_mh(ManhattanDigraph(8, *steps))
+        }
+        residues = {steps for steps in valid if in_mod4_space(steps)}
         mh = FAMILIES["mh"]
         for mod4_filter, expected, count in (
             (False, valid, 576),
-            (True, warning_free, 32),
+            (True, residues, 32),
         ):
             generated = list(mh.candidates(8, mod4_filter=mod4_filter))
             assert len(generated) == len(set(generated)) == count
@@ -302,11 +294,7 @@ class TestRegistry:
         # classes, so the filter only needs to restrict the free steps.
         mh = FAMILIES["mh"]
         for n in range(8, 25, 4):
-            restricted = [
-                steps for steps in mh.candidates(n)
-                if all(s % 4 == (3 if j % 2 == 0 else 1)
-                       for j, s in enumerate(steps))
-            ]
+            restricted = [steps for steps in mh.candidates(n) if in_mod4_space(steps)]
             assert list(mh.candidates(n, mod4_filter=True)) == restricted, n
 
     def test_records_are_keyed_by_their_params_tag(self):

@@ -23,8 +23,9 @@ SRC = Path(gridnet.__file__).resolve().parent.parent
 
 # The names the package exported when it imported every module eagerly, by
 # defining module: the spec that the lazy exports keep.  The per-theorem
-# aliases of achievable_range and predicted_diameter, and the condition
-# checks that moved to tests/oracles.py, are exported no more.
+# aliases of achievable_range and predicted_diameter, the condition checks
+# that moved to tests/oracles.py, and the Validation record (validators now
+# return the violated conditions alone) are exported no more.
 EXPORTS = {
     "bounds": [
         "BoundsError", "BoundsReport", "achievable_range", "bounds_report",
@@ -36,10 +37,10 @@ EXPORTS = {
     ],
     "families": [
         "DoubleStepGraph", "FamilyError", "ManhattanDigraph",
-        "NewAmsterdamDigraph", "Validation", "compile_ds", "compile_mh",
-        "compile_na", "compile_params", "family_diameter", "format_params",
-        "line_diameter", "parse_params", "require_valid", "validate",
-        "validate_ds", "validate_mh", "validate_na",
+        "NewAmsterdamDigraph", "compile_ds", "compile_mh", "compile_na",
+        "compile_params", "family_diameter", "format_params", "line_diameter",
+        "parse_params", "require_valid", "validate", "validate_ds",
+        "validate_mh", "validate_na",
     ],
     "graphs": [
         "Digraph", "DistanceProfile", "GraphError", "bfs_profile", "diameter",

@@ -30,7 +30,7 @@ from gridnet.search import (
     theorem_43_params,
 )
 
-from oracles import all_pairs_oracle, brute_na_minimum
+from oracles import all_pairs_oracle, brute_na_minimum, in_mod4_space
 
 
 class TestSearchDs:
@@ -144,9 +144,7 @@ class TestSearchMh:
         # 20) with odd steps that break the mod-4 condition; steps meeting
         # it give 6, as the lift of NA witnesses does.
         p = parse_params("mh:28,1,3,1,9,1,27,25,17")
-        v = validate(p)
-        assert v.ok and v.warnings
-        assert all("(mod 4)" in w for w in v.warnings)
+        assert not validate(p) and not in_mod4_space(p.steps)
         g = compile_params(p, strict=False)
         assert diameter(g) == 5
         assert max(max(row) for row in all_pairs_oracle(g)) == 5
