@@ -25,8 +25,7 @@ _EXPORTS = {
         "DoubleStepGraph", "FamilyError", "ManhattanDigraph",
         "NewAmsterdamDigraph", "compile_ds", "compile_mh", "compile_na",
         "compile_params", "family_diameter", "format_params", "line_diameter",
-        "parse_params", "require_valid", "validate", "validate_ds",
-        "validate_mh", "validate_na",
+        "parse_params", "require_valid",
     ),
     "graphs": (
         "Digraph", "DistanceProfile", "GraphError", "GridnetError",

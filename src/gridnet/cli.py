@@ -22,7 +22,6 @@ from .graphs import (
     diameter,
     from_json,
     line_classes,
-    regular_step_degree,
     to_dot,
     to_json,
 )
@@ -94,7 +93,7 @@ def _build_parser() -> _Parser:
     for family in ("ds", "na", "mh"):
         p = families.add_parser(family)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--cap", type=int)
+        p.add_argument("--cap", type=_at_least(1))
         p.add_argument("--workers", type=_at_least(1), help="accepted; has no effect")
         if family == "mh":
             p.add_argument("--direct", action="store_true")
@@ -223,7 +222,7 @@ def _sandwich_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
     ds = FAMILIES["ds"]
     for n in range(first, n_max + 1):
         for steps in ds.candidates(n):
-            p = ds.params(n, *steps)
+            p = ds(n, *steps)
             r = check_diameter_sandwich(p)
             for kind, derived, low, high in r.checks:
                 yield None if low <= derived <= high else (
@@ -237,16 +236,18 @@ def _line_digraph_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
     for n in range(first, n_max + 1, 2):
         for steps in na.candidates(n):
             classes = na.classes(n, steps)
-            if regular_step_degree(classes) != 2:
+            # The line digraph has one vertex per arc of the NA digraph: its
+            # order is 2N exactly when gamma != delta, that is when the NA
+            # digraph is 2-regular.
+            line, order = line_classes(classes, n)
+            if order != 2 * n:
                 continue
             d = bounded_diameter(classes, n, None)
             if d is None:
                 continue
-            # The line digraph has one vertex per arc of the NA digraph.
-            line, order = line_classes(classes, n)
-            passed = order == 2 * n and bounded_diameter(line, order, None) == d + 1
+            passed = bounded_diameter(line, order, None) == d + 1
             yield None if passed else (
-                f"FAIL line-digraph {format_params(na.params(n, *steps))}"
+                f"FAIL line-digraph {format_params(na(n, *steps))}"
             )
 
 

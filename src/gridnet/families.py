@@ -6,34 +6,34 @@ even vertices and gamma, delta out of the odd ones, the four steps summing
 to 0 mod N.  Manhattan digraphs live on Z_N with N a multiple of 4 and one
 odd step pair (a_j, b_j) per residue class mod 4.
 
-Each family is described once.  Its parameter record, a ``FamilyParams``
-subclass, declares its tag, its translation period and its step fields; one
-constructor serves all three, admits only orders that are positive
-multiples of the period, and lays the record out as the tuple
-``(n, *steps)``, the steps canonical residues in 0..N-1 (negative inputs
-reduce on entry).  Its ``Family`` record in ``FAMILIES`` holds the graph
-machinery: parameter class, validator, step classes (the out-steps of
-residues 0..period-1, on which the search runs the period BFS of
+Each family is described once, by its parameter record class, a
+``FamilyParams`` subclass.  The class declares its tag, its translation
+period and its step fields; one constructor serves all three, admits only
+orders that are positive multiples of the period, and lays the record out
+as the tuple ``(n, *steps)``, the steps canonical residues in 0..N-1
+(negative inputs reduce on entry).  The class body also holds the graph
+machinery: validator, step classes (the out-steps of residues
+0..period-1, on which the search runs the period BFS of
 graphs.bounded_diameter directly), candidate generator, orbit map,
 enumeration key and representative test.  The generator lists candidates
 in key order, and on request only those whose leading step is the least
 its multiplier orbit reaches; the test then accepts the orbit's key-least
 member and weighs it by the orbit's size, counting only the maps that keep
 the leading step.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
-Callers look the record up by tag or by ``params.tag`` instead of
-branching on the family.  Only compilation builds per-vertex rows, from
-the classes by graphs.step_rows, which merges coincident heads so the
-resulting Digraph never carries parallel arcs, even for degenerate step
-choices.  require_valid is the one validity gate: compile_params (when
-strict) and the step translations call it, and family_diameter and
-line_diameter never validate.
+``FAMILIES`` maps each tag to its class; callers look the class up by tag,
+or call a record's own methods, instead of branching on the family.  Only
+compilation builds per-vertex rows, from the classes by graphs.step_rows,
+which merges coincident heads so the resulting Digraph never carries
+parallel arcs, even for degenerate step choices.  require_valid is the one
+validity gate: compile_params (when strict) and the step translations call
+it, and family_diameter and line_diameter never validate.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
     Digraph,
@@ -50,7 +50,7 @@ class FamilyError(GridnetError):
 
 
 class FamilyParams(tuple):
-    """What the three parameter records share.
+    """What the three parameter record classes share, and what each defines.
 
     A record is the tuple ``(n, *steps)``: the order ``n``, then the step
     fields its class declares after it, each reduced mod n on entry.
@@ -58,6 +58,41 @@ class FamilyParams(tuple):
     its ``period``: the out-steps of vertex i depend only on i mod period,
     and the order must be a positive multiple of it, so that shifting every
     vertex by the period is an automorphism.
+
+    Each class body defines its family's operations once.  ``p.validate()``
+    returns the conditions that the record p violates, empty when p is
+    valid.  The others are static methods on step tuples:
+
+    ``classes(n, steps)`` lists the out-steps of residues 0..period-1:
+    vertex i steps to i + x (mod n) for each x in ``classes[i % period]``.
+    Vertices 0..period-1 represent every translation class: their
+    eccentricities give the diameter, which graphs.bounded_diameter finds
+    from the classes alone, with no per-vertex rows.
+    ``candidates(n)`` yields every valid step tuple of order n once, up to
+    the family's symmetry, in increasing ``key`` order; with
+    ``least_leads=True`` it skips candidates that cannot come first in
+    their orbit: those whose leading step some map lowers (and, for MH,
+    those whose second key digit a map keeping the lead lowers).
+    ``orbit(n, steps)`` yields, in candidate form, the steps of digraphs
+    isomorphic to that of ``steps`` under the maps x -> ux (u a unit of
+    Z_N), combined with translations; from any member it yields the whole
+    orbit, the member included.
+    ``key(steps)`` is the enumeration key: the steps the generator chooses,
+    in its nesting order, so that sorting by key is enumeration order.
+    ``weight(n, steps)``, for a candidate of the least-lead walk, is the
+    representative test: the orbit's size if ``steps`` is its key-least
+    member, else None.  Such a candidate has the least leading step of its
+    orbit, so only the maps that keep that step can give an image of
+    smaller key: those with ux = lead for the step x that the map moves to
+    the lead.  The test walks these maps and returns None at the first
+    image of smaller key; otherwise the candidate is the orbit's first
+    member in enumeration order, the maps that fix it are counted, and it
+    returns the orbit's size in its space (orbit-stabiliser): the number of
+    maps that keep the candidate in its space over that count.
+
+    The Manhattan generator, orbit and test also take ``mod4_filter``,
+    which restricts the space and its maps.  The family's Moore bound and
+    theorem are in ``bounds.THEOREMS``.
     """
 
     __slots__ = ()
@@ -80,128 +115,6 @@ class FamilyParams(tuple):
     @property
     def steps(self) -> tuple[int, ...]:
         return self[1:]
-
-
-class _DoubleStepFields(NamedTuple):
-    n: int
-    a: int
-    b: int
-
-
-class DoubleStepGraph(FamilyParams, _DoubleStepFields):
-    __slots__ = ()
-    tag = "ds"
-    period = 1
-
-
-class _NewAmsterdamFields(NamedTuple):
-    n: int
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
-
-
-class NewAmsterdamDigraph(FamilyParams, _NewAmsterdamFields):
-    __slots__ = ()
-    tag = "na"
-    period = 2
-
-
-class _ManhattanFields(NamedTuple):
-    n: int
-    a0: int
-    b0: int
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-    a3: int
-    b3: int
-
-
-class ManhattanDigraph(FamilyParams, _ManhattanFields):
-    __slots__ = ()
-    tag = "mh"
-    period = 4
-
-
-def validate_ds(p: DoubleStepGraph) -> tuple[str, ...]:
-    """The double-step conditions p violates; empty when p is valid."""
-    errors: list[str] = []
-    n, a, b = p.n, p.a, p.b
-    if a == 0:
-        errors.append("step a = 0 (mod N)")
-    if b == 0:
-        errors.append("step b = 0 (mod N)")
-    if a == b:
-        errors.append("a = b (mod N)")
-    if a == (-b) % n:
-        errors.append("a = -b (mod N)")
-    if math.gcd(n, a, b) != 1:
-        errors.append(f"gcd(N,a,b) = {math.gcd(n, a, b)} != 1")
-    return tuple(errors)
-
-
-def validate_na(p: NewAmsterdamDigraph) -> tuple[str, ...]:
-    """The New Amsterdam conditions p violates; empty when p is valid."""
-    errors: list[str] = []
-    for name, step in zip(("alpha", "beta", "gamma", "delta"), p.steps):
-        if step % 2 == 0:
-            errors.append(f"step {name} = {step} is even")
-    if p.alpha == p.beta:
-        errors.append("alpha = beta (mod N)")
-    if sum(p.steps) % p.n != 0:
-        errors.append(f"alpha+beta+gamma+delta = {sum(p.steps) % p.n} != 0 (mod N)")
-    return tuple(errors)
-
-
-def validate_mh(p: ManhattanDigraph) -> tuple[str, ...]:
-    """The Manhattan conditions p violates; empty when p is valid.
-
-    The residues a_j = 3, b_j = 1 (mod 4) are no condition here: they
-    define the space of mh_candidates' mod4_filter.
-    """
-    errors: list[str] = []
-    n = p.n
-    for j in range(4):
-        aj, bj = p.steps[2 * j:2 * j + 2]
-        if aj % 2 == 0:
-            errors.append(f"step a{j} = {aj} is even")
-        if bj % 2 == 0:
-            errors.append(f"step b{j} = {bj} is even")
-        if aj == bj:
-            errors.append(f"a{j} = b{j} (mod N)")
-    s = (p.a0 + p.a2) % n
-    if (-(p.a1 + p.a3)) % n != s:
-        errors.append("a0+a2 != -(a1+a3) (mod N)")
-    if (p.b0 + p.b2) % n != s:
-        errors.append("b0+b2 != a0+a2 (mod N)")
-    if (-(p.b1 + p.b3)) % n != s:
-        errors.append("-(b1+b3) != a0+a2 (mod N)")
-    return tuple(errors)
-
-
-def ds_classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every vertex steps by a, -a, b, -b (mod N); coincident steps are kept."""
-    a, b = steps
-    return ((a, -a % n, b, -b % n),)
-
-
-def na_classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Even vertices step by alpha, beta; odd ones by gamma, delta."""
-    return (steps[0:2], steps[2:4])
-
-
-def mh_classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Residue i mod 4 steps by the pair (a_j, b_j) of class j = -i (mod 4).
-
-    The clockwise class indexing is the one under which the step-translated
-    Manhattan digraph coincides with the line digraph of its New Amsterdam
-    digraph (and extends the parity convention there, since -i = i mod 2).
-    Residues 0, 1, 2, 3 therefore take the pairs of V_0, V_3, V_2, V_1.
-    """
-    return (steps[0:2], steps[6:8], steps[4:6], steps[2:4])
 
 
 def _leads(
@@ -230,69 +143,6 @@ def _leads(
             yield v, [r >= v for r in reach]
 
 
-def ds_candidates(n: int, least_leads: bool = False) -> Iterator[tuple[int, int]]:
-    """Unordered valid step pairs 1 <= a < b <= N//2 (so a + b < N: a != -b)."""
-    half = range(1, n // 2 + 1)
-    for a, ok in _leads(n, half, least_leads):
-        for b in range(a + 1, n // 2 + 1):
-            if ok[b] and math.gcd(n, a, b) == 1:
-                yield (a, b)
-
-
-def na_candidates(
-    n: int, least_leads: bool = False
-) -> Iterator[tuple[int, int, int, int]]:
-    """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum.
-
-    With ``least_leads`` gamma and delta need not pass the lead test when
-    they are equal: the shift cannot then make them the leading pair.
-    """
-    odds = range(1, n, 2)
-    for alpha, ok in _leads(n, odds, least_leads):
-        for beta in range(alpha + 2, n, 2):
-            if not ok[beta]:
-                continue
-            for gamma in odds:
-                delta = (-(alpha + beta + gamma)) % n
-                if gamma == delta or gamma < delta and ok[gamma] and ok[delta]:
-                    yield (alpha, beta, gamma, delta)
-
-
-def mh_candidates(
-    n: int, mod4_filter: bool = False, least_leads: bool = False
-) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
-    """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
-
-    Yields (a0,b0,a1,b1,a2,b2,a3,b3).  With mod4_filter, restricts to
-    a_j = 3, b_j = 1 (mod 4).  Since 4 | N (a law of every Manhattan
-    record), residues mod 4 survive reduction mod N, so a0 = a2 = 3
-    gives s = 2 and forces a3 = -s-a1 = 3, b2 = s-b0 = 1, b3 = -s-b1 = 1.
-
-    With ``least_leads`` the step pairs of classes j and j + 2, (a0, a2),
-    (a1, a3), (b0, b2) and (b1, b3), must also keep a2, the second key
-    digit, from falling under the maps that keep the lead (_kept_pairs).
-    """
-    a_vals = range(3, n, 4) if mod4_filter else range(1, n, 2)
-    b_vals = range(1, n, 4) if mod4_filter else range(1, n, 2)
-    for a0, ok in _leads(n, a_vals, least_leads):
-        # Without least_leads no map is tried, so every pair is kept.
-        solutions = _solutions(n, a0) if least_leads else ((),) * n
-        for a2 in a_vals:
-            s = (a0 + a2) % n
-            if not _kept_pairs(n, (a0,), s, a2, ok, solutions):
-                continue
-            a13 = _kept_pairs(n, a_vals, -s, a2, ok, solutions)
-            b02 = _kept_pairs(n, b_vals, s, a2, ok, solutions)
-            b13 = _kept_pairs(n, b_vals, -s, a2, ok, solutions)
-            for a1, a3 in a13:
-                for b0, b2 in b02:
-                    if b0 == a0:
-                        continue
-                    for b1, b3 in b13:
-                        if b1 != a1:
-                            yield (a0, b0, a1, b1, a2, b2, a3, b3)
-
-
 def _kept_pairs(
     n: int,
     values: Sequence[int],
@@ -305,8 +155,8 @@ def _kept_pairs(
 
     Both steps must pass ``ok``, and a unit u sending either step to the
     lead (listed in ``solutions``) must not scale the other below a2: the
-    map of mh_weight that moves classes j, j + 2 to 0, 2 would give a
-    smaller key.
+    map of ManhattanDigraph.weight that moves classes j, j + 2 to 0, 2
+    would give a smaller key.
     """
     kept = []
     for x in values:
@@ -331,225 +181,339 @@ def _solutions(n: int, lead: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, found))
 
 
-def ds_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """x -> ux for each unit u: steps (ua, ub), each folded to min(s, N-s)."""
-    a, b = steps
-    for u in _units(n):
-        x, y = u * a % n, u * b % n
-        x, y = min(x, n - x), min(y, n - y)
-        yield (x, y) if x < y else (y, x)
+class _DoubleStepFields(NamedTuple):
+    n: int
+    a: int
+    b: int
 
 
-def na_orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
-    """x -> ux for each unit u, with and without the shift x -> x+1.
+class DoubleStepGraph(FamilyParams, _DoubleStepFields):
+    __slots__ = ()
+    tag = "ds"
+    period = 1
 
-    The shift swaps the roles of the even and odd vertices:
-    (alpha, beta, gamma, delta) -> (gamma, delta, alpha, beta).  An image
-    with alpha = beta comes from gamma = delta and is no candidate.
-    """
-    alpha, beta, gamma, delta = steps
-    for u in _units(n):
-        a, b, c, d = u * alpha % n, u * beta % n, u * gamma % n, u * delta % n
-        if a > b:
-            a, b = b, a
-        if c > d:
-            c, d = d, c
-        yield (a, b, c, d)
-        if c != d:
-            yield (c, d, a, b)
+    def validate(self) -> tuple[str, ...]:
+        """The double-step conditions violated; empty when valid."""
+        errors: list[str] = []
+        n, a, b = self.n, self.a, self.b
+        if a == 0:
+            errors.append("step a = 0 (mod N)")
+        if b == 0:
+            errors.append("step b = 0 (mod N)")
+        if a == b:
+            errors.append("a = b (mod N)")
+        if a == (-b) % n:
+            errors.append("a = -b (mod N)")
+        if math.gcd(n, a, b) != 1:
+            errors.append(f"gcd(N,a,b) = {math.gcd(n, a, b)} != 1")
+        return tuple(errors)
 
+    @staticmethod
+    def classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Every vertex steps by a, -a, b, -b (mod N); coincident steps are kept."""
+        a, b = steps
+        return ((a, -a % n, b, -b % n),)
 
-def mh_orbit(
-    n: int, steps: tuple[int, ...], mod4_filter: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """x -> ux + t for each unit u and t = 0..3, and the a/b swaps.
+    @staticmethod
+    def candidates(n: int, least_leads: bool = False) -> Iterator[tuple[int, int]]:
+        """Unordered valid step pairs 1 <= a < b <= N//2 (so a + b < N: a != -b)."""
+        half = range(1, n // 2 + 1)
+        for a, ok in _leads(n, half, least_leads):
+            for b in range(a + 1, n // 2 + 1):
+                if ok[b] and math.gcd(n, a, b) == 1:
+                    yield (a, b)
 
-    Residue r = i mod 4 steps by the pair of class -r mod 4 (see mh_classes).
-    The map sends residue r to ur + t and scales its pair by u.  Swapping
-    a and b in both even classes, or in both odd classes, keeps the sum
-    conditions and the digraph itself.  With mod4_filter only the maps
-    that keep a_j = 3, b_j = 1 (mod 4) apply: u = 1 (mod 4) with no swap
-    and u = 3 (mod 4) with both.
-    """
-    by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
-    for u in _units(n):
-        for t in range(4):
-            classes: list = [None] * 4
-            for r, (x, y) in enumerate(by_residue):
-                classes[-(u * r + t) % 4] = (u * x % n, u * y % n)
-            (a0, b0), (a1, b1), (a2, b2), (a3, b3) = classes
-            if not mod4_filter or u % 4 == 1:
-                yield (a0, b0, a1, b1, a2, b2, a3, b3)
-            if not mod4_filter:
-                yield (b0, a0, a1, b1, b2, a2, a3, b3)
-                yield (a0, b0, b1, a1, a2, b2, b3, a3)
-            if not mod4_filter or u % 4 == 3:
-                yield (b0, a0, b1, a1, b2, a2, b3, a3)
+    @staticmethod
+    def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+        """x -> ux for each unit u: steps (ua, ub), each folded to min(s, N-s)."""
+        a, b = steps
+        for u in _units(n):
+            x, y = u * a % n, u * b % n
+            x, y = min(x, n - x), min(y, n - y)
+            yield (x, y) if x < y else (y, x)
 
+    @staticmethod
+    def key(steps: tuple[int, ...]) -> tuple[int, ...]:
+        return steps
 
-# Enumeration keys: the steps each generator chooses, in its nesting order,
-# so that sorting by key is enumeration order.
-
-
-def ds_key(steps: tuple[int, ...]) -> tuple[int, ...]:
-    return steps
-
-
-def na_key(steps: tuple[int, ...]) -> tuple[int, ...]:
-    return steps[:3]
-
-
-def mh_key(steps: tuple[int, ...]) -> tuple[int, ...]:
-    return steps[0], steps[4], steps[2], steps[1], steps[3]
-
-
-# Representative tests.  A candidate from a least-lead generator has the
-# least leading step of its orbit, so only the maps that keep that step can
-# give an image of smaller key: those with ux = lead for the step x that
-# the map moves to the lead.  Each test walks these maps and returns None at
-# the first image of smaller key; otherwise the candidate is the orbit's
-# first member in enumeration order, the maps that fix it are counted, and
-# it returns the orbit's size in its space (orbit-stabiliser): the number
-# of maps that keep the candidate in its space over that count.
-
-
-def ds_weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
-    """Maps keep the lead when u.a or u.b is +-a; fold the other step."""
-    a, b = steps
-    fixed = 0
-    for lead in (a, n - a):
-        solutions = _solutions(n, lead)
-        for x, y in ((a, b), (b, a)):
-            for u in solutions[x]:
-                image = u * y % n
-                image = min(image, n - image)
-                if image < b:
-                    return None
-                fixed += image == b
-    return len(_units(n)) // fixed
-
-
-def na_weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
-    """Maps keep the lead when u scales a step of the leading pair to alpha.
-
-    Without the shift that pair is (alpha, beta); with it (gamma, delta),
-    which the shift may lead only when gamma != delta.
-    """
-    alpha, beta, gamma, delta = steps
-    rest = (beta, gamma)
-    solutions = _solutions(n, alpha)
-    shifts = [((alpha, beta), (gamma, delta))]
-    if gamma != delta:
-        shifts.append(((gamma, delta), (alpha, beta)))
-    fixed = 0
-    for (x, y), (z, w) in shifts:
-        for lead_step, other in ((x, y), (y, x)):
-            for u in solutions[lead_step]:
-                c, d = u * z % n, u * w % n
-                image = (u * other % n, c if c < d else d)
-                if image < rest:
-                    return None
-                fixed += image == rest
-    return len(shifts) * len(_units(n)) // fixed
-
-
-def mh_weight(
-    n: int, steps: tuple[int, ...], mod4_filter: bool = False
-) -> Optional[int]:
-    """Maps keep the lead when they send the class j holding x to class 0.
-
-    With t = uj (mod 4) class j + i goes to class ui, so classes j, j + 2,
-    j + u and j - u become 0, 2, 1 and 3.  If x is b_j the even classes
-    swap; the odd classes may swap either way, or with mod4_filter exactly
-    when the even ones do.
-    """
-    pairs = (steps[0:2], steps[2:4], steps[4:6], steps[6:8])
-    lead, a2, a1, b0, b1 = mh_key(steps)
-    solutions = _solutions(n, lead)
-    fixed = 0
-    for j in range(4):
-        for even in (0, 1):
-            lead_pair, pair2 = pairs[j], pairs[(j + 2) % 4]
-            for u in solutions[lead_pair[even]]:
-                image_a2 = u * pair2[even] % n
-                if image_a2 != a2:
-                    if image_a2 < a2:
+    @staticmethod
+    def weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
+        """Maps keep the lead when u.a or u.b is +-a; fold the other step."""
+        a, b = steps
+        fixed = 0
+        for lead in (a, n - a):
+            solutions = _solutions(n, lead)
+            for x, y in ((a, b), (b, a)):
+                for u in solutions[x]:
+                    image = u * y % n
+                    image = min(image, n - image)
+                    if image < b:
                         return None
+                    fixed += image == b
+        return len(_units(n)) // fixed
+
+
+class _NewAmsterdamFields(NamedTuple):
+    n: int
+    alpha: int
+    beta: int
+    gamma: int
+    delta: int
+
+
+class NewAmsterdamDigraph(FamilyParams, _NewAmsterdamFields):
+    __slots__ = ()
+    tag = "na"
+    period = 2
+
+    def validate(self) -> tuple[str, ...]:
+        """The New Amsterdam conditions violated; empty when valid."""
+        errors: list[str] = []
+        for name, step in zip(("alpha", "beta", "gamma", "delta"), self.steps):
+            if step % 2 == 0:
+                errors.append(f"step {name} = {step} is even")
+        if self.alpha == self.beta:
+            errors.append("alpha = beta (mod N)")
+        if sum(self.steps) % self.n != 0:
+            errors.append(
+                f"alpha+beta+gamma+delta = {sum(self.steps) % self.n} != 0 (mod N)"
+            )
+        return tuple(errors)
+
+    @staticmethod
+    def classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Even vertices step by alpha, beta; odd ones by gamma, delta."""
+        return (steps[0:2], steps[2:4])
+
+    @staticmethod
+    def candidates(
+        n: int, least_leads: bool = False
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum.
+
+        With ``least_leads`` gamma and delta need not pass the lead test when
+        they are equal: the shift cannot then make them the leading pair.
+        """
+        odds = range(1, n, 2)
+        for alpha, ok in _leads(n, odds, least_leads):
+            for beta in range(alpha + 2, n, 2):
+                if not ok[beta]:
                     continue
-                pair1 = pairs[(j + u) % 4]
-                image_b0 = u * lead_pair[1 - even] % n
-                for odd in (even,) if mod4_filter else (0, 1):
-                    image = (u * pair1[odd] % n, image_b0, u * pair1[1 - odd] % n)
-                    if image < (a1, b0, b1):
+                for gamma in odds:
+                    delta = (-(alpha + beta + gamma)) % n
+                    if gamma == delta or gamma < delta and ok[gamma] and ok[delta]:
+                        yield (alpha, beta, gamma, delta)
+
+    @staticmethod
+    def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+        """x -> ux for each unit u, with and without the shift x -> x+1.
+
+        The shift swaps the roles of the even and odd vertices:
+        (alpha, beta, gamma, delta) -> (gamma, delta, alpha, beta).  An image
+        with alpha = beta comes from gamma = delta and is no candidate.
+        """
+        alpha, beta, gamma, delta = steps
+        for u in _units(n):
+            a, b, c, d = u * alpha % n, u * beta % n, u * gamma % n, u * delta % n
+            if a > b:
+                a, b = b, a
+            if c > d:
+                c, d = d, c
+            yield (a, b, c, d)
+            if c != d:
+                yield (c, d, a, b)
+
+    @staticmethod
+    def key(steps: tuple[int, ...]) -> tuple[int, ...]:
+        return steps[:3]
+
+    @staticmethod
+    def weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
+        """Maps keep the lead when u scales a step of the leading pair to alpha.
+
+        Without the shift that pair is (alpha, beta); with it (gamma, delta),
+        which the shift may lead only when gamma != delta.
+        """
+        alpha, beta, gamma, delta = steps
+        rest = (beta, gamma)
+        solutions = _solutions(n, alpha)
+        shifts = [((alpha, beta), (gamma, delta))]
+        if gamma != delta:
+            shifts.append(((gamma, delta), (alpha, beta)))
+        fixed = 0
+        for (x, y), (z, w) in shifts:
+            for lead_step, other in ((x, y), (y, x)):
+                for u in solutions[lead_step]:
+                    c, d = u * z % n, u * w % n
+                    image = (u * other % n, c if c < d else d)
+                    if image < rest:
                         return None
-                    fixed += image == (a1, b0, b1)
-    return (4 if mod4_filter else 16) * len(_units(n)) // fixed
+                    fixed += image == rest
+        return len(shifts) * len(_units(n)) // fixed
 
 
-class Family(NamedTuple):
-    """Everything that differs between the three families, stated once.
-
-    ``classes(n, steps)`` lists the out-steps of residues 0..period-1:
-    vertex i steps to i + x (mod n) for each x in ``classes[i % period]``.
-    The period (the parameter class's) divides every order the record
-    admits, so shifting every vertex by it is an automorphism and vertices
-    0..period-1 represent every translation class: their eccentricities
-    give the diameter, which graphs.bounded_diameter finds from the classes
-    alone, with no per-vertex rows.
-    ``candidates(n)`` yields every valid step tuple of order n once, up to
-    the family's symmetry, in increasing ``key`` order; with
-    ``least_leads=True`` it skips candidates that cannot come first in
-    their orbit: those whose leading step some map lowers (and, for MH,
-    those whose second key digit a map keeping the lead lowers).
-    ``orbit(n, steps)`` yields, in candidate form, the steps of digraphs
-    isomorphic to that of ``steps`` under the maps x -> ux (u a unit of
-    Z_N), combined with translations; from any member it yields the whole
-    orbit, the member included.  ``weight(n, steps)``, for a candidate of
-    the least-lead walk, is the representative test: the orbit's size if
-    ``steps`` is its key-least member, else None.  The Manhattan generator,
-    orbit and test also take ``mod4_filter``, which restricts the space and
-    its maps.  The family's Moore bound and theorem are in
-    ``bounds.THEOREMS``.
-    """
-
-    params: type
-    validate: Callable[..., tuple[str, ...]]
-    classes: Callable[[int, tuple[int, ...]], tuple[tuple[int, ...], ...]]
-    candidates: Callable[..., Iterator[tuple[int, ...]]]
-    orbit: Callable[..., Iterator[tuple[int, ...]]]
-    key: Callable[[tuple[int, ...]], tuple[int, ...]]
-    weight: Callable[..., Optional[int]]
-
-    @property
-    def tag(self) -> str:
-        return self.params.tag
-
-    @property
-    def period(self) -> int:
-        return self.params.period
+class _ManhattanFields(NamedTuple):
+    n: int
+    a0: int
+    b0: int
+    a1: int
+    b1: int
+    a2: int
+    b2: int
+    a3: int
+    b3: int
 
 
-FAMILIES: dict[str, Family] = {
-    f.tag: f
-    for f in (
-        Family(DoubleStepGraph, validate_ds, ds_classes, ds_candidates,
-               ds_orbit, ds_key, ds_weight),
-        Family(NewAmsterdamDigraph, validate_na, na_classes, na_candidates,
-               na_orbit, na_key, na_weight),
-        Family(ManhattanDigraph, validate_mh, mh_classes, mh_candidates,
-               mh_orbit, mh_key, mh_weight),
-    )
+class ManhattanDigraph(FamilyParams, _ManhattanFields):
+    __slots__ = ()
+    tag = "mh"
+    period = 4
+
+    def validate(self) -> tuple[str, ...]:
+        """The Manhattan conditions violated; empty when valid.
+
+        The residues a_j = 3, b_j = 1 (mod 4) are no condition here: they
+        define the space of the candidates' mod4_filter.
+        """
+        errors: list[str] = []
+        n = self.n
+        for j in range(4):
+            aj, bj = self.steps[2 * j:2 * j + 2]
+            if aj % 2 == 0:
+                errors.append(f"step a{j} = {aj} is even")
+            if bj % 2 == 0:
+                errors.append(f"step b{j} = {bj} is even")
+            if aj == bj:
+                errors.append(f"a{j} = b{j} (mod N)")
+        s = (self.a0 + self.a2) % n
+        if (-(self.a1 + self.a3)) % n != s:
+            errors.append("a0+a2 != -(a1+a3) (mod N)")
+        if (self.b0 + self.b2) % n != s:
+            errors.append("b0+b2 != a0+a2 (mod N)")
+        if (-(self.b1 + self.b3)) % n != s:
+            errors.append("-(b1+b3) != a0+a2 (mod N)")
+        return tuple(errors)
+
+    @staticmethod
+    def classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Residue i mod 4 steps by the pair (a_j, b_j) of class j = -i (mod 4).
+
+        The clockwise class indexing is the one under which the step-translated
+        Manhattan digraph coincides with the line digraph of its New Amsterdam
+        digraph (and extends the parity convention there, since -i = i mod 2).
+        Residues 0, 1, 2, 3 therefore take the pairs of V_0, V_3, V_2, V_1.
+        """
+        return (steps[0:2], steps[6:8], steps[4:6], steps[2:4])
+
+    @staticmethod
+    def candidates(
+        n: int, mod4_filter: bool = False, least_leads: bool = False
+    ) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+        """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
+
+        Yields (a0,b0,a1,b1,a2,b2,a3,b3).  With mod4_filter, restricts to
+        a_j = 3, b_j = 1 (mod 4).  Since 4 | N (a law of every Manhattan
+        record), residues mod 4 survive reduction mod N, so a0 = a2 = 3
+        gives s = 2 and forces a3 = -s-a1 = 3, b2 = s-b0 = 1, b3 = -s-b1 = 1.
+
+        With ``least_leads`` the step pairs of classes j and j + 2, (a0, a2),
+        (a1, a3), (b0, b2) and (b1, b3), must also keep a2, the second key
+        digit, from falling under the maps that keep the lead (_kept_pairs).
+        """
+        a_vals = range(3, n, 4) if mod4_filter else range(1, n, 2)
+        b_vals = range(1, n, 4) if mod4_filter else range(1, n, 2)
+        for a0, ok in _leads(n, a_vals, least_leads):
+            # Without least_leads no map is tried, so every pair is kept.
+            solutions = _solutions(n, a0) if least_leads else ((),) * n
+            for a2 in a_vals:
+                s = (a0 + a2) % n
+                if not _kept_pairs(n, (a0,), s, a2, ok, solutions):
+                    continue
+                a13 = _kept_pairs(n, a_vals, -s, a2, ok, solutions)
+                b02 = _kept_pairs(n, b_vals, s, a2, ok, solutions)
+                b13 = _kept_pairs(n, b_vals, -s, a2, ok, solutions)
+                for a1, a3 in a13:
+                    for b0, b2 in b02:
+                        if b0 == a0:
+                            continue
+                        for b1, b3 in b13:
+                            if b1 != a1:
+                                yield (a0, b0, a1, b1, a2, b2, a3, b3)
+
+    @staticmethod
+    def orbit(
+        n: int, steps: tuple[int, ...], mod4_filter: bool = False
+    ) -> Iterator[tuple[int, ...]]:
+        """x -> ux + t for each unit u and t = 0..3, and the a/b swaps.
+
+        Residue r = i mod 4 steps by the pair of class -r mod 4 (see classes).
+        The map sends residue r to ur + t and scales its pair by u.  Swapping
+        a and b in both even classes, or in both odd classes, keeps the sum
+        conditions and the digraph itself.  With mod4_filter only the maps
+        that keep a_j = 3, b_j = 1 (mod 4) apply: u = 1 (mod 4) with no swap
+        and u = 3 (mod 4) with both.
+        """
+        by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
+        for u in _units(n):
+            for t in range(4):
+                classes: list = [None] * 4
+                for r, (x, y) in enumerate(by_residue):
+                    classes[-(u * r + t) % 4] = (u * x % n, u * y % n)
+                (a0, b0), (a1, b1), (a2, b2), (a3, b3) = classes
+                if not mod4_filter or u % 4 == 1:
+                    yield (a0, b0, a1, b1, a2, b2, a3, b3)
+                if not mod4_filter:
+                    yield (b0, a0, a1, b1, b2, a2, a3, b3)
+                    yield (a0, b0, b1, a1, a2, b2, b3, a3)
+                if not mod4_filter or u % 4 == 3:
+                    yield (b0, a0, b1, a1, b2, a2, b3, a3)
+
+    @staticmethod
+    def key(steps: tuple[int, ...]) -> tuple[int, ...]:
+        return steps[0], steps[4], steps[2], steps[1], steps[3]
+
+    @staticmethod
+    def weight(
+        n: int, steps: tuple[int, ...], mod4_filter: bool = False
+    ) -> Optional[int]:
+        """Maps keep the lead when they send the class j holding x to class 0.
+
+        With t = uj (mod 4) class j + i goes to class ui, so classes j, j + 2,
+        j + u and j - u become 0, 2, 1 and 3.  If x is b_j the even classes
+        swap; the odd classes may swap either way, or with mod4_filter exactly
+        when the even ones do.
+        """
+        pairs = (steps[0:2], steps[2:4], steps[4:6], steps[6:8])
+        lead, a2, a1, b0, b1 = ManhattanDigraph.key(steps)
+        solutions = _solutions(n, lead)
+        fixed = 0
+        for j in range(4):
+            for even in (0, 1):
+                lead_pair, pair2 = pairs[j], pairs[(j + 2) % 4]
+                for u in solutions[lead_pair[even]]:
+                    image_a2 = u * pair2[even] % n
+                    if image_a2 != a2:
+                        if image_a2 < a2:
+                            return None
+                        continue
+                    pair1 = pairs[(j + u) % 4]
+                    image_b0 = u * lead_pair[1 - even] % n
+                    for odd in (even,) if mod4_filter else (0, 1):
+                        image = (u * pair1[odd] % n, image_b0, u * pair1[1 - odd] % n)
+                        if image < (a1, b0, b1):
+                            return None
+                        fixed += image == (a1, b0, b1)
+        return (4 if mod4_filter else 16) * len(_units(n)) // fixed
+
+
+FAMILIES: dict[str, type[FamilyParams]] = {
+    cls.tag: cls for cls in (DoubleStepGraph, NewAmsterdamDigraph, ManhattanDigraph)
 }
-
-
-def validate(p: FamilyParams) -> tuple[str, ...]:
-    """The conditions of p's family that p violates; empty when p is valid."""
-    return FAMILIES[p.tag].validate(p)
 
 
 def require_valid(p: FamilyParams) -> None:
     """Raise FamilyError listing the conditions p violates, if any."""
-    errors = validate(p)
+    errors = p.validate()
     if errors:
         raise FamilyError("; ".join(errors))
 
@@ -559,7 +523,7 @@ def compile_params(p: FamilyParams, strict: bool = True) -> Digraph:
     merged.  With ``strict``, require_valid(p) first."""
     if strict:
         require_valid(p)
-    return Digraph(p.n, tuple(step_rows(FAMILIES[p.tag].classes(p.n, p.steps), p.n)))
+    return Digraph(p.n, tuple(step_rows(p.classes(p.n, p.steps), p.n)))
 
 
 def family_diameter(p: FamilyParams) -> Optional[int]:
@@ -567,7 +531,7 @@ def family_diameter(p: FamilyParams) -> Optional[int]:
 
     graphs.bounded_diameter of the family's classes; p is not validated.
     """
-    return bounded_diameter(FAMILIES[p.tag].classes(p.n, p.steps), p.n, None)
+    return bounded_diameter(p.classes(p.n, p.steps), p.n, None)
 
 
 def line_diameter(p: FamilyParams) -> Optional[int]:
@@ -576,7 +540,7 @@ def line_diameter(p: FamilyParams) -> Optional[int]:
     graphs.bounded_diameter of the line classes of the family's classes;
     p is not validated.
     """
-    line, order = line_classes(FAMILIES[p.tag].classes(p.n, p.steps), p.n)
+    line, order = line_classes(p.classes(p.n, p.steps), p.n)
     return bounded_diameter(line, order, None)
 
 
@@ -597,6 +561,6 @@ def parse_params(text: str) -> FamilyParams:
     except ValueError as exc:
         raise FamilyError(f"malformed parameter text {text!r}") from exc
     family = FAMILIES.get(tag.strip().lower())
-    if family is None or len(values) != len(family.params._fields):
+    if family is None or len(values) != len(family._fields):
         raise FamilyError(f"malformed parameter text {text!r}")
-    return family.params(*values)
+    return family(*values)

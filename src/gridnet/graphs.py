@@ -6,8 +6,8 @@ byte-deterministic DOT / JSON exports, and two diameter routines that
 answer different questions by different algorithms.  ``bounded_diameter``
 is the search kernel: bit-parallel BFS on a step digraph given by its step
 classes, from one vertex per translation class, with an early exit at a
-limit; ``step_rows``, ``line_classes`` and ``regular_step_degree`` give
-the rows, the line digraph and the regularity of such a digraph.
+limit; ``step_rows`` and ``line_classes`` give the rows and the line
+digraph of such a digraph.
 ``diameter`` certifies a whole ``Digraph`` from every source at once by
 reach sets, without calling it.  The independent all-pairs distance oracle,
 the regularity and directed-cycle tests and the isomorphism test that the
@@ -235,23 +235,6 @@ def line_classes(
             shift = m * arcs - len(line)
             line.append(tuple((shift + e) % order for e in succ[t]))
     return tuple(line), order
-
-
-def regular_step_degree(classes: Sequence[Sequence[int]]) -> Optional[int]:
-    """The common out/in-degree of the rows step_rows(classes, n), for any
-    n that p divides, or None when that digraph is not regular.
-
-    Residue r has one out-arc per distinct step x, into residue r + x
-    (mod p), so the in-degrees too are those of the p residues.
-    """
-    p = len(classes)
-    merged = [set(steps) for steps in classes]
-    indeg = [0] * p
-    for r, steps in enumerate(merged):
-        for x in steps:
-            indeg[(r + x) % p] += 1
-    degs = {*map(len, merged), *indeg}
-    return degs.pop() if len(degs) == 1 else None
 
 
 def line_digraph(g: Digraph) -> Digraph:

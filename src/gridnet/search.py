@@ -2,16 +2,16 @@
 
 For a family and order, enumerate every valid step choice and take the
 minimum diameter; this is the independent oracle behind the optimality and
-non-attainability claims.  The family's record in ``FAMILIES`` supplies
-the candidates, and its theorem in ``bounds.THEOREMS`` the Moore bound and
-the prediction.  Each candidate is evaluated straight from its step
-arithmetic: the record's step classes give the out-steps of each residue
+non-attainability claims.  The family's record class in ``FAMILIES``
+supplies the candidates, and its theorem in ``bounds.THEOREMS`` the Moore
+bound and the prediction.  Each candidate is evaluated straight from its
+step arithmetic: the class's step classes give the out-steps of each residue
 mod the period, and one bit-parallel BFS runs on them from one vertex per
 translation class (0 for DS, 0-1 for NA, 0-3 for MH) at once, with no
 per-vertex rows.  Candidates whose digraphs are isomorphic under a
 multiplier map x -> ux form an orbit, and BFS runs once per orbit, on its
 representative: the member that comes first in enumeration order.  The
-record's generator walks only candidates whose leading step no map lowers,
+class's generator walks only candidates whose leading step no map lowers,
 its weight test picks the representatives among them and gives each
 orbit's size, so every candidate is still counted without being visited.
 Only the reported witnesses are compiled into a ``Digraph``, and each is
@@ -33,7 +33,6 @@ from .constructions import na_to_mh
 from .families import (
     FAMILIES,
     DoubleStepGraph,
-    Family,
     FamilyError,
     FamilyParams,
     ManhattanDigraph,
@@ -129,7 +128,7 @@ def _run_search(
 
 
 def _first_members(
-    fam: Family, n: int, reps: list[tuple[int, ...]], space: dict
+    fam: type[FamilyParams], n: int, reps: list[tuple[int, ...]], space: dict
 ) -> list[tuple[int, ...]]:
     """The first WITNESS_CAP members of the orbits of ``reps``, in key order.
 
@@ -162,7 +161,7 @@ def _finish(
     examined: int,
 ) -> SearchResult:
     fam = FAMILIES[family]
-    witnesses = tuple(fam.params(n, *s) for s in sorted(optima))
+    witnesses = tuple(fam(n, *s) for s in sorted(optima))
     for w in witnesses:  # re-verify on insert
         if diameter(compile_params(w, strict=False)) != best:
             raise SearchError(f"witness {format_params(w)} fails re-verification")

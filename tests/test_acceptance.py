@@ -18,9 +18,6 @@ from gridnet.families import (
     NewAmsterdamDigraph,
     compile_na,
     compile_params,
-    validate_ds,
-    validate_mh,
-    validate_na,
 )
 from gridnet.graphs import diameter, line_digraph
 from gridnet.search import (
@@ -126,7 +123,7 @@ def test_criterion_06_line_digraph_law():
             beta = rng.randrange(1, n, 2)
             gamma = rng.randrange(1, n, 2)
             p = NewAmsterdamDigraph(n, alpha, beta, gamma, -(alpha + beta + gamma))
-            if validate_na(p):
+            if p.validate():
                 continue
             g = compile_na(p)
             d = diameter(g)
@@ -144,7 +141,7 @@ def test_criterion_07_diameter_sandwiches():
             for a in range(1, n // 2 + 1):
                 for b in range(a + 1, n // 2 + 1):
                     p = DoubleStepGraph(n, a, b)
-                    if validate_ds(p):
+                    if p.validate():
                         continue
                     assert check_diameter_sandwich(p).passed
                     checked += 1
@@ -186,18 +183,18 @@ def test_criterion_10_oracle_equivalence():
             if fam == "ds":
                 n = rng.randrange(5, 65)
                 p = DoubleStepGraph(n, rng.randrange(1, n), rng.randrange(1, n))
-                ok = not validate_ds(p)
+                ok = not p.validate()
             elif fam == "na":
                 n = 2 * rng.randrange(2, 33)
                 alpha, beta, gamma = (rng.randrange(1, n, 2) for _ in range(3))
                 p = NewAmsterdamDigraph(n, alpha, beta, gamma, -(alpha + beta + gamma))
-                ok = not validate_na(p)
+                ok = not p.validate()
             else:
                 n = 4 * rng.randrange(2, 17)
                 a0, a1, a2, b0, b1 = (rng.randrange(1, n, 2) for _ in range(5))
                 s = a0 + a2
                 p = ManhattanDigraph(n, a0, b0, a1, b1, a2, s - b0, -s - a1, -s - b1)
-                ok = not validate_mh(p)
+                ok = not p.validate()
             if not ok:
                 continue
             g = compile_params(p)

@@ -244,9 +244,13 @@ class TestSearch:
              "argument --workers: must be at least 1, got 0"),
             (("na", "--n", "10", "--workers", "two"),
              "argument --workers: invalid integer value: 'two'"),
+            (("na", "--n", "10", "--cap", "0"),
+             "argument --cap: must be at least 1, got 0"),
+            (("na", "--n", "10", "--cap", "-1"),
+             "argument --cap: must be at least 1, got -1"),
         ],
         ids=["ds", "na", "ds-workers-3", "na-workers0", "mh-direct-workers0",
-             "na-workers-two"],
+             "na-workers-two", "cap0", "cap-1"],
     )
     def test_options_that_do_not_apply_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "search", *argv)
@@ -295,22 +299,23 @@ class TestVerify:
         assert "0 failures" in out
 
     def test_line_digraph_reads_each_candidates_classes_once(self, capsys, monkeypatch):
-        # The check works on the step classes alone: one Family.classes call
-        # per candidate, and no per-vertex rows of the digraph (step_rows)
+        # The check works on the step classes alone: one classes call per
+        # candidate, and no per-vertex rows of the digraph (step_rows)
         # or its line digraph (the Digraph that graphs.line_digraph builds).
         from gridnet import families, graphs
 
         na = FAMILIES["na"]
+        classes = na.classes
         reads = []
 
         def counting_classes(n, steps):
             reads.append((n, steps))
-            return na.classes(n, steps)
+            return classes(n, steps)
 
         def no_rows(*args):
             raise AssertionError("per-vertex rows built")
 
-        monkeypatch.setitem(FAMILIES, "na", na._replace(classes=counting_classes))
+        monkeypatch.setattr(na, "classes", staticmethod(counting_classes))
         monkeypatch.setattr(families, "step_rows", no_rows)
         monkeypatch.setattr(graphs, "Digraph", no_rows)
         code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "24")

@@ -15,9 +15,6 @@ from gridnet.families import (
     compile_params,
     family_diameter,
     line_diameter,
-    validate_ds,
-    validate_mh,
-    validate_na,
 )
 from gridnet.graphs import diameter, line_digraph
 from oracles import (
@@ -34,7 +31,7 @@ def valid_ds_instances(n_max):
         for a in range(1, n // 2 + 1):
             for b in range(a + 1, n // 2 + 1):
                 p = DoubleStepGraph(n, a, b)
-                if not validate_ds(p):
+                if not p.validate():
                     yield p
 
 
@@ -55,7 +52,7 @@ class TestDsToNa:
         for p in valid_ds_instances(20):
             na = ds_to_na(p)
             assert check_na_conditions(p, na) == []
-            assert not validate_na(na)
+            assert not na.validate()
 
     def test_rejects_invalid_input(self):
         with pytest.raises(FamilyError):
@@ -82,7 +79,7 @@ class TestNaToMh:
             na = ds_to_na(p)
             mh = na_to_mh(na)
             assert check_mh_conditions(na, mh) == []
-            assert not validate_mh(mh)
+            assert not mh.validate()
 
     def test_sum_conditions_common_value_is_2(self):
         for p in valid_ds_instances(16):
@@ -201,7 +198,7 @@ def two_regular_na_candidates(n_max):
     na = FAMILIES["na"]
     for n in range(4, n_max + 1, 2):
         for steps in na.candidates(n):
-            p = na.params(n, *steps)
+            p = na(n, *steps)
             if is_regular(compile_params(p, strict=False)) == 2:
                 yield p
 
@@ -233,7 +230,7 @@ def valid_ds(draw, n_max=200):
     a = draw(st.integers(1, n - 1))
     # Drawn from the valid partners of a: rejecting invalid draws is slow,
     # since the boundary values hypothesis favours (b = a, b = 0) are invalid.
-    partners = [b for b in range(1, n) if not validate_ds(DoubleStepGraph(n, a, b))]
+    partners = [b for b in range(1, n) if not DoubleStepGraph(n, a, b).validate()]
     assume(partners)
     return DoubleStepGraph(n, a, draw(st.sampled_from(partners)))
 
@@ -243,10 +240,10 @@ def valid_ds(draw, n_max=200):
 def test_derived_steps_satisfy_the_condition_systems(p):
     na = ds_to_na(p)
     assert check_na_conditions(p, na) == []
-    assert not validate_na(na)
+    assert not na.validate()
     mh = na_to_mh(na)
     assert check_mh_conditions(na, mh) == []
-    assert not validate_mh(mh)
+    assert not mh.validate()
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,9 +17,6 @@ from gridnet.families import (
     compile_params,
     format_params,
     parse_params,
-    validate_ds,
-    validate_mh,
-    validate_na,
 )
 from gridnet.graphs import diameter
 from oracles import in_mod4_space
@@ -27,39 +24,39 @@ from oracles import in_mod4_space
 
 class TestValidateDs:
     def test_moore_steps_ok(self):
-        assert not validate_ds(DoubleStepGraph(13, 2, 3))
+        assert not DoubleStepGraph(13, 2, 3).validate()
 
     def test_gcd_violation(self):
-        errors = validate_ds(DoubleStepGraph(6, 2, 4))
+        errors = DoubleStepGraph(6, 2, 4).validate()
         assert any("gcd" in e for e in errors)
 
     def test_negated_step_violation(self):
-        errors = validate_ds(DoubleStepGraph(5, 1, 4))
+        errors = DoubleStepGraph(5, 1, 4).validate()
         assert any("a = -b" in e for e in errors)
 
     def test_zero_step_violation(self):
-        assert validate_ds(DoubleStepGraph(6, 6, 1))
+        assert DoubleStepGraph(6, 6, 1).validate()
 
     def test_self_inverse_step_is_valid(self):
-        assert not validate_ds(DoubleStepGraph(8, 1, 4))
+        assert not DoubleStepGraph(8, 1, 4).validate()
 
 
 class TestValidateNa:
     def test_extremal_instance_ok(self):
-        assert not validate_na(NewAmsterdamDigraph(10, -1, 1, 3, -3))
+        assert not NewAmsterdamDigraph(10, -1, 1, 3, -3).validate()
 
     def test_gamma_equals_delta_is_valid(self):
-        assert not validate_na(NewAmsterdamDigraph(6, -1, 1, 3, 3))
+        assert not NewAmsterdamDigraph(6, -1, 1, 3, 3).validate()
 
     def test_sum_ok(self):
-        assert not validate_na(NewAmsterdamDigraph(8, 1, 3, 5, 7))  # sum 16 = 0 mod 8
+        assert not NewAmsterdamDigraph(8, 1, 3, 5, 7).validate()  # sum 16 = 0 mod 8
 
     def test_sum_violation(self):
-        errors = validate_na(NewAmsterdamDigraph(8, 1, 3, 5, 5))
+        errors = NewAmsterdamDigraph(8, 1, 3, 5, 5).validate()
         assert any("alpha+beta+gamma+delta" in e for e in errors)
 
     def test_even_step_violation(self):
-        assert validate_na(NewAmsterdamDigraph(8, 2, 3, 5, 6))
+        assert NewAmsterdamDigraph(8, 2, 3, 5, 6).validate()
 
     def test_odd_order_violation(self):
         # The record admits only even orders, so no validator sees one.
@@ -71,15 +68,15 @@ class TestValidateMh:
     def test_canonical_20_vertex_steps(self):
         # Valid although a0 = 1, not 3 (mod 4): the residues only define
         # the mod4_filter space.
-        assert not validate_mh(ManhattanDigraph(20, 1, 7, -3, 7, 1, -5, 1, -9))
+        assert not ManhattanDigraph(20, 1, 7, -3, 7, 1, -5, 1, -9).validate()
 
     def test_even_step_hard_violation(self):
-        assert validate_mh(ManhattanDigraph(20, 2, 7, -3, 7, 1, -5, 1, -9))
-        errors = validate_mh(ManhattanDigraph(20, 1, 2, -3, 7, 1, -5, 1, -9))
+        assert ManhattanDigraph(20, 2, 7, -3, 7, 1, -5, 1, -9).validate()
+        errors = ManhattanDigraph(20, 1, 2, -3, 7, 1, -5, 1, -9).validate()
         assert "step b0 = 2 is even" in errors
 
     def test_sum_condition_hard_violation(self):
-        errors = validate_mh(ManhattanDigraph(20, 1, 9, -3, 7, 1, -5, 1, -9))
+        errors = ManhattanDigraph(20, 1, 9, -3, 7, 1, -5, 1, -9).validate()
         assert any("b0+b2" in e for e in errors)
 
     def test_order_not_multiple_of_4(self):
@@ -144,7 +141,7 @@ class TestCompile:
         for n in range(4, 17, 2):
             for gamma in range(1, n, 2):
                 p = NewAmsterdamDigraph(n, 1, n - 1, gamma, -gamma)
-                if validate_na(p):
+                if p.validate():
                     continue
                 g = compile_na(p)
                 d = diameter(g)
@@ -171,7 +168,7 @@ class TestRecords:
         n = draw_order(family, data)
         raw = data.draw(st.lists(st.integers(-200, 200), min_size=arity(family),
                                  max_size=arity(family)))
-        p = family.params(n, *raw)
+        p = family(n, *raw)
         named = tuple(getattr(p, name) for name in type(p).__match_args__[1:])
         assert p.steps == named == tuple(x % n for x in raw)
         assert isinstance(p, FamilyParams)
@@ -179,12 +176,11 @@ class TestRecords:
     def test_least_order_is_the_period(self):
         for family in FAMILIES.values():
             period = family.period
-            assert period == family.params.period
             zeros = (0,) * arity(family)
-            assert family.params(period, *zeros).n == period
+            assert family(period, *zeros).n == period
             with pytest.raises(FamilyError,
                                match=f"order must be at least {period}, got "):
-                family.params(period - 1, *zeros)
+                family(period - 1, *zeros)
 
     def test_equality_hash_and_repr(self):
         p, q = DoubleStepGraph(13, 2, 3), DoubleStepGraph(13, 15, -10)
@@ -198,11 +194,11 @@ class TestRecords:
     @pytest.mark.parametrize("tag", sorted(FAMILIES))
     def test_fields_are_read_only(self, tag):
         family = FAMILIES[tag]
-        p = family.params(family.period, *(1,) * arity(family))
+        p = family(family.period, *(1,) * arity(family))
         with pytest.raises(AttributeError):
             p.n = 8
         with pytest.raises(AttributeError):
-            setattr(p, family.params.__match_args__[1], 0)
+            setattr(p, family.__match_args__[1], 0)
 
 
 class TestParamText:
@@ -236,7 +232,7 @@ CANONICAL = {
 
 
 def arity(family):
-    return len(family.params.__match_args__) - 1  # the fields after the order n
+    return len(family.__match_args__) - 1  # the fields after the order n
 
 
 def draw_order(family, data):
@@ -249,12 +245,12 @@ def brute_force_classes(family, n, values):
     return {
         CANONICAL[family.tag](n, steps)
         for steps in product(values, repeat=arity(family))
-        if not family.validate(family.params(n, *steps))
+        if not family(n, *steps).validate()
     }
 
 
 class TestRegistry:
-    # validate_na and validate_mh reject every even step (TestValidateNa,
+    # The NA and MH validators reject every even step (TestValidateNa,
     # TestValidateMh), so where all residues are too many to enumerate, odd
     # residues cover every valid tuple.
     @pytest.mark.parametrize(
@@ -277,7 +273,7 @@ class TestRegistry:
         # The filter keeps the valid tuples with a_j = 3, b_j = 1 (mod 4).
         valid = {
             steps for steps in product(range(1, 8, 2), repeat=8)
-            if not validate_mh(ManhattanDigraph(8, *steps))
+            if not ManhattanDigraph(8, *steps).validate()
         }
         residues = {steps for steps in valid if in_mod4_space(steps)}
         mh = FAMILIES["mh"]
@@ -299,7 +295,7 @@ class TestRegistry:
 
     def test_records_are_keyed_by_their_params_tag(self):
         for tag, family in FAMILIES.items():
-            assert family.tag == family.params.tag == tag
+            assert family.tag == tag
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,7 +310,7 @@ def test_format_parse_round_trip(tag, data):
             max_size=arity(family),
         )
     )
-    p = family.params(n, *steps)
+    p = family(n, *steps)
     assert parse_params(format_params(p)) == p
 
 
@@ -326,6 +322,6 @@ def test_compile_never_yields_parallel_arcs(tag, data):
     steps = data.draw(
         st.lists(st.integers(0, n - 1), min_size=arity(family), max_size=arity(family))
     )
-    p = family.params(n, *steps)
+    p = family(n, *steps)
     for heads in compile_params(p, strict=False).out_arcs:
         assert len(set(heads)) == len(heads)

@@ -28,17 +28,13 @@ from gridnet.graphs import (
     diameter,
     line_classes,
     line_digraph,
-    regular_step_degree,
     step_rows,
 )
 from oracles import is_regular
 
-PARAMS = {"ds": DoubleStepGraph, "na": NewAmsterdamDigraph, "mh": ManhattanDigraph}
-
-
 def assert_kernel_matches(family, n, steps):
-    params = PARAMS[family](n, *steps)
-    classes = FAMILIES[family].classes(n, steps)
+    params = FAMILIES[family](n, *steps)
+    classes = params.classes(n, steps)
     expected = diameter(compile_params(params, strict=False))
     assert bounded_diameter(classes, n, None) == expected
     assert family_diameter(params) == expected
@@ -51,9 +47,9 @@ def assert_kernel_matches(family, n, steps):
 
 
 def assert_line_kernel_matches(family, n, steps):
-    params = PARAMS[family](n, *steps)
+    params = FAMILIES[family](n, *steps)
     lg = line_digraph(compile_params(params, strict=False))
-    line, order = line_classes(FAMILIES[family].classes(n, steps), n)
+    line, order = line_classes(params.classes(n, steps), n)
     assert step_rows(line, order) == list(lg.out_arcs)
     assert line_diameter(params) == diameter(lg)
 
@@ -104,15 +100,15 @@ def test_line_diameter_every_small_candidate(family, orders):
 
 
 def test_line_digraph_filter_on_classes():
-    # The 2-regular NA candidates are those with gamma != delta: the odd
+    # The line digraph has one vertex per arc, so its order is 2N exactly
+    # when the NA candidate is 2-regular: when gamma != delta, the odd
     # vertices then have two out-arcs and the even ones two in-arcs.
     na = FAMILIES["na"]
     for n in range(4, 31, 2):
         for steps in na.candidates(n):
-            p = na.params(n, *steps)
-            on_classes = regular_step_degree(na.classes(n, steps)) == 2
-            assert on_classes == (is_regular(compile_params(p, strict=False)) == 2)
-            assert on_classes == (steps[2] != steps[3])
+            _, order = line_classes(na.classes(n, steps), n)
+            two_regular = is_regular(compile_params(na(n, *steps), strict=False)) == 2
+            assert (order == 2 * n) == two_regular == (steps[2] != steps[3])
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,7 +152,7 @@ def records(draw, max_order):
     Steps are drawn from all residues, from 0, 1, N/2 and N-1, and from the
     steps drawn before, so zero, self-inverse and repeated steps are common.
     """
-    params = draw(st.sampled_from(list(PARAMS.values())))
+    params = draw(st.sampled_from(list(FAMILIES.values())))
     n = params.period * draw(st.integers(1, max_order // params.period))
     special = st.sampled_from([0, 1, n // 2, n - 1])
     steps: list[int] = []
@@ -186,8 +182,6 @@ def test_kernel_every_limit_large_orders(p):
 @example(NewAmsterdamDigraph(8, 1, 1, 3, 3))  # every class repeats its step
 @example(ManhattanDigraph(4, 0, 0, 1, 2, 0, 2, 3, 3))
 def test_line_classes_are_the_line_digraph(p):
-    classes = FAMILIES[p.tag].classes(p.n, p.steps)
-    assert regular_step_degree(classes) == is_regular(compile_params(p, strict=False))
     assert_line_kernel_matches(p.tag, p.n, p.steps)
 
 

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridnet import search
-from gridnet.families import FAMILIES, compile_params
+from gridnet.families import FAMILIES, ManhattanDigraph, compile_params
 from gridnet.graphs import bounded_diameter, diameter
 
 from oracles import plain_search_slice
@@ -42,7 +42,7 @@ def test_every_image_is_an_isomorphic_candidate(family, orders):
     fam = FAMILIES[family]
     for n in orders:
         diameters = {
-            steps: diameter(compile_params(fam.params(n, *steps), strict=False))
+            steps: diameter(compile_params(fam(n, *steps), strict=False))
             for steps in fam.candidates(n)
         }
         assert_keys_distinct(family, list(diameters))
@@ -95,7 +95,7 @@ def test_manhattan_orbit_property(quarter, raw):
     a0, b0, a1, b1, a2 = (2 * (x % (2 * quarter)) + 1 for x in raw)
     s = a0 + a2
     steps = (a0, b0, a1, b1, a2, (s - b0) % n, (-s - a1) % n, (-s - b1) % n)
-    assume(not FAMILIES["mh"].validate(FAMILIES["mh"].params(n, *steps)))
+    assume(not ManhattanDigraph(n, *steps).validate())
     assert_orbit_sound("mh", n, steps)
 
 

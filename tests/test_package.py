@@ -24,8 +24,9 @@ SRC = Path(gridnet.__file__).resolve().parent.parent
 # The names the package exported when it imported every module eagerly, by
 # defining module: the spec that the lazy exports keep.  The per-theorem
 # aliases of achievable_range and predicted_diameter, the condition checks
-# that moved to tests/oracles.py, and the Validation record (validators now
-# return the violated conditions alone) are exported no more.
+# that moved to tests/oracles.py, the Validation record (validators now
+# return the violated conditions alone) and the validators themselves (now
+# each record class's validate method) are exported no more.
 EXPORTS = {
     "bounds": [
         "BoundsError", "BoundsReport", "achievable_range", "bounds_report",
@@ -39,8 +40,7 @@ EXPORTS = {
         "DoubleStepGraph", "FamilyError", "ManhattanDigraph",
         "NewAmsterdamDigraph", "compile_ds", "compile_mh", "compile_na",
         "compile_params", "family_diameter", "format_params", "line_diameter",
-        "parse_params", "require_valid", "validate", "validate_ds",
-        "validate_mh", "validate_na",
+        "parse_params", "require_valid",
     ],
     "graphs": [
         "Digraph", "DistanceProfile", "GraphError", "bfs_profile", "diameter",

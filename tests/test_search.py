@@ -15,7 +15,6 @@ from gridnet.families import (
     compile_params,
     format_params,
     parse_params,
-    validate,
 )
 from gridnet.graphs import diameter
 from gridnet.search import (
@@ -144,7 +143,7 @@ class TestSearchMh:
         # 20) with odd steps that break the mod-4 condition; steps meeting
         # it give 6, as the lift of NA witnesses does.
         p = parse_params("mh:28,1,3,1,9,1,27,25,17")
-        assert not validate(p) and not in_mod4_space(p.steps)
+        assert not p.validate() and not in_mod4_space(p.steps)
         g = compile_params(p, strict=False)
         assert diameter(g) == 5
         assert max(max(row) for row in all_pairs_oracle(g)) == 5
@@ -171,6 +170,7 @@ class TestSearchMh:
             assert [w.steps for w in r.witnesses] == lifted, n
             assert r.witness_total == len(lifted), n
             assert r.min_diameter == inner.min_diameter + 1, n
+            assert r.candidates_examined == inner.candidates_examined, n
 
     def test_mod4_filter_implies_direct(self):
         # The filter acts only on the direct enumeration, so it selects it.
