@@ -218,37 +218,47 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _sandwich_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
+def _sandwich_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
     ds = FAMILIES["ds"]
     for n in range(first, n_max + 1):
         for steps in ds.candidates(n):
             p = ds(n, *steps)
             r = check_diameter_sandwich(p)
-            for kind, derived, low, high in r.checks:
-                yield None if low <= derived <= high else (
-                    f"FAIL {kind} {format_params(p)}: k={r.k} "
-                    f"derived={derived} not in [{low},{high}]"
-                )
+            yield len(r.checks), [
+                f"FAIL {kind} {format_params(p)}: k={r.k} "
+                f"derived={derived} not in [{low},{high}]"
+                for kind, derived, low, high in r.checks
+                if not low <= derived <= high
+            ]
 
 
-def _line_digraph_checks(first: int, n_max: int) -> Iterator[Optional[str]]:
+def _line_digraph_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
+    """One check per 2-regular, strongly connected NA candidate; BFS per orbit.
+
+    Every map of a multiplier orbit (x -> ux for a unit u, and the shift
+    x -> x+1) is an isomorphism of NA digraphs, and so of their line
+    digraphs: gamma != delta (2-regularity), strong connectivity, D and D(L)
+    hold on the whole orbit when they hold on its representative.  So a
+    representative counts as its orbit's size in checks, and a failing one
+    fails every member, reported in enumeration order.
+    """
     na = FAMILIES["na"]
     for n in range(first, n_max + 1, 2):
-        for steps in na.candidates(n):
-            classes = na.classes(n, steps)
-            # The line digraph has one vertex per arc of the NA digraph: its
-            # order is 2N exactly when gamma != delta, that is when the NA
-            # digraph is 2-regular.
-            line, order = line_classes(classes, n)
-            if order != 2 * n:
+        checks = 0
+        failing: set[tuple[int, ...]] = set()
+        for steps, size in na.representatives(n):
+            if steps[2] == steps[3]:
                 continue
+            classes = na.classes(n, steps)
             d = bounded_diameter(classes, n, None)
             if d is None:
                 continue
-            passed = bounded_diameter(line, order, None) == d + 1
-            yield None if passed else (
-                f"FAIL line-digraph {format_params(na(n, *steps))}"
-            )
+            checks += size
+            line, order = line_classes(classes, n)
+            if bounded_diameter(line, order, None) != d + 1:
+                failing.update(na.orbit(n, steps))
+        yield checks, [f"FAIL line-digraph {format_params(na(n, *steps))}"
+                       for steps in sorted(failing, key=na.key)]
 
 
 def _print_rows(rows, csv: bool) -> None:
@@ -275,7 +285,8 @@ def _print_rows(rows, csv: bool) -> None:
 
 # Structural claim -> (its checks, first order checked, default --n-max).
 # The first order, ds:4,1,2's and the least NA order, is the least --n-max.
-# The checks yield one item each: None for a pass, else the FAIL line.
+# The checks yield (count, FAIL lines) pairs: a batch of checks and, in
+# order, the FAIL lines of those that failed.
 _STRUCTURAL_CLAIMS = {
     "sandwich": (_sandwich_checks, 4, 40),
     "line-digraph": (_line_digraph_checks, 4, 24),
@@ -286,10 +297,10 @@ def _cmd_verify(args) -> int:
     if args.claim in _STRUCTURAL_CLAIMS:
         checks, first, _ = _STRUCTURAL_CLAIMS[args.claim]
         rows = failures = 0
-        for line in checks(first, args.n_max):
-            rows += 1
-            if line is not None:
-                failures += 1
+        for count, failed in checks(first, args.n_max):
+            rows += count
+            failures += len(failed)
+            for line in failed:
                 print(line)
         print(f"{args.claim}: {rows} checks, {failures} failures")
         return EXIT_MISMATCH if failures else EXIT_OK

@@ -19,7 +19,9 @@ enumeration key and representative test.  The generator lists candidates
 in key order, and on request only those whose leading step is the least
 its multiplier orbit reaches; the test then accepts the orbit's key-least
 member and weighs it by the orbit's size, counting only the maps that keep
-the leading step.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
+the leading step; ``representatives`` pairs the two into the one walk over
+the orbits that the search and ``verify line-digraph`` share.  Its Moore
+bound and theorem are in ``bounds.THEOREMS``.
 ``FAMILIES`` maps each tag to its class; callers look the class up by tag,
 or call a record's own methods, instead of branching on the family.  Only
 compilation builds per-vertex rows, from the classes by graphs.step_rows,
@@ -89,8 +91,12 @@ class FamilyParams(tuple):
     member in enumeration order, the maps that fix it are counted, and it
     returns the orbit's size in its space (orbit-stabiliser): the number of
     maps that keep the candidate in its space over that count.
+    ``representatives(n)`` is the shared walk over the orbits that pairs
+    the two: it yields each representative with its orbit's size.  The
+    search runs one BFS per representative, and ``verify line-digraph``
+    one BFS on its digraph and one on its line digraph.
 
-    The Manhattan generator, orbit and test also take ``mod4_filter``,
+    The Manhattan generator, orbit, test and walk also take ``mod4_filter``,
     which restricts the space and its maps.  The family's Moore bound and
     theorem are in ``bounds.THEOREMS``.
     """
@@ -115,6 +121,22 @@ class FamilyParams(tuple):
     @property
     def steps(self) -> tuple[int, ...]:
         return self[1:]
+
+    @classmethod
+    def representatives(
+        cls, n: int, **space: bool
+    ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield (steps, orbit size) for each orbit's representative, in key order.
+
+        The one walk over the multiplier orbits of order n: the least-lead
+        candidates that pass the ``weight`` test.  ``space`` is passed to
+        both (``mod4_filter`` for Manhattan).
+        """
+        weight = cls.weight
+        for steps in cls.candidates(n, least_leads=True, **space):
+            size = weight(n, steps, **space)
+            if size is not None:
+                yield steps, size
 
 
 def _leads(

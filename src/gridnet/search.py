@@ -11,9 +11,11 @@ translation class (0 for DS, 0-1 for NA, 0-3 for MH) at once, with no
 per-vertex rows.  Candidates whose digraphs are isomorphic under a
 multiplier map x -> ux form an orbit, and BFS runs once per orbit, on its
 representative: the member that comes first in enumeration order.  The
-class's generator walks only candidates whose leading step no map lowers,
-its weight test picks the representatives among them and gives each
-orbit's size, so every candidate is still counted without being visited.
+class's ``representatives`` walk, shared with ``verify line-digraph``,
+yields them: its generator walks only candidates whose leading step no map
+lowers, and its weight test picks the representatives among them and gives
+each orbit's size, so every candidate is still counted without being
+visited.
 Only the reported witnesses are compiled into a ``Digraph``, and each is
 re-verified there by ``graphs.diameter``: reach sets from every vertex at
 once, an algorithm that shares no code with the search's period BFS.
@@ -104,15 +106,12 @@ def _run_search(
     """
     fam = FAMILIES[family]
     space = {"mod4_filter": True} if mod4_filter else {}
-    classes_of, weight = fam.classes, fam.weight
+    classes_of = fam.classes
     best: Optional[int] = None
     optimal_reps: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps in fam.candidates(n, least_leads=True, **space):
-        size = weight(n, steps, **space)
-        if size is None:
-            continue
+    for steps, size in fam.representatives(n, **space):
         examined += size
         d = bounded_diameter(classes_of(n, steps), n, best)
         if d is None:
@@ -284,7 +283,9 @@ def sweep_verify(theorem: str, k_max: int, exhaustive: bool = False) -> list[Swe
 
     The canonical steps' diameter comes from family_diameter; theorem 4.3
     also checks the line digraph of the canonical NA digraph of order N/2,
-    by line_diameter.
+    by line_diameter.  Orders with no prediction, or whose canonical steps
+    are not a valid record of the family (theorem 4.1 at orders 2 and 3,
+    where ds:2,1,2 and ds:3,1,2 have b = 0 and a = -b), give no row.
     With exhaustive=True also runs the full step search per order to confirm
     the prediction is the true minimum (slower; honors the family caps).
     An order that two cases share (a boundary order) is searched once.
@@ -302,12 +303,14 @@ def sweep_verify(theorem: str, k_max: int, exhaustive: bool = False) -> list[Swe
             predicted = bounds.predicted_diameter(theorem, n)
             if predicted is None:
                 continue
-            constructed = family_diameter(params_at(n, k))
+            params = params_at(n, k)
+            if params.validate():
+                continue
+            constructed = family_diameter(params)
             via = None
             if family == "mh":
                 via = line_diameter(theorem_42_params(n // 2, k))
-            # Theorem 4.1 starts at order 2, below search_ds's least order.
-            if exhaustive and n >= 3 and n not in searched_min:
+            if exhaustive and n not in searched_min:
                 searched_min[n] = search(n).min_diameter
             rows.append(SweepRow(theorem, k, n, predicted, constructed, via,
                                  searched_min.get(n)))

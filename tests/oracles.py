@@ -2,13 +2,15 @@
 
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
 is the search loop without orbit representatives: one BFS per candidate,
-through gridnet's generators, step classes and ``bounded_diameter``.  The
-paper's condition systems of the step translations, and the residues of the
-Manhattan mod-4 space, read only the parameter records.  The summation
-forms of the Moore bounds, the arc-relaxation distance oracle, the degree
-tests and the isomorphism test use only gridnet's error types, ``Digraph``
-accessors and, for the directed-cycle test and the isomorphism invariants,
-its diameter and plain BFS.
+through gridnet's generators, step classes and ``bounded_diameter``.
+``line_digraph_checks_per_candidate`` is ``verify line-digraph`` the same
+way: two BFS per candidate, through the same generator, classes and
+``line_classes``.  The paper's condition systems of the step translations,
+and the residues of the Manhattan mod-4 space, read only the parameter
+records.  The summation forms of the Moore bounds, the arc-relaxation
+distance oracle, the degree tests and the isomorphism test use only
+gridnet's error types, ``Digraph`` accessors and, for the directed-cycle
+test and the isomorphism invariants, its diameter and plain BFS.
 
 Import from test modules as ``from oracles import ...``; pytest puts the
 ``tests`` directory on ``sys.path`` for them.
@@ -24,8 +26,16 @@ from gridnet.families import (
     DoubleStepGraph,
     ManhattanDigraph,
     NewAmsterdamDigraph,
+    format_params,
 )
-from gridnet.graphs import Digraph, GraphError, _bfs_dist, bounded_diameter, diameter
+from gridnet.graphs import (
+    Digraph,
+    GraphError,
+    _bfs_dist,
+    bounded_diameter,
+    diameter,
+    line_classes,
+)
 from gridnet.search import WITNESS_CAP
 
 ISO_ORDER_CAP = 128
@@ -96,6 +106,30 @@ def plain_search_slice(family, n, mod4_filter):
             if len(optima) < WITNESS_CAP:
                 optima.append(steps)
     return best, optima, n_optima, examined
+
+
+def line_digraph_checks_per_candidate(n, kernel=bounded_diameter):
+    """``verify line-digraph`` at order n without orbits: (checks, FAIL lines).
+
+    Two BFS by ``kernel`` per candidate.  A candidate is checked when its
+    line digraph has order 2N (the NA digraph is 2-regular) and its digraph
+    is strongly connected; it fails unless D(L) = D + 1.
+    """
+    na = NewAmsterdamDigraph
+    checks = 0
+    failed = []
+    for steps in na.candidates(n):
+        classes = na.classes(n, steps)
+        line, order = line_classes(classes, n)
+        if order != 2 * n:
+            continue
+        d = kernel(classes, n, None)
+        if d is None:
+            continue
+        checks += 1
+        if kernel(line, order, None) != d + 1:
+            failed.append(f"FAIL line-digraph {format_params(na(n, *steps))}")
+    return checks, failed
 
 
 def check_na_conditions(ds: DoubleStepGraph, na: NewAmsterdamDigraph) -> list[str]:

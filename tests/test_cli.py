@@ -16,11 +16,13 @@ from gridnet.families import (
     FamilyError,
     compile_ds,
     compile_params,
+    format_params,
     parse_params,
 )
 from gridnet.graphs import GraphError, GridnetError, from_json, to_dot, to_json
 from gridnet.search import SearchError, search_na
 
+from oracles import line_digraph_checks_per_candidate
 from test_graphs import MALFORMED_TYPES
 
 # The benchmark's answer gate, loaded by path: perfbench/ is no package.
@@ -283,6 +285,14 @@ class TestVerify:
         assert code == 0
         assert "0 failures" in out
 
+    def test_theorem_41_lists_only_double_step_orders(self, capsys):
+        # ds:2,1,2 (b = 0) and ds:3,1,2 (a = -b) are no DS graphs.
+        code, out, _ = run(capsys, "verify", "4.1", "--k-max", "1", "--exhaustive",
+                           "--csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["4.1,1,4,1,1,,1,pass", "4.1,1,5,1,1,,1,pass",
+                                        "theorem 4.1: 2 orders, 0 failures"]
+
     def test_theorem_42_csv(self, capsys):
         code, out, _ = run(capsys, "verify", "4.2", "--k-max", "2", "--csv")
         assert code == 0
@@ -298,10 +308,14 @@ class TestVerify:
         assert code == 0
         assert "0 failures" in out
 
-    def test_line_digraph_reads_each_candidates_classes_once(self, capsys, monkeypatch):
-        # The check works on the step classes alone: one classes call per
-        # candidate, and no per-vertex rows of the digraph (step_rows)
-        # or its line digraph (the Digraph that graphs.line_digraph builds).
+    def test_line_digraph_reads_each_representatives_classes_once(
+        self, capsys, monkeypatch
+    ):
+        # The check runs once per multiplier orbit, on the step classes
+        # alone: one classes call per representative evaluated (the 2-regular
+        # ones, gamma != delta), and no per-vertex rows of the digraph
+        # (step_rows) or its line digraph (the Digraph that
+        # graphs.line_digraph builds).
         from gridnet import families, graphs
 
         na = FAMILIES["na"]
@@ -320,9 +334,55 @@ class TestVerify:
         monkeypatch.setattr(graphs, "Digraph", no_rows)
         code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "24")
         assert code == 0
-        assert "0 failures" in out
-        candidates = [(n, steps) for n in range(4, 25, 2) for steps in na.candidates(n)]
-        assert reads == candidates
+        assert out == "line-digraph: 1039 checks, 0 failures\n"
+        evaluated = [(n, steps) for n in range(4, 25, 2)
+                     for steps, _ in na.representatives(n) if steps[2] != steps[3]]
+        assert reads == evaluated
+
+    @pytest.mark.parametrize("lie", [False, True], ids=["kernel", "lying-kernel"])
+    def test_line_digraph_equals_the_per_candidate_oracle(
+        self, capsys, monkeypatch, lie
+    ):
+        # For every --n-max from 4 to 40, stdout equals the per-candidate
+        # loop's FAIL lines and summary.  The lying kernel adds one to the
+        # diameter of the digraph of every member of one orbit at order 20,
+        # so that orbit fails as a whole: one FAIL line per member, in
+        # enumeration order.
+        from gridnet import cli, graphs
+
+        na = FAMILIES["na"]
+        kernel = graphs.bounded_diameter
+        if lie:
+            rep, size = next(
+                (steps, size) for steps, size in na.representatives(20)
+                if size > 2 and steps[2] != steps[3]
+                and kernel(na.classes(20, steps), 20, None) is not None
+            )
+            members = {(20, m) for m in na.orbit(20, rep)}
+            assert len(members) == size
+
+            def kernel(classes, n, limit, real=graphs.bounded_diameter):
+                d = real(classes, n, limit)
+                return d + 1 if (n, sum(classes, ())) in members else d
+
+            monkeypatch.setattr(cli, "bounded_diameter", kernel)
+        checks, failed = 0, []
+        for n_max in range(4, 41, 2):
+            count, lines = line_digraph_checks_per_candidate(n_max, kernel)
+            checks += count
+            failed += lines
+            code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", str(n_max))
+            summary = f"line-digraph: {checks} checks, {len(failed)} failures"
+            assert out.splitlines() == failed + [summary], n_max
+            assert code == (2 if failed else 0)
+        if lie:
+            assert failed == [
+                f"FAIL line-digraph {format_params(na(20, *steps))}"
+                for steps in na.candidates(20) if (20, steps) in members
+            ]
+            assert len(failed) == size
+        else:
+            assert summary == "line-digraph: 8238 checks, 0 failures"
 
     @pytest.mark.parametrize(
         "claim,fail,summary",

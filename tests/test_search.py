@@ -315,8 +315,17 @@ class TestSweepVerify:
 
     def test_exhaustive_mode_confirms_predictions_small(self):
         rows = sweep_verify("4.1", 2, exhaustive=True)
-        # order 3 has no valid instance at all, so no searched minimum
-        assert all(r.searched_min == r.predicted for r in rows if r.n >= 4)
+        assert [r.n for r in rows] == [4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
+        assert all(r.searched_min == r.predicted for r in rows)
+
+    @pytest.mark.parametrize("theorem,k_max", [("4.1", 4), ("4.2", 3), ("4.3", 2)])
+    def test_every_row_is_a_valid_record(self, theorem, k_max):
+        # Orders whose canonical steps are no record of the family give no
+        # row: theorem 4.1 at orders 2 and 3 (ds:2,1,2 and ds:3,1,2).
+        params_at = search._THEOREMS[theorem]
+        rows = sweep_verify(theorem, k_max)
+        assert rows
+        assert all(params_at(r.n, r.k).validate() == () for r in rows)
 
     def test_exhaustive_mode_searches_each_order_once(self, monkeypatch):
         # A boundary order 4(k+1)^2+2 (18, 38) belongs to cases k and k+1.
