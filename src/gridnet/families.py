@@ -89,16 +89,17 @@ class FamilyParams(tuple):
     the lead.  The test walks these maps and returns None at the first
     image of smaller key; otherwise the candidate is the orbit's first
     member in enumeration order, the maps that fix it are counted, and it
-    returns the orbit's size in its space (orbit-stabiliser): the number of
-    maps that keep the candidate in its space over that count.
+    returns the orbit's size (orbit-stabiliser): the number of maps over
+    that count.
     ``representatives(n)`` is the shared walk over the orbits that pairs
     the two: it yields each representative with its orbit's size.  The
     search runs one BFS per representative, and ``verify line-digraph``
     one BFS on its digraph and one on its line digraph.
 
-    The Manhattan generator, orbit, test and walk also take ``mod4_filter``,
-    which restricts the space and its maps.  The family's Moore bound and
-    theorem are in ``bounds.THEOREMS``.
+    Each class describes one space, the valid step tuples of its family;
+    the mod-4 Manhattan subspace is searched apart, by gauge classes
+    (``search._mod4_search``).  The family's Moore bound and theorem are in
+    ``bounds.THEOREMS``.
     """
 
     __slots__ = ()
@@ -123,18 +124,15 @@ class FamilyParams(tuple):
         return self[1:]
 
     @classmethod
-    def representatives(
-        cls, n: int, **space: bool
-    ) -> Iterator[tuple[tuple[int, ...], int]]:
+    def representatives(cls, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """Yield (steps, orbit size) for each orbit's representative, in key order.
 
         The one walk over the multiplier orbits of order n: the least-lead
-        candidates that pass the ``weight`` test.  ``space`` is passed to
-        both (``mod4_filter`` for Manhattan).
+        candidates that pass the ``weight`` test.
         """
         weight = cls.weight
-        for steps in cls.candidates(n, least_leads=True, **space):
-            size = weight(n, steps, **space)
+        for steps in cls.candidates(n, least_leads=True):
+            size = weight(n, steps)
             if size is not None:
                 yield steps, size
 
@@ -395,7 +393,7 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         """The Manhattan conditions violated; empty when valid.
 
         The residues a_j = 3, b_j = 1 (mod 4) are no condition here: they
-        define the space of the candidates' mod4_filter.
+        define the mod-4 subspace, which search_mh searches by gauge classes.
         """
         errors: list[str] = []
         n = self.n
@@ -429,51 +427,43 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
 
     @staticmethod
     def candidates(
-        n: int, mod4_filter: bool = False, least_leads: bool = False
+        n: int, least_leads: bool = False
     ) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
         """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
 
-        Yields (a0,b0,a1,b1,a2,b2,a3,b3).  With mod4_filter, restricts to
-        a_j = 3, b_j = 1 (mod 4).  Since 4 | N (a law of every Manhattan
-        record), residues mod 4 survive reduction mod N, so a0 = a2 = 3
-        gives s = 2 and forces a3 = -s-a1 = 3, b2 = s-b0 = 1, b3 = -s-b1 = 1.
+        Yields (a0,b0,a1,b1,a2,b2,a3,b3).  The odd classes' pairs (a1, a3)
+        and (b1, b3) both sum to -s = -(a0+a2), so they range over one list.
 
         With ``least_leads`` the step pairs of classes j and j + 2, (a0, a2),
         (a1, a3), (b0, b2) and (b1, b3), must also keep a2, the second key
         digit, from falling under the maps that keep the lead (_kept_pairs).
         """
-        a_vals = range(3, n, 4) if mod4_filter else range(1, n, 2)
-        b_vals = range(1, n, 4) if mod4_filter else range(1, n, 2)
-        for a0, ok in _leads(n, a_vals, least_leads):
+        odds = range(1, n, 2)
+        for a0, ok in _leads(n, odds, least_leads):
             # Without least_leads no map is tried, so every pair is kept.
             solutions = _solutions(n, a0) if least_leads else ((),) * n
-            for a2 in a_vals:
+            for a2 in odds:
                 s = (a0 + a2) % n
                 if not _kept_pairs(n, (a0,), s, a2, ok, solutions):
                     continue
-                a13 = _kept_pairs(n, a_vals, -s, a2, ok, solutions)
-                b02 = _kept_pairs(n, b_vals, s, a2, ok, solutions)
-                b13 = _kept_pairs(n, b_vals, -s, a2, ok, solutions)
-                for a1, a3 in a13:
+                odd_pairs = _kept_pairs(n, odds, -s, a2, ok, solutions)
+                b02 = _kept_pairs(n, odds, s, a2, ok, solutions)
+                for a1, a3 in odd_pairs:
                     for b0, b2 in b02:
                         if b0 == a0:
                             continue
-                        for b1, b3 in b13:
+                        for b1, b3 in odd_pairs:
                             if b1 != a1:
                                 yield (a0, b0, a1, b1, a2, b2, a3, b3)
 
     @staticmethod
-    def orbit(
-        n: int, steps: tuple[int, ...], mod4_filter: bool = False
-    ) -> Iterator[tuple[int, ...]]:
+    def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """x -> ux + t for each unit u and t = 0..3, and the a/b swaps.
 
         Residue r = i mod 4 steps by the pair of class -r mod 4 (see classes).
         The map sends residue r to ur + t and scales its pair by u.  Swapping
         a and b in both even classes, or in both odd classes, keeps the sum
-        conditions and the digraph itself.  With mod4_filter only the maps
-        that keep a_j = 3, b_j = 1 (mod 4) apply: u = 1 (mod 4) with no swap
-        and u = 3 (mod 4) with both.
+        conditions and the digraph itself.
         """
         by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
         for u in _units(n):
@@ -482,28 +472,22 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
                 for r, (x, y) in enumerate(by_residue):
                     classes[-(u * r + t) % 4] = (u * x % n, u * y % n)
                 (a0, b0), (a1, b1), (a2, b2), (a3, b3) = classes
-                if not mod4_filter or u % 4 == 1:
-                    yield (a0, b0, a1, b1, a2, b2, a3, b3)
-                if not mod4_filter:
-                    yield (b0, a0, a1, b1, b2, a2, a3, b3)
-                    yield (a0, b0, b1, a1, a2, b2, b3, a3)
-                if not mod4_filter or u % 4 == 3:
-                    yield (b0, a0, b1, a1, b2, a2, b3, a3)
+                yield (a0, b0, a1, b1, a2, b2, a3, b3)
+                yield (b0, a0, a1, b1, b2, a2, a3, b3)
+                yield (a0, b0, b1, a1, a2, b2, b3, a3)
+                yield (b0, a0, b1, a1, b2, a2, b3, a3)
 
     @staticmethod
     def key(steps: tuple[int, ...]) -> tuple[int, ...]:
         return steps[0], steps[4], steps[2], steps[1], steps[3]
 
     @staticmethod
-    def weight(
-        n: int, steps: tuple[int, ...], mod4_filter: bool = False
-    ) -> Optional[int]:
+    def weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
         """Maps keep the lead when they send the class j holding x to class 0.
 
         With t = uj (mod 4) class j + i goes to class ui, so classes j, j + 2,
         j + u and j - u become 0, 2, 1 and 3.  If x is b_j the even classes
-        swap; the odd classes may swap either way, or with mod4_filter exactly
-        when the even ones do.
+        swap; the odd classes may swap either way.
         """
         pairs = (steps[0:2], steps[2:4], steps[4:6], steps[6:8])
         lead, a2, a1, b0, b1 = ManhattanDigraph.key(steps)
@@ -520,12 +504,12 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
                         continue
                     pair1 = pairs[(j + u) % 4]
                     image_b0 = u * lead_pair[1 - even] % n
-                    for odd in (even,) if mod4_filter else (0, 1):
+                    for odd in (0, 1):
                         image = (u * pair1[odd] % n, image_b0, u * pair1[1 - odd] % n)
                         if image < (a1, b0, b1):
                             return None
                         fixed += image == (a1, b0, b1)
-        return (4 if mod4_filter else 16) * len(_units(n)) // fixed
+        return 16 * len(_units(n)) // fixed
 
 
 FAMILIES: dict[str, type[FamilyParams]] = {

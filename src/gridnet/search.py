@@ -16,6 +16,10 @@ yields them: its generator walks only candidates whose leading step no map
 lowers, and its weight test picks the representatives among them and gives
 each orbit's size, so every candidate is still counted without being
 visited.
+The mod-4 Manhattan space, a_j = 3 and b_j = 1 (mod 4), is searched apart
+by ``_mod4_search``: a gauge relabelling each residue class by a multiple
+of 4 splits it into (N/4)^2 classes of (N/4)^3 isomorphic candidates, and
+BFS runs once per class.
 Only the reported witnesses are compiled into a ``Digraph``, and each is
 re-verified there by ``graphs.diameter``: reach sets from every vertex at
 once, an algorithm that shares no code with the search's period BFS.
@@ -28,6 +32,7 @@ callers and has no effect.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple, Optional
 
 from . import bounds
@@ -88,7 +93,7 @@ class SearchResult(NamedTuple):
 
 
 def _run_search(
-    family: str, n: int, mod4_filter: bool = False
+    family: str, n: int
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
     """Evaluate the candidates; return (best, optima, n_optima, examined).
 
@@ -105,13 +110,12 @@ def _run_search(
     falls.  The optima themselves come from expanding the optimal orbits.
     """
     fam = FAMILIES[family]
-    space = {"mod4_filter": True} if mod4_filter else {}
     classes_of = fam.classes
     best: Optional[int] = None
     optimal_reps: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps, size in fam.representatives(n, **space):
+    for steps, size in fam.representatives(n):
         examined += size
         d = bounded_diameter(classes_of(n, steps), n, best)
         if d is None:
@@ -123,11 +127,11 @@ def _run_search(
         elif d == best:
             optimal_reps.append(steps)
             n_optima += size
-    return best, _first_members(fam, n, optimal_reps, space), n_optima, examined
+    return best, _first_members(fam, n, optimal_reps), n_optima, examined
 
 
 def _first_members(
-    fam: type[FamilyParams], n: int, reps: list[tuple[int, ...]], space: dict
+    fam: type[FamilyParams], n: int, reps: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """The first WITNESS_CAP members of the orbits of ``reps``, in key order.
 
@@ -139,9 +143,49 @@ def _first_members(
     for rep in reps:
         if len(first) == WITNESS_CAP and fam.key(first[-1]) < fam.key(rep):
             break
-        members = {*first, *fam.orbit(n, rep, **space)}
+        members = {*first, *fam.orbit(n, rep)}
         first = sorted(members, key=fam.key)[:WITNESS_CAP]
     return first
+
+
+def _mod4_search(n: int) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
+    """``_run_search`` over the mod-4 Manhattan space, one BFS per gauge class.
+
+    The space, a_j = 3 and b_j = 1 (mod 4), has (N/4)^5 candidates: its free
+    steps (a0, a2, a1, b0, b1) take N/4 values each.  Relabelling residue r
+    by v -> v + g_r, each g_r = 0 (mod 4), is an isomorphism that adds
+    (x, y, z, x+y+z, -x) to them, where x = g3 - g0, y = g1 - g2 and
+    z = g2 - g3.  So the space splits into (N/4)^2 classes of (N/4)^3, and
+    each class has one member at each (a0, a2, a1).  BFS runs on the member
+    at (3, 3, 3), the class's key-least one, which counts as (N/4)^3
+    candidates.  The first WITNESS_CAP optima in key order are the optimal
+    classes' members at each (a0, a2, a1) in turn, sorted by key.
+    """
+    classes_of = ManhattanDigraph.classes
+    ones = range(1, n, 4)
+    best: Optional[int] = None
+    optimal: list[tuple[int, int]] = []
+    for b0 in ones:
+        for b1 in ones:
+            steps = (3, b0, 3, b1, 3, (6 - b0) % n, -9 % n, (-6 - b1) % n)
+            d = bounded_diameter(classes_of(n, steps), n, best)
+            if d is None:
+                continue
+            if best is None or d < best:
+                best = d
+                optimal = [(b0, b1)]
+            elif d == best:
+                optimal.append((b0, b1))
+    first: list[tuple[int, ...]] = []
+    for a0, a2, a1 in product(range(3, n, 4), repeat=3):
+        if len(first) >= WITNESS_CAP:
+            break
+        s, shift = a0 + a2, a0 + a2 + a1 - 9
+        members = sorted(((b0 + shift) % n, (b1 + 3 - a0) % n) for b0, b1 in optimal)
+        first += [(a0, b0, a1, b1, a2, (s - b0) % n, (-s - a1) % n, (-s - b1) % n)
+                  for b0, b1 in members]
+    quarter = n // 4
+    return best, first[:WITNESS_CAP], len(optimal) * quarter**3, quarter**5
 
 
 def _prediction(theorem: str, n: int, min_d: Optional[int]) -> str:
@@ -214,9 +258,10 @@ def search_mh(
     Default mode runs search_na(n/2) and lifts the optimum through the
     line-digraph relation (min diameter + 1, witnesses the na_to_mh images
     of the NA witnesses); _finish certifies every image by graphs.diameter.
-    Direct mode enumerates the Manhattan step space itself, restricted by
-    ``mod4_filter`` to a_j = 3, b_j = 1 (mod 4); the filter acts only on
-    that enumeration, so it implies direct mode.  ``cap`` bounds n in either
+    Direct mode enumerates the Manhattan step space itself.  With
+    ``mod4_filter`` it searches the subspace a_j = 3, b_j = 1 (mod 4)
+    instead, one BFS per gauge class (_mod4_search); the filter names a
+    direct space, so it implies direct mode.  ``cap`` bounds n in either
     mode; it defaults to DEFAULT_CAP_MH_VIA_NA via NA and to DEFAULT_CAP_MH
     in direct mode.  ``workers`` is accepted and ignored.
     """
@@ -226,7 +271,8 @@ def search_mh(
         cap = DEFAULT_CAP_MH if cap is None else cap
         if n > cap:
             raise SearchError(f"order {n} exceeds direct-mode cap {cap}")
-        return _finish("mh", n, *_run_search("mh", n, mod4_filter))
+        found = _mod4_search(n) if mod4_filter else _run_search("mh", n)
+        return _finish("mh", n, *found)
 
     cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
     if n > cap:

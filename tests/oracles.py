@@ -1,16 +1,18 @@
 """Test-only reference implementations.
 
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
-is the search loop without orbit representatives: one BFS per candidate,
-through gridnet's generators, step classes and ``bounded_diameter``.
+is the search loop without orbit representatives or gauge classes: one BFS
+per candidate, through gridnet's generators, step classes and
+``bounded_diameter``.
 ``line_digraph_checks_per_candidate`` is ``verify line-digraph`` the same
 way: two BFS per candidate, through the same generator, classes and
 ``line_classes``.  The paper's condition systems of the step translations,
-and the residues of the Manhattan mod-4 space, read only the parameter
-records.  The summation forms of the Moore bounds, the arc-relaxation
-distance oracle, the degree tests and the isomorphism test use only
-gridnet's error types, ``Digraph`` accessors and, for the directed-cycle
-test and the isomorphism invariants, its diameter and plain BFS.
+and the residues and gauge classes of the Manhattan mod-4 space, read only
+the parameter records.  The summation forms of the Moore bounds, the
+arc-relaxation distance oracle, the degree tests and the isomorphism test
+use only gridnet's error types, ``Digraph`` accessors and, for the
+directed-cycle test and the isomorphism invariants, its diameter and plain
+BFS.
 
 Import from test modules as ``from oracles import ...``; pytest puts the
 ``tests`` directory on ``sys.path`` for them.
@@ -83,11 +85,16 @@ def brute_na_minimum(n):
     return best
 
 
-def plain_search_slice(family, n, mod4_filter):
-    """``search._run_search`` without orbit representatives: BFS on every candidate."""
+def plain_search_slice(family, n, in_space=None):
+    """``search._run_search`` without orbit representatives: BFS on every candidate.
+
+    ``in_space``, when given, keeps only the candidates it accepts; with
+    ``in_mod4_space`` this is ``search._mod4_search`` without gauge classes.
+    """
     fam = FAMILIES[family]
-    generate = fam.candidates
-    candidates = generate(n, mod4_filter=True) if mod4_filter else generate(n)
+    candidates = fam.candidates(n)
+    if in_space is not None:
+        candidates = filter(in_space, candidates)
     best = None
     optima = []
     n_optima = 0
@@ -189,9 +196,33 @@ def check_mh_conditions(na: NewAmsterdamDigraph, mh: ManhattanDigraph) -> list[s
 
 def in_mod4_space(steps: tuple[int, ...]) -> bool:
     """Whether Manhattan steps (a0, b0, ..., a3, b3), N a multiple of 4,
-    have a_j = 3 and b_j = 1 (mod 4): the space of the mod-4 filter."""
-    a_steps, b_steps = steps[0::2], steps[1::2]
-    return all(a % 4 == 3 for a in a_steps) and all(b % 4 == 1 for b in b_steps)
+    have a_j = 3 and b_j = 1 (mod 4): the space that
+    ``search_mh(mod4_filter=True)`` searches."""
+    a0, b0, a1, b1, a2, b2, a3, b3 = steps
+    return (a0 % 4 == a1 % 4 == a2 % 4 == a3 % 4 == 3
+            and b0 % 4 == b1 % 4 == b2 % 4 == b3 % 4 == 1)
+
+
+def gauge(n: int, steps: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Manhattan steps after relabelling each vertex v by v + g[v % 4].
+
+    Each g_r must be 0 (mod 4), so that residues stay put.  A step s out of
+    residue r, which leads to residue r' = r + s, becomes s + g_r' - g_r;
+    residue r steps by the pair of class -r (mod 4).
+    """
+    out = []
+    for i, s in enumerate(steps):
+        r = -(i // 2) % 4
+        out.append((s + g[(r + s) % 4] - g[r]) % n)
+    return tuple(out)
+
+
+def gauge_class(n: int, steps: tuple[int, ...]) -> frozenset:
+    """Every gauge image of Manhattan steps: g_0 = 0 and g_1, g_2, g_3 free
+    multiples of 4 (a common shift of all four is a translation)."""
+    return frozenset(
+        gauge(n, steps, (0, *g)) for g in product(range(0, n, 4), repeat=3)
+    )
 
 
 def moore_ds_sum(k: int) -> int:

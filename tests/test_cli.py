@@ -261,7 +261,7 @@ class TestSearch:
         assert err.startswith(f"error: {message}\nusage: gridnet search {argv[0]} ")
 
     def test_mod4_filter_implies_direct(self, capsys):
-        # The filter acts only on the direct enumeration, so it selects it.
+        # The filter names a direct-mode space, so it selects direct mode.
         filtered = run(capsys, "search", "mh", "--mod4-filter", "--n", "16")
         direct = run(capsys, "search", "mh", "--direct", "--mod4-filter", "--n", "16")
         assert filtered == direct

@@ -16,11 +16,12 @@ from gridnet.families import (
     family_diameter,
     line_diameter,
 )
-from gridnet.graphs import diameter, line_digraph
+from gridnet.graphs import Digraph, diameter, line_digraph
 from oracles import (
     are_isomorphic,
     check_mh_conditions,
     check_na_conditions,
+    in_mod4_space,
     is_directed_cycle,
     is_regular,
 )
@@ -221,6 +222,42 @@ class TestLineDigraphIsManhattan:
             assert are_isomorphic(lg, compile_params(na_to_mh(p))), p
             checked += 1
         assert checked == 14
+
+
+def root_line_digraph(m, alpha, beta, gamma, delta):
+    """The line digraph of the NA step digraph on Z_m, one vertex per arc.
+
+    Built from the arcs themselves, so that with alpha = beta (mod m) the
+    two parallel arcs out of each even vertex stay two vertices:
+    graphs.line_classes merges coincident steps.
+    """
+    arcs = [(v, (v + x) % m) for v in range(m)
+            for x in ((alpha, beta) if v % 2 == 0 else (gamma, delta))]
+    return Digraph.from_lists(len(arcs), [
+        [f for f, (tail, _) in enumerate(arcs) if tail == head]
+        for _, head in arcs
+    ])
+
+
+def test_mod4_class_is_the_line_digraph_of_its_na_root():
+    # Every mod-4 gauge class has one member with b = (1, -3, 1, 1):
+    # (a0, 1, a1, -3, 2 - a0, 1, -2 - a1, 1) for a0, a1 = 3 (mod 4).  It is
+    # the line digraph of Y = NA(N/2; 1, (a0+a1)/2, (1-a0)/2, -(3+a1)/2):
+    # the lemma by which the mod-4 minimum at N is the NA minimum at N/2,
+    # plus 1 (test_search).  Y has alpha = beta, parallel arcs, when
+    # a0 + a1 = 2 (mod N): N/4 classes.
+    checked = parallel = 0
+    for n in range(8, 25, 4):
+        for a0 in range(3, n, 4):
+            for a1 in range(3, n, 4):
+                mh = ManhattanDigraph(n, a0, 1, a1, -3, 2 - a0, 1, -2 - a1, 1)
+                assert in_mod4_space(mh.steps) and not mh.validate()
+                root = root_line_digraph(n // 2, 1, (a0 + a1) // 2, (1 - a0) // 2,
+                                         -(3 + a1) // 2)
+                assert are_isomorphic(compile_params(mh), root), mh
+                checked += 1
+                parallel += (a0 + a1) % n == 2
+    assert (checked, parallel) == (90, 20)
 
 
 @st.composite

@@ -19,7 +19,7 @@ from gridnet.families import (
     parse_params,
 )
 from gridnet.graphs import diameter
-from oracles import in_mod4_space
+from oracles import gauge, gauge_class, in_mod4_space
 
 
 class TestValidateDs:
@@ -67,7 +67,7 @@ class TestValidateNa:
 class TestValidateMh:
     def test_canonical_20_vertex_steps(self):
         # Valid although a0 = 1, not 3 (mod 4): the residues only define
-        # the mod4_filter space.
+        # the mod-4 space that search_mh(mod4_filter=True) searches.
         assert not ManhattanDigraph(20, 1, 7, -3, 7, 1, -5, 1, -9).validate()
 
     def test_even_step_hard_violation(self):
@@ -224,10 +224,11 @@ class TestParamText:
 # Each generator's symmetry: the canonical representative it yields for a
 # step tuple.  DS steps are unordered and signed (a < b <= N/2 under +-); the
 # two NA out-pairs are unordered (alpha < beta, gamma <= delta).  MH uses no
-# symmetry reduction (test_mh_generator_with_and_without_mod4_filter).
+# symmetry reduction: its generator yields every valid tuple.
 CANONICAL = {
     "ds": lambda n, s: tuple(sorted(min(x, n - x) for x in s)),
     "na": lambda n, s: (*sorted(s[:2]), *sorted(s[2:])),
+    "mh": lambda n, s: s,
 }
 
 
@@ -259,6 +260,7 @@ class TestRegistry:
             ("ds", range(1, 31), False),
             ("na", range(2, 13, 2), False),
             ("na", range(14, 23, 2), True),
+            ("mh", (8,), True),
         ],
     )
     def test_generator_yields_each_valid_class_once(self, tag, orders, odd_only):
@@ -269,33 +271,44 @@ class TestRegistry:
             assert len(generated) == len(set(generated)), n
             assert set(generated) == brute_force_classes(family, n, values), n
 
-    def test_mh_generator_with_and_without_mod4_filter(self):
-        # The filter keeps the valid tuples with a_j = 3, b_j = 1 (mod 4).
-        valid = {
-            steps for steps in product(range(1, 8, 2), repeat=8)
-            if not ManhattanDigraph(8, *steps).validate()
-        }
-        residues = {steps for steps in valid if in_mod4_space(steps)}
-        mh = FAMILIES["mh"]
-        for mod4_filter, expected, count in (
-            (False, valid, 576),
-            (True, residues, 32),
-        ):
-            generated = list(mh.candidates(8, mod4_filter=mod4_filter))
-            assert len(generated) == len(set(generated)) == count
-            assert set(generated) == expected
-
-    def test_mod4_filter_is_the_residue_restriction(self):
-        # With 4 | N the forced steps a3, b2, b3 land in the filtered residue
-        # classes, so the filter only needs to restrict the free steps.
-        mh = FAMILIES["mh"]
-        for n in range(8, 25, 4):
-            restricted = [steps for steps in mh.candidates(n) if in_mod4_space(steps)]
-            assert list(mh.candidates(n, mod4_filter=True)) == restricted, n
-
     def test_records_are_keyed_by_their_params_tag(self):
         for tag, family in FAMILIES.items():
             assert family.tag == tag
+
+
+class TestMod4GaugeClasses:
+    """Relabelling residue r by v -> v + g_r, each g_r = 0 (mod 4), keeps
+    the mod-4 space; search_mh(mod4_filter=True) runs one BFS per class."""
+
+    def test_every_candidate_lies_in_one_class_of_full_size(self):
+        mh = FAMILIES["mh"]
+        for n in range(8, 33, 4):
+            space = [s for s in mh.candidates(n) if in_mod4_space(s)]
+            classes = {}
+            for steps in space:
+                if steps not in classes:
+                    cls = gauge_class(n, steps)
+                    classes.update(dict.fromkeys(cls, cls))
+            assert classes.keys() == set(space), n
+            distinct = set(classes.values())
+            assert sum(map(len, distinct)) == len(space) == (n // 4) ** 5, n
+            assert {len(cls) for cls in distinct} == {(n // 4) ** 3}, n
+
+    def test_each_member_is_its_representative_relabelled(self):
+        for n in (8, 12, 16):
+            for b0, b1 in product(range(1, n, 4), repeat=2):
+                rep = ManhattanDigraph(n, 3, b0, 3, b1, 3, 6 - b0, -9, -6 - b1)
+                rows = compile_params(rep).out_arcs
+                for g1, g2, g3 in product(range(0, n, 4), repeat=3):
+                    g = (0, g1, g2, g3)
+                    relabel = [(v + g[v % 4]) % n for v in range(n)]
+                    relabelled = [None] * n
+                    for v, heads in enumerate(rows):
+                        relabelled[relabel[v]] = {relabel[w] for w in heads}
+                    member = ManhattanDigraph(n, *gauge(n, rep.steps, g))
+                    assert in_mod4_space(member.steps)
+                    rows_of_member = compile_params(member).out_arcs
+                    assert list(map(set, rows_of_member)) == relabelled
 
 
 @settings(max_examples=300, deadline=None)

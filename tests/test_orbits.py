@@ -7,7 +7,9 @@ member that comes first in enumeration order (least ``key``), which the
 family's ``weight`` test recognises and weighs by the orbit's size.  These
 tests check the maps against brute force, the representative tests against
 the orbits they list, and the search against ``plain_search_slice``, the
-same loop with one BFS per candidate.
+same loop with one BFS per candidate.  The mod-4 Manhattan space is
+searched by gauge classes instead (``search._mod4_search``); its cases
+check those classes and that search the same way.
 """
 
 import math
@@ -21,7 +23,7 @@ from gridnet import search
 from gridnet.families import FAMILIES, ManhattanDigraph, compile_params
 from gridnet.graphs import bounded_diameter, diameter
 
-from oracles import plain_search_slice
+from oracles import gauge_class, in_mod4_space, plain_search_slice
 
 
 @lru_cache(maxsize=4)
@@ -107,14 +109,16 @@ SEARCH_CASES = (
 )
 
 
-@pytest.mark.parametrize("family,n,mod4_filter", SEARCH_CASES)
-def test_memo_matches_one_bfs_per_candidate(family, n, mod4_filter):
-    assert search._run_search(family, n, mod4_filter) == (
-        plain_search_slice(family, n, mod4_filter)
-    )
+@pytest.mark.parametrize("family,n,mod4", SEARCH_CASES)
+def test_memo_matches_one_bfs_per_candidate(family, n, mod4):
+    if mod4:
+        assert search._mod4_search(n) == plain_search_slice(family, n, in_mod4_space)
+    else:
+        assert search._run_search(family, n) == plain_search_slice(family, n)
 
 
-# (family, order, mod4_filter) spaces small enough to list every orbit.
+# (family, order, mod4) spaces small enough to list every orbit; in the
+# mod-4 space the orbits are the gauge classes.
 SPACES = (
     [("ds", n, False) for n in range(3, 41)]
     + [("na", n, False) for n in range(4, 31, 2)]
@@ -123,40 +127,47 @@ SPACES = (
 )
 
 
-def space_orbits(family, n, mod4_filter):
+def space_orbits(family, n, mod4):
     """Each candidate of the space with its orbit: set(orbit) within the space."""
     fam = FAMILIES[family]
-    space = {"mod4_filter": True} if mod4_filter else {}
-    candidates = list(fam.candidates(n, **space))
+    candidates = list(fam.candidates(n))
+    if mod4:
+        candidates = [s for s in candidates if in_mod4_space(s)]
     in_space = frozenset(candidates)
     orbits = {}
     for steps in candidates:
         if steps not in orbits:
-            orbit = frozenset(fam.orbit(n, steps)) & in_space
+            images = gauge_class(n, steps) if mod4 else fam.orbit(n, steps)
+            orbit = frozenset(images) & in_space
             orbits.update(dict.fromkeys(orbit, orbit))
     return candidates, orbits
 
 
-@pytest.mark.parametrize("family,n,mod4_filter", SPACES)
-def test_representative_is_the_key_least_orbit_member(family, n, mod4_filter):
+@pytest.mark.parametrize("family,n,mod4", SPACES)
+def test_representative_is_the_key_least_orbit_member(family, n, mod4):
     fam = FAMILIES[family]
-    space = {"mod4_filter": True} if mod4_filter else {}
-    candidates, orbits = space_orbits(family, n, mod4_filter)
+    candidates, orbits = space_orbits(family, n, mod4)
     assert sorted(candidates, key=fam.key) == candidates
+    reps = {s for s in candidates if s == min(orbits[s], key=fam.key)}
+    if mod4:
+        # search._mod4_search runs BFS on a0 = a2 = a1 = 3, once per class,
+        # and weighs it by the class size (N/4)^3.
+        assert reps == {s for s in candidates if s[0] == s[4] == s[2] == 3}
+        assert {len(orbits[s]) for s in reps} == {(n // 4) ** 3}
+        return
     # The least-lead walk skips only candidates that are no representative,
     # and the weight test then tells the representatives apart.
-    walked = list(fam.candidates(n, least_leads=True, **space))
+    walked = list(fam.candidates(n, least_leads=True))
     assert sorted(walked, key=fam.key) == walked
     assert set(walked) <= set(candidates)
-    reps = {s for s in candidates if s == min(orbits[s], key=fam.key)}
     assert reps <= set(walked)
     for steps in walked:
         orbit = orbits[steps]
-        weight = fam.weight(n, steps, **space)
+        weight = fam.weight(n, steps)
         assert (weight is not None) == (steps in reps), steps
         if weight is not None:
             assert weight == len(orbit), steps
-            assert set(fam.orbit(n, steps, **space)) == orbit, steps
+            assert set(fam.orbit(n, steps)) == orbit, steps
 
 
 @pytest.mark.parametrize("family,n", [("ds", 60), ("na", 30), ("mh", 12)])
@@ -182,12 +193,9 @@ def test_direct_search_counts_at_32():
         5, 32_768, 921_600)
 
 
-@pytest.mark.parametrize(
-    "family,n,bfs_calls",
-    [("na", 60, 316), ("na", 78, 380), ("mh", 16, 256), ("mh", 12, 135),
-     ("ds", 200, 92)],
-)
-def test_one_bfs_per_orbit(monkeypatch, family, n, bfs_calls):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The argument tuples of every search-kernel call the test makes."""
     calls = []
 
     def counting(*args):
@@ -195,5 +203,38 @@ def test_one_bfs_per_orbit(monkeypatch, family, n, bfs_calls):
         return bounded_diameter(*args)
 
     monkeypatch.setattr(search, "bounded_diameter", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family,n,bfs_calls",
+    [("na", 60, 316), ("na", 78, 380), ("mh", 16, 256), ("mh", 12, 135),
+     ("ds", 200, 92)],
+)
+def test_one_bfs_per_orbit(kernel_calls, family, n, bfs_calls):
     search._run_search(family, n)
-    assert len(calls) == bfs_calls
+    assert len(kernel_calls) == bfs_calls
+
+
+@pytest.mark.parametrize("n,bfs_calls", [(8, 4), (64, 256), (108, 729)])
+def test_mod4_search_runs_one_bfs_per_gauge_class(kernel_calls, n, bfs_calls):
+    assert search._mod4_search(n)[3] == (n // 4) ** 5
+    assert len(kernel_calls) == bfs_calls == (n // 4) ** 2
+
+
+def test_mod4_witnesses_run_past_the_first_digits(monkeypatch):
+    # Real optima fill the 32 witnesses at a0 = 3 from N = 12 to 64.  Under
+    # a kernel that makes one class optimal, its 32 key-least members have
+    # a0 = 3 and 7, so every gauge shift of the witness rule is exercised.
+    n = 16
+    rep = ManhattanDigraph(n, 3, 5, 3, 9, 3, 1, -9, -15)  # (b0, b1) = (5, 9)
+    optimal = ManhattanDigraph.classes(n, rep.steps)
+
+    def kernel(classes, order, limit):
+        d = 1 if classes == optimal else 2
+        return None if limit is not None and d > limit else d
+
+    monkeypatch.setattr(search, "bounded_diameter", kernel)
+    first = sorted(gauge_class(n, rep.steps), key=ManhattanDigraph.key)[:32]
+    assert {steps[0] for steps in first} == {3, 7}
+    assert search._mod4_search(n) == (1, first, 4**3, 4**5)

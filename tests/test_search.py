@@ -172,8 +172,15 @@ class TestSearchMh:
             assert r.min_diameter == inner.min_diameter + 1, n
             assert r.candidates_examined == inner.candidates_examined, n
 
+    def test_mod4_minimum_is_the_via_na_minimum(self):
+        # Every mod-4 class is the line digraph of an NA digraph of order
+        # N/2 (test_constructions), and D(L(G)) = D(G) + 1.
+        for n in range(8, 65, 4):
+            assert (search_mh(n, mod4_filter=True).min_diameter
+                    == search_mh(n).min_diameter), n
+
     def test_mod4_filter_implies_direct(self):
-        # The filter acts only on the direct enumeration, so it selects it.
+        # The filter names a direct-mode space, so it selects direct mode.
         assert search_mh(16, mod4_filter=True) == search_mh(
             16, direct=True, mod4_filter=True
         )
