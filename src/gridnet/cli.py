@@ -219,17 +219,36 @@ def _cmd_search(args) -> int:
 
 
 def _sandwich_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
+    """Two checks per DS candidate; one sandwich per multiplier orbit.
+
+    D(G), D_NA and D_MH are the same on a whole orbit.  Its maps (x -> ux
+    for a unit u, the fold of a step s to N-s, and the swap of a and b)
+    are DS isomorphisms.  ds_to_na(a, b) has the NA gauge class
+    (s, t) = (a, -b) mod N, on which they act as u and as dihedral maps of
+    (s, t), all NA isomorphisms.  And na_to_mh(X) is isomorphic to L(X),
+    so isomorphic NA digraphs give isomorphic MH ones (README).  So a
+    representative counts as its orbit's size in checks, and a failing one
+    is checked again member by member; the FAIL lines of an order are
+    printed in enumeration order.
+    """
     ds = FAMILIES["ds"]
     for n in range(first, n_max + 1):
-        for steps in ds.candidates(n):
-            p = ds(n, *steps)
-            r = check_diameter_sandwich(p)
-            yield len(r.checks), [
-                f"FAIL {kind} {format_params(p)}: k={r.k} "
-                f"derived={derived} not in [{low},{high}]"
-                for kind, derived, low, high in r.checks
-                if not low <= derived <= high
-            ]
+        checks = 0
+        failing: set[tuple[int, ...]] = set()
+        for steps, size in ds.representatives(n):
+            r = check_diameter_sandwich(ds(n, *steps))
+            checks += len(r.checks) * size
+            if not r.passed:
+                failing.update(ds.orbit(n, steps))
+        reports = [check_diameter_sandwich(ds(n, *steps))
+                   for steps in sorted(failing, key=ds.key)]
+        yield checks, [
+            f"FAIL {kind} {format_params(r.ds)}: k={r.k} "
+            f"derived={derived} not in [{low},{high}]"
+            for r in reports
+            for kind, derived, low, high in r.checks
+            if not low <= derived <= high
+        ]
 
 
 def _line_digraph_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
@@ -285,8 +304,10 @@ def _print_rows(rows, csv: bool) -> None:
 
 # Structural claim -> (its checks, first order checked, default --n-max).
 # The first order, ds:4,1,2's and the least NA order, is the least --n-max.
-# The checks yield (count, FAIL lines) pairs: a batch of checks and, in
-# order, the FAIL lines of those that failed.
+# The checks yield (count, FAIL lines) pairs, one per order: a batch of
+# checks and, in enumeration order, the FAIL lines of those that failed.
+# Both walk FamilyParams.representatives, check once per multiplier orbit
+# and count the orbit's members, and expand a failing orbit member by member.
 _STRUCTURAL_CLAIMS = {
     "sandwich": (_sandwich_checks, 4, 40),
     "line-digraph": (_line_digraph_checks, 4, 24),

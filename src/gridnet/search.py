@@ -261,22 +261,29 @@ def search_mh(
     Direct mode enumerates the Manhattan step space itself.  With
     ``mod4_filter`` it searches the subspace a_j = 3, b_j = 1 (mod 4)
     instead, one BFS per gauge class (_mod4_search); the filter names a
-    direct space, so it implies direct mode.  ``cap`` bounds n in either
-    mode; it defaults to DEFAULT_CAP_MH_VIA_NA via NA and to DEFAULT_CAP_MH
-    in direct mode.  ``workers`` is accepted and ignored.
+    direct space, so it implies direct mode.  ``cap`` bounds n in every
+    mode.  It defaults to DEFAULT_CAP_MH in direct mode and to
+    DEFAULT_CAP_MH_VIA_NA via NA and with ``mod4_filter``: every mod-4
+    class is the line digraph of an NA digraph of order n/2, so that
+    search answers the via-NA question and shares its cap.
+    ``workers`` is accepted and ignored.
     """
     if n < 8 or n % FAMILIES["mh"].period:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
-    if direct or mod4_filter:
-        cap = DEFAULT_CAP_MH if cap is None else cap
-        if n > cap:
-            raise SearchError(f"order {n} exceeds direct-mode cap {cap}")
-        found = _mod4_search(n) if mod4_filter else _run_search("mh", n)
-        return _finish("mh", n, *found)
-
-    cap = DEFAULT_CAP_MH_VIA_NA if cap is None else cap
+    if mod4_filter:
+        mode, default = "mod-4", DEFAULT_CAP_MH_VIA_NA
+    elif direct:
+        mode, default = "direct-mode", DEFAULT_CAP_MH
+    else:
+        mode, default = "via-NA", DEFAULT_CAP_MH_VIA_NA
+    cap = default if cap is None else cap
     if n > cap:
-        raise SearchError(f"order {n} exceeds via-NA cap {cap}")
+        raise SearchError(f"order {n} exceeds {mode} cap {cap}")
+    if mod4_filter:
+        return _finish("mh", n, *_mod4_search(n))
+    if direct:
+        return _finish("mh", n, *_run_search("mh", n))
+
     # The two-way cycle (1, -1, 1, -1) is an NA candidate: a minimum exists.
     inner = search_na(n // 2, cap=n // 2)
     mapped = [na_to_mh(w).steps for w in inner.witnesses]

@@ -6,13 +6,14 @@ per candidate, through gridnet's generators, step classes and
 ``bounded_diameter``.
 ``line_digraph_checks_per_candidate`` is ``verify line-digraph`` the same
 way: two BFS per candidate, through the same generator, classes and
-``line_classes``.  The paper's condition systems of the step translations,
-and the residues and gauge classes of the Manhattan mod-4 space, read only
-the parameter records.  The summation forms of the Moore bounds, the
-arc-relaxation distance oracle, the degree tests and the isomorphism test
-use only gridnet's error types, ``Digraph`` accessors and, for the
-directed-cycle test and the isomorphism invariants, its diameter and plain
-BFS.
+``line_classes``; ``sandwich_checks_per_candidate`` is ``verify sandwich``
+with one ``check_diameter_sandwich`` per DS candidate.  The paper's
+condition systems of the step translations, and the residues and gauge
+classes of the Manhattan mod-4 space, read only the parameter records.
+The summation forms of the Moore bounds, the arc-relaxation distance
+oracle, the degree tests and the isomorphism test use only gridnet's error
+types, ``Digraph`` accessors and, for the directed-cycle test and the
+isomorphism invariants, its diameter and plain BFS.
 
 Import from test modules as ``from oracles import ...``; pytest puts the
 ``tests`` directory on ``sys.path`` for them.
@@ -23,6 +24,7 @@ from itertools import product
 from typing import Optional
 
 from gridnet.bounds import BoundsError
+from gridnet.constructions import check_diameter_sandwich
 from gridnet.families import (
     FAMILIES,
     DoubleStepGraph,
@@ -136,6 +138,29 @@ def line_digraph_checks_per_candidate(n, kernel=bounded_diameter):
         checks += 1
         if kernel(line, order, None) != d + 1:
             failed.append(f"FAIL line-digraph {format_params(na(n, *steps))}")
+    return checks, failed
+
+
+def sandwich_checks_per_candidate(n, sandwich=check_diameter_sandwich):
+    """``verify sandwich`` at order n without orbits: (checks, FAIL lines).
+
+    One ``sandwich`` report per DS candidate, in enumeration order, and one
+    check per derived digraph; a check fails when its diameter leaves the
+    report's range.
+    """
+    ds = DoubleStepGraph
+    checks = 0
+    failed = []
+    for steps in ds.candidates(n):
+        p = ds(n, *steps)
+        r = sandwich(p)
+        checks += len(r.checks)
+        failed += [
+            f"FAIL {kind} {format_params(p)}: k={r.k} "
+            f"derived={derived} not in [{low},{high}]"
+            for kind, derived, low, high in r.checks
+            if not low <= derived <= high
+        ]
     return checks, failed
 
 

@@ -22,7 +22,7 @@ from gridnet.families import (
 from gridnet.graphs import GraphError, GridnetError, from_json, to_dot, to_json
 from gridnet.search import SearchError, search_na
 
-from oracles import line_digraph_checks_per_candidate
+from oracles import line_digraph_checks_per_candidate, sandwich_checks_per_candidate
 from test_graphs import MALFORMED_TYPES
 
 # The benchmark's answer gate, loaded by path: perfbench/ is no package.
@@ -268,6 +268,20 @@ class TestSearch:
         assert filtered[0] == 0
         assert "candidates_examined       1024" in filtered[1]
 
+    def test_mod4_filter_takes_the_via_na_cap(self, capsys):
+        # Every mod-4 class is the line digraph of an NA digraph of order
+        # N/2, so the mod-4 search answers the via-NA question and shares
+        # its default cap, 240.
+        code, out, _ = run(capsys, "search", "mh", "--mod4-filter", "--n", "68")
+        assert code == 0
+        assert "min_diameter              8" in out
+        code, out, err = run(capsys, "search", "mh", "--mod4-filter", "--n", "244")
+        assert (code, out, err) == (1, "", "error: order 244 exceeds mod-4 cap 240\n")
+        code, out, _ = run(capsys, "search", "mh", "--mod4-filter", "--n", "244",
+                           "--cap", "244")
+        assert code == 0
+        assert "min_diameter              12" in out
+
     def test_workers_one_accepted(self, capsys):
         code, out, _ = run(capsys, "search", "ds", "--n", "13", "--workers", "1")
         assert code == 0
@@ -383,6 +397,73 @@ class TestVerify:
             assert len(failed) == size
         else:
             assert summary == "line-digraph: 8238 checks, 0 failures"
+
+    def test_sandwich_runs_once_per_orbit(self, capsys, monkeypatch):
+        # 148 DS multiplier orbits of order 4 to 28 hold the 706 candidates,
+        # two checks each.
+        from gridnet import cli
+
+        sandwich = cli.check_diameter_sandwich
+        calls = []
+
+        def counting_sandwich(p):
+            calls.append(p)
+            return sandwich(p)
+
+        monkeypatch.setattr(cli, "check_diameter_sandwich", counting_sandwich)
+        code, out, _ = run(capsys, "verify", "sandwich", "--n-max", "28")
+        assert code == 0
+        assert out == "sandwich: 1412 checks, 0 failures\n"
+        assert len(calls) == 148
+
+    @pytest.mark.parametrize("lie", [False, True], ids=["kernel", "lying-kernel"])
+    def test_sandwich_equals_the_per_candidate_oracle(
+        self, capsys, monkeypatch, lie
+    ):
+        # Each order's batch from 4 to 40, and stdout at --n-max 40, equal
+        # the per-candidate loop's.  The lying sandwich adds one to D_NA on
+        # every member of one order-20 orbit whose D_NA is 2k+1, so that
+        # orbit fails as a whole: one FAIL line per member, in enumeration
+        # order.
+        from gridnet import cli
+
+        ds = FAMILIES["ds"]
+        sandwich = cli.check_diameter_sandwich
+        if lie:
+            real = sandwich
+            # An odd D_NA is 2k+1, the top of its range.
+            rep, size = next(
+                (steps, size) for steps, size in ds.representatives(20)
+                if size > 2 and real(ds(20, *steps)).na_diameter % 2
+            )
+            members = {ds(20, *m) for m in ds.orbit(20, rep)}
+            assert len(members) == size
+
+            def sandwich(p):
+                r = real(p)
+                return r._replace(na_diameter=r.na_diameter + 1) if p in members else r
+
+            monkeypatch.setattr(cli, "check_diameter_sandwich", sandwich)
+        checks, failed = 0, []
+        for n in range(4, 41):
+            count, lines = sandwich_checks_per_candidate(n, sandwich)
+            assert list(cli._sandwich_checks(n, n)) == [(count, lines)], n
+            checks += count
+            failed += lines
+        code, out, _ = run(capsys, "verify", "sandwich", "--n-max", "40")
+        summary = f"sandwich: {checks} checks, {len(failed)} failures"
+        assert out.splitlines() == failed + [summary]
+        assert code == (2 if failed else 0)
+        if lie:
+            reports = [real(ds(20, *steps)) for steps in ds.candidates(20)]
+            assert failed == [
+                f"FAIL na-from-ds {format_params(r.ds)}: k={r.k} "
+                f"derived={r.na_diameter + 1} not in [{2 * r.k},{2 * r.k + 1}]"
+                for r in reports if r.ds in members
+            ]
+            assert len(failed) == size
+        else:
+            assert summary == "sandwich: 4210 checks, 0 failures"
 
     @pytest.mark.parametrize(
         "claim,fail,summary",

@@ -184,6 +184,23 @@ class TestDiameterSandwich:
         for p in valid_ds_instances(24):
             assert check_diameter_sandwich(p).passed
 
+    def test_diameters_are_constant_on_each_ds_orbit(self):
+        # verify sandwich checks one member per multiplier orbit: every
+        # candidate has its representative's k, D_NA and D_MH, and the
+        # orbits cover the candidates.
+        ds = FAMILIES["ds"]
+        for n in range(4, 41):
+            covered = set()
+            for rep, size in ds.representatives(n):
+                want = check_diameter_sandwich(ds(n, *rep))[1:]
+                members = set(ds.orbit(n, rep))
+                assert len(members) == size
+                covered |= members
+                for steps in members:
+                    r = check_diameter_sandwich(ds(n, *steps))
+                    assert r[1:] == want, r
+            assert covered == set(ds.candidates(n)), n
+
     def test_mh_matches_line_digraph_diameter(self):
         for p in valid_ds_instances(20):
             na = ds_to_na(p)
