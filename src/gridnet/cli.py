@@ -254,12 +254,12 @@ def _sandwich_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
 def _line_digraph_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
     """One check per 2-regular, strongly connected NA candidate; BFS per orbit.
 
-    Every map of a multiplier orbit (x -> ux for a unit u, and the shift
-    x -> x+1) is an isomorphism of NA digraphs, and so of their line
-    digraphs: gamma != delta (2-regularity), strong connectivity, D and D(L)
-    hold on the whole orbit when they hold on its representative.  So a
-    representative counts as its orbit's size in checks, and a failing one
-    fails every member, reported in enumeration order.
+    Every map of a gauge orbit is an isomorphism of NA digraphs, and so of
+    their line digraphs: gamma != delta (2-regularity), strong connectivity,
+    D and D(L) hold on the whole orbit when they hold on its
+    representative.  So a representative counts as its orbit's size in
+    checks, and a failing one fails every member, reported in enumeration
+    order.
     """
     na = FAMILIES["na"]
     for n in range(first, n_max + 1, 2):
@@ -306,8 +306,8 @@ def _print_rows(rows, csv: bool) -> None:
 # The first order, ds:4,1,2's and the least NA order, is the least --n-max.
 # The checks yield (count, FAIL lines) pairs, one per order: a batch of
 # checks and, in enumeration order, the FAIL lines of those that failed.
-# Both walk FamilyParams.representatives, check once per multiplier orbit
-# and count the orbit's members, and expand a failing orbit member by member.
+# Both walk FamilyParams.representatives, check once per orbit and count
+# the orbit's members, and expand a failing orbit member by member.
 _STRUCTURAL_CLAIMS = {
     "sandwich": (_sandwich_checks, 4, 40),
     "line-digraph": (_line_digraph_checks, 4, 24),

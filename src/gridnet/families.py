@@ -14,14 +14,10 @@ as the tuple ``(n, *steps)``, the steps canonical residues in 0..N-1
 (negative inputs reduce on entry).  The class body also holds the graph
 machinery: validator, step classes (the out-steps of residues
 0..period-1, on which the search runs the period BFS of
-graphs.bounded_diameter directly), candidate generator, orbit map,
-enumeration key and representative test.  The generator lists candidates
-in key order, and on request only those whose leading step is the least
-its multiplier orbit reaches; the test then accepts the orbit's key-least
-member and weighs it by the orbit's size, counting only the maps that keep
-the leading step; ``representatives`` pairs the two into the one walk over
-the orbits that the search and ``verify line-digraph`` share.  Its Moore
-bound and theorem are in ``bounds.THEOREMS``.
+graphs.bounded_diameter directly), candidate generator, enumeration key,
+orbit map and ``representatives``, the one walk over the orbits that the
+search and ``verify`` share: DS and MH multiplier orbits, NA gauge
+orbits.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
 ``FAMILIES`` maps each tag to its class; callers look the class up by tag,
 or call a record's own methods, instead of branching on the family.  Only
 compilation builds per-vertex rows, from the classes by graphs.step_rows,
@@ -71,30 +67,19 @@ class FamilyParams(tuple):
     eccentricities give the diameter, which graphs.bounded_diameter finds
     from the classes alone, with no per-vertex rows.
     ``candidates(n)`` yields every valid step tuple of order n once, up to
-    the family's symmetry, in increasing ``key`` order; with
-    ``least_leads=True`` it skips candidates that cannot come first in
-    their orbit: those whose leading step some map lowers (and, for MH,
-    those whose second key digit a map keeping the lead lowers).
-    ``orbit(n, steps)`` yields, in candidate form, the steps of digraphs
-    isomorphic to that of ``steps`` under the maps x -> ux (u a unit of
-    Z_N), combined with translations; from any member it yields the whole
-    orbit, the member included.
+    the family's symmetry, in increasing ``key`` order.
     ``key(steps)`` is the enumeration key: the steps the generator chooses,
     in its nesting order, so that sorting by key is enumeration order.
-    ``weight(n, steps)``, for a candidate of the least-lead walk, is the
-    representative test: the orbit's size if ``steps`` is its key-least
-    member, else None.  Such a candidate has the least leading step of its
-    orbit, so only the maps that keep that step can give an image of
-    smaller key: those with ux = lead for the step x that the map moves to
-    the lead.  The test walks these maps and returns None at the first
-    image of smaller key; otherwise the candidate is the orbit's first
-    member in enumeration order, the maps that fix it are counted, and it
-    returns the orbit's size (orbit-stabiliser): the number of maps over
-    that count.
-    ``representatives(n)`` is the shared walk over the orbits that pairs
-    the two: it yields each representative with its orbit's size.  The
-    search runs one BFS per representative, and ``verify line-digraph``
-    one BFS on its digraph and one on its line digraph.
+    ``orbit(n, steps)`` yields the candidates whose digraphs the family's
+    maps make isomorphic to that of ``steps``, each once and in key order;
+    from any member it yields the whole orbit, the member included.
+    ``representatives(n)`` yields each orbit's key-least member with the
+    orbit's size, in key order; the search runs one BFS per representative.
+
+    DS and MH orbits are multiplier orbits: the images under x -> ux (u a
+    unit of Z_N), combined with translations, walked by the ``weight``
+    test below.  NA orbits are the coarser gauge orbits of
+    ``_gauge_orbit``, walked by the class's own ``representatives``.
 
     Each class describes one space, the valid step tuples of its family;
     the mod-4 Manhattan subspace is searched apart, by gauge classes
@@ -125,10 +110,17 @@ class FamilyParams(tuple):
 
     @classmethod
     def representatives(cls, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Yield (steps, orbit size) for each orbit's representative, in key order.
+        """Yield (steps, orbit size) for each multiplier orbit's key-least member.
 
-        The one walk over the multiplier orbits of order n: the least-lead
-        candidates that pass the ``weight`` test.
+        ``candidates(n, least_leads=True)`` skips candidates whose leading
+        step some map lowers (and, for MH, whose second key digit a map
+        keeping the lead lowers).  ``weight(n, steps)`` is the orbit's size
+        if ``steps`` is its key-least member, else None.  Only the maps that
+        keep the least leading step can give an image of smaller key: those
+        with ux = lead for the step x that the map moves to the lead.  The
+        test walks these maps and returns None at the first image of
+        smaller key; otherwise it returns the orbit's size
+        (orbit-stabiliser): the number of maps over the number that fix it.
         """
         weight = cls.weight
         for steps in cls.candidates(n, least_leads=True):
@@ -247,10 +239,12 @@ class DoubleStepGraph(FamilyParams, _DoubleStepFields):
     def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         """x -> ux for each unit u: steps (ua, ub), each folded to min(s, N-s)."""
         a, b = steps
+        images = set()
         for u in _units(n):
             x, y = u * a % n, u * b % n
             x, y = min(x, n - x), min(y, n - y)
-            yield (x, y) if x < y else (y, x)
+            images.add((x, y) if x < y else (y, x))
+        return iter(sorted(images))
 
     @staticmethod
     def key(steps: tuple[int, ...]) -> tuple[int, ...]:
@@ -306,70 +300,77 @@ class NewAmsterdamDigraph(FamilyParams, _NewAmsterdamFields):
         return (steps[0:2], steps[2:4])
 
     @staticmethod
-    def candidates(
-        n: int, least_leads: bool = False
-    ) -> Iterator[tuple[int, int, int, int]]:
-        """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum.
-
-        With ``least_leads`` gamma and delta need not pass the lead test when
-        they are equal: the shift cannot then make them the leading pair.
-        """
+    def candidates(n: int) -> Iterator[tuple[int, int, int, int]]:
+        """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum."""
         odds = range(1, n, 2)
-        for alpha, ok in _leads(n, odds, least_leads):
+        for alpha in odds:
             for beta in range(alpha + 2, n, 2):
-                if not ok[beta]:
-                    continue
                 for gamma in odds:
                     delta = (-(alpha + beta + gamma)) % n
-                    if gamma == delta or gamma < delta and ok[gamma] and ok[delta]:
+                    if gamma <= delta:
                         yield (alpha, beta, gamma, delta)
 
     @staticmethod
     def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
-        """x -> ux for each unit u, with and without the shift x -> x+1.
-
-        The shift swaps the roles of the even and odd vertices:
-        (alpha, beta, gamma, delta) -> (gamma, delta, alpha, beta).  An image
-        with alpha = beta comes from gamma = delta and is no candidate.
+        """The candidates of the classes of steps' gauge orbit, lead by lead:
+        those ordered steps with alpha < beta and gamma <= delta, since the
+        orbit holds the classes of the swaps alpha <-> beta, gamma <-> delta.
         """
-        alpha, beta, gamma, delta = steps
-        for u in _units(n):
-            a, b, c, d = u * alpha % n, u * beta % n, u * gamma % n, u * delta % n
-            if a > b:
-                a, b = b, a
-            if c > d:
-                c, d = d, c
-            yield (a, b, c, d)
-            if c != d:
-                yield (c, d, a, b)
+        m = n // 2
+        alpha, _, gamma, delta = steps
+        classes = _gauge_orbit(m, (alpha + gamma) // 2 % m, (alpha + delta) // 2 % m)
+        for alpha in range(1, n, 2):
+            members = []
+            for s, t in classes:
+                beta = (alpha - 2 * (s + t)) % n
+                gamma, delta = (2 * s - alpha) % n, (2 * t - alpha) % n
+                if alpha < beta and gamma <= delta:
+                    members.append((alpha, beta, gamma, delta))
+            yield from sorted(members)
 
     @staticmethod
     def key(steps: tuple[int, ...]) -> tuple[int, ...]:
         return steps[:3]
 
     @staticmethod
-    def weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
-        """Maps keep the lead when u scales a step of the leading pair to alpha.
+    def representatives(n: int) -> Iterator[tuple[tuple[int, int, int, int], int]]:
+        """Yield (steps, orbit size) for each gauge orbit's key-least member.
 
-        Without the shift that pair is (alpha, beta); with it (gamma, delta),
-        which the shift may lead only when gamma != delta.
+        Every class has one ordered tuple with alpha = 1 < beta, so each
+        orbit's key-least member is its first candidate with alpha = 1.  A
+        tuple with gamma > delta follows its swap, whose class is in its orbit.
         """
-        alpha, beta, gamma, delta = steps
-        rest = (beta, gamma)
-        solutions = _solutions(n, alpha)
-        shifts = [((alpha, beta), (gamma, delta))]
-        if gamma != delta:
-            shifts.append(((gamma, delta), (alpha, beta)))
-        fixed = 0
-        for (x, y), (z, w) in shifts:
-            for lead_step, other in ((x, y), (y, x)):
-                for u in solutions[lead_step]:
-                    c, d = u * z % n, u * w % n
-                    image = (u * other % n, c if c < d else d)
-                    if image < rest:
-                        return None
-                    fixed += image == rest
-        return len(shifts) * len(_units(n)) // fixed
+        m = n // 2
+        seen: set[tuple[int, int]] = set()
+        for beta in range(3, n, 2):
+            for gamma in range(1, n, 2):
+                delta = (-(1 + beta + gamma)) % n
+                cls = ((1 + gamma) // 2 % m, (1 + delta) // 2 % m)
+                if cls in seen:
+                    continue
+                orbit = _gauge_orbit(m, *cls)
+                seen |= orbit
+                per_candidate = 2 if gamma == delta else 4
+                yield (1, beta, gamma, delta), len(orbit) * m // per_candidate
+
+
+def _gauge_orbit(m: int, s: int, t: int) -> frozenset[tuple[int, int]]:
+    """The NA gauge classes isomorphic to class (s, t) of order N = 2m.
+
+    Shifting the odd vertices by an even e maps (alpha, beta, gamma, delta)
+    to (alpha+e, beta+e, gamma-e, delta-e), so class (s, t) =
+    ((alpha+gamma)/2, (alpha+delta)/2) mod m, the ordered steps
+    (alpha, alpha-2s-2t, 2s-alpha, 2t-alpha) for odd alpha, is isomorphic.
+    A candidate is 4 of them, or 2 when gamma = delta (s = t).  Units of
+    Z_m scale (s, t); gamma <-> delta, alpha <-> beta and x -> x+1 map it
+    to (t, s), (-t, -s) and (s, -t).  Images with s + t = 0 (alpha = beta)
+    are dropped: the shift makes them of gamma = delta.
+    """
+    images = set()
+    for u in _units(m):
+        x, y = u * s % m, u * t % m
+        images.update(((x, y), (y, x), (x, -y % m), (-y % m, x)))
+    return frozenset((x, y) for x, y in images if (x + y) % m)
 
 
 class _ManhattanFields(NamedTuple):
@@ -466,16 +467,18 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         conditions and the digraph itself.
         """
         by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
+        images = set()
         for u in _units(n):
             for t in range(4):
                 classes: list = [None] * 4
                 for r, (x, y) in enumerate(by_residue):
                     classes[-(u * r + t) % 4] = (u * x % n, u * y % n)
                 (a0, b0), (a1, b1), (a2, b2), (a3, b3) = classes
-                yield (a0, b0, a1, b1, a2, b2, a3, b3)
-                yield (b0, a0, a1, b1, b2, a2, a3, b3)
-                yield (a0, b0, b1, a1, a2, b2, b3, a3)
-                yield (b0, a0, b1, a1, b2, a2, b3, a3)
+                images.update(((a0, b0, a1, b1, a2, b2, a3, b3),
+                               (b0, a0, a1, b1, b2, a2, a3, b3),
+                               (a0, b0, b1, a1, a2, b2, b3, a3),
+                               (b0, a0, b1, a1, b2, a2, b3, a3)))
+        return iter(sorted(images, key=ManhattanDigraph.key))
 
     @staticmethod
     def key(steps: tuple[int, ...]) -> tuple[int, ...]:

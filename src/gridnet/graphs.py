@@ -284,8 +284,14 @@ def from_json(text: str) -> Digraph:
         payload = json.loads(text)
         order = payload["order"]
         arcs = payload["arcs"]
-    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"malformed digraph JSON: {exc}") from exc
+    except KeyError as exc:  # a JSON object without the key
+        missing = exc.args[0]
+        raise GraphError(f'malformed digraph JSON: missing key "{missing}"') from exc
+    except TypeError as exc:  # any other JSON value
+        raise GraphError('malformed digraph JSON: the payload must be an object '
+                         'with "order" and "arcs"') from exc
     if not _is_int(order):
         raise GraphError(f"malformed digraph JSON: order {order!r} is not an integer")
     if not isinstance(arcs, list):

@@ -8,18 +8,13 @@ bound and the prediction.  Each candidate is evaluated straight from its
 step arithmetic: the class's step classes give the out-steps of each residue
 mod the period, and one bit-parallel BFS runs on them from one vertex per
 translation class (0 for DS, 0-1 for NA, 0-3 for MH) at once, with no
-per-vertex rows.  Candidates whose digraphs are isomorphic under a
-multiplier map x -> ux form an orbit, and BFS runs once per orbit, on its
-representative: the member that comes first in enumeration order.  The
-class's ``representatives`` walk, shared with ``verify line-digraph``,
-yields them: its generator walks only candidates whose leading step no map
-lowers, and its weight test picks the representatives among them and gives
-each orbit's size, so every candidate is still counted without being
-visited.
-The mod-4 Manhattan space, a_j = 3 and b_j = 1 (mod 4), is searched apart
-by ``_mod4_search``: a gauge relabelling each residue class by a multiple
-of 4 splits it into (N/4)^2 classes of (N/4)^3 isomorphic candidates, and
-BFS runs once per class.
+per-vertex rows.  Candidates that the family's maps make isomorphic form
+an orbit, and BFS runs once per orbit, on its representative: the member
+that comes first in enumeration order.  The class's ``representatives``
+walk yields them with their orbits' sizes, so every candidate is still
+counted without being visited.  ``_mod4_search`` walks the mod-4 Manhattan
+space, a_j = 3 and b_j = 1 (mod 4), by its (N/4)^2 gauge classes instead.
+Both walks feed one minimising loop, ``_minimise``.
 Only the reported witnesses are compiled into a ``Digraph``, and each is
 re-verified there by ``graphs.diameter``: reach sets from every vertex at
 once, an algorithm that shares no code with the search's period BFS.
@@ -32,8 +27,9 @@ callers and has no effect.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import NamedTuple, Optional
+from functools import partial
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import bounds
 from .constructions import na_to_mh
@@ -92,30 +88,29 @@ class SearchResult(NamedTuple):
                 "witnesses": [format_params(w) for w in self.witnesses]}
 
 
-def _run_search(
-    family: str, n: int
+def _minimise(
+    fam: type[FamilyParams],
+    n: int,
+    walk: Iterable[tuple[tuple[int, ...], int]],
+    members: Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]],
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """Evaluate the candidates; return (best, optima, n_optima, examined).
+    """Minimise over the orbits of ``walk``: (best, optima, n_optima, examined).
 
-    ``optima`` holds the first WITNESS_CAP candidates attaining ``best``, in
-    enumeration order.
-
-    BFS runs once per multiplier orbit, on its representative: the member
-    that comes first in enumeration order, so the representatives meet the
-    running minimum ``best`` as the orbits' first members would.  A
-    representative stands for its whole orbit: its weight counts as that
-    many candidates examined and, when it attains ``best``, as that many
-    optima.  Every member has the same diameter, and BFS with the limit
-    ``best`` returns None exactly when it exceeds the limit, which only
-    falls.  The optima themselves come from expanding the optimal orbits.
+    ``walk`` yields each orbit's key-least member with the orbit's size, in
+    key order, so the representatives meet the running minimum ``best`` as
+    the orbits' first members would.  One BFS per orbit, on ``fam.classes``
+    of its representative, counts the size as that many candidates examined
+    and, when it attains ``best``, as that many optima: every member has
+    the same diameter, and BFS with the limit ``best`` returns None exactly
+    when it exceeds the limit, which only falls.  ``optima`` are the first
+    WITNESS_CAP members, in key order, of the optimal orbits' ``members``.
     """
-    fam = FAMILIES[family]
     classes_of = fam.classes
     best: Optional[int] = None
     optimal_reps: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps, size in fam.representatives(n):
+    for steps, size in walk:
         examined += size
         d = bounded_diameter(classes_of(n, steps), n, best)
         if d is None:
@@ -127,65 +122,60 @@ def _run_search(
         elif d == best:
             optimal_reps.append(steps)
             n_optima += size
-    return best, _first_members(fam, n, optimal_reps), n_optima, examined
+    return best, _first_members(fam.key, members, optimal_reps), n_optima, examined
 
 
 def _first_members(
-    fam: type[FamilyParams], n: int, reps: list[tuple[int, ...]]
+    key: Callable[[tuple[int, ...]], tuple[int, ...]],
+    members: Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]],
+    reps: list[tuple[int, ...]],
 ) -> list[tuple[int, ...]]:
     """The first WITNESS_CAP members of the orbits of ``reps``, in key order.
 
     ``reps`` are representatives in key order, and every member of an orbit
     follows its representative, so the expansion stops at the first
-    representative past a full list.
+    representative past a full list, and reads each orbit WITNESS_CAP deep.
     """
     first: list[tuple[int, ...]] = []
     for rep in reps:
-        if len(first) == WITNESS_CAP and fam.key(first[-1]) < fam.key(rep):
+        if len(first) == WITNESS_CAP and key(first[-1]) < key(rep):
             break
-        members = {*first, *fam.orbit(n, rep)}
-        first = sorted(members, key=fam.key)[:WITNESS_CAP]
+        first = sorted([*first, *islice(members(rep), WITNESS_CAP)], key=key)
+        del first[WITNESS_CAP:]
     return first
 
 
+def _run_search(
+    family: str, n: int
+) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
+    """``_minimise`` over the family's ``representatives`` and ``orbit``s."""
+    fam = FAMILIES[family]
+    return _minimise(fam, n, fam.representatives(n), partial(fam.orbit, n))
+
+
 def _mod4_search(n: int) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """``_run_search`` over the mod-4 Manhattan space, one BFS per gauge class.
+    """``_minimise`` over the mod-4 Manhattan space, one BFS per gauge class.
 
     The space, a_j = 3 and b_j = 1 (mod 4), has (N/4)^5 candidates: its free
     steps (a0, a2, a1, b0, b1) take N/4 values each.  Relabelling residue r
     by v -> v + g_r, each g_r = 0 (mod 4), is an isomorphism that adds
     (x, y, z, x+y+z, -x) to them, where x = g3 - g0, y = g1 - g2 and
     z = g2 - g3.  So the space splits into (N/4)^2 classes of (N/4)^3, and
-    each class has one member at each (a0, a2, a1).  BFS runs on the member
-    at (3, 3, 3), the class's key-least one, which counts as (N/4)^3
-    candidates.  The first WITNESS_CAP optima in key order are the optimal
-    classes' members at each (a0, a2, a1) in turn, sorted by key.
+    each class has one member at each (a0, a2, a1): the walk takes the
+    key-least one, at (3, 3, 3), and ``members`` lists them in key order.
     """
-    classes_of = ManhattanDigraph.classes
     ones = range(1, n, 4)
-    best: Optional[int] = None
-    optimal: list[tuple[int, int]] = []
-    for b0 in ones:
-        for b1 in ones:
-            steps = (3, b0, 3, b1, 3, (6 - b0) % n, -9 % n, (-6 - b1) % n)
-            d = bounded_diameter(classes_of(n, steps), n, best)
-            if d is None:
-                continue
-            if best is None or d < best:
-                best = d
-                optimal = [(b0, b1)]
-            elif d == best:
-                optimal.append((b0, b1))
-    first: list[tuple[int, ...]] = []
-    for a0, a2, a1 in product(range(3, n, 4), repeat=3):
-        if len(first) >= WITNESS_CAP:
-            break
-        s, shift = a0 + a2, a0 + a2 + a1 - 9
-        members = sorted(((b0 + shift) % n, (b1 + 3 - a0) % n) for b0, b1 in optimal)
-        first += [(a0, b0, a1, b1, a2, (s - b0) % n, (-s - a1) % n, (-s - b1) % n)
-                  for b0, b1 in members]
-    quarter = n // 4
-    return best, first[:WITNESS_CAP], len(optimal) * quarter**3, quarter**5
+    size = (n // 4) ** 3
+    walk = (((3, b0, 3, b1, 3, (6 - b0) % n, -9 % n, (-6 - b1) % n), size)
+            for b0 in ones for b1 in ones)
+
+    def members(rep: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        for a0, a2, a1 in product(range(3, n, 4), repeat=3):
+            s = a0 + a2
+            b0, b1 = (rep[1] + s + a1 - 9) % n, (rep[3] + 3 - a0) % n
+            yield (a0, b0, a1, b1, a2, (s - b0) % n, (-s - a1) % n, (-s - b1) % n)
+
+    return _minimise(ManhattanDigraph, n, walk, members)
 
 
 def _prediction(theorem: str, n: int, min_d: Optional[int]) -> str:

@@ -242,6 +242,17 @@ def gauge(n: int, steps: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]
     return tuple(out)
 
 
+def na_gauge(n: int, steps: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """New Amsterdam steps after relabelling each odd vertex v by v + e.
+
+    e must be even, so that parities stay put.  The steps out of the even
+    vertices lead to odd ones and gain e; those out of the odd vertices
+    lose it.
+    """
+    alpha, beta, gamma, delta = steps
+    return ((alpha + e) % n, (beta + e) % n, (gamma - e) % n, (delta - e) % n)
+
+
 def gauge_class(n: int, steps: tuple[int, ...]) -> frozenset:
     """Every gauge image of Manhattan steps: g_0 = 0 and g_1, g_2, g_3 free
     multiples of 4 (a common shift of all four is a translation)."""

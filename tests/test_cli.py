@@ -325,7 +325,7 @@ class TestVerify:
     def test_line_digraph_reads_each_representatives_classes_once(
         self, capsys, monkeypatch
     ):
-        # The check runs once per multiplier orbit, on the step classes
+        # The check runs once per gauge orbit, on the step classes
         # alone: one classes call per representative evaluated (the 2-regular
         # ones, gamma != delta), and no per-vertex rows of the digraph
         # (step_rows) or its line digraph (the Digraph that
@@ -357,11 +357,11 @@ class TestVerify:
     def test_line_digraph_equals_the_per_candidate_oracle(
         self, capsys, monkeypatch, lie
     ):
-        # For every --n-max from 4 to 40, stdout equals the per-candidate
-        # loop's FAIL lines and summary.  The lying kernel adds one to the
-        # diameter of the digraph of every member of one orbit at order 20,
-        # so that orbit fails as a whole: one FAIL line per member, in
-        # enumeration order.
+        # Each even order's batch from 4 to 40, and stdout at --n-max 40,
+        # equal the per-candidate loop's.  The lying kernel adds one to the
+        # diameter of the digraph of every member of one gauge orbit at
+        # order 20, so that orbit fails as a whole: one FAIL line per
+        # member, in enumeration order.
         from gridnet import cli, graphs
 
         na = FAMILIES["na"]
@@ -381,14 +381,15 @@ class TestVerify:
 
             monkeypatch.setattr(cli, "bounded_diameter", kernel)
         checks, failed = 0, []
-        for n_max in range(4, 41, 2):
-            count, lines = line_digraph_checks_per_candidate(n_max, kernel)
+        for n in range(4, 41, 2):
+            count, lines = line_digraph_checks_per_candidate(n, kernel)
+            assert list(cli._line_digraph_checks(n, n)) == [(count, lines)], n
             checks += count
             failed += lines
-            code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", str(n_max))
-            summary = f"line-digraph: {checks} checks, {len(failed)} failures"
-            assert out.splitlines() == failed + [summary], n_max
-            assert code == (2 if failed else 0)
+        code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "40")
+        summary = f"line-digraph: {checks} checks, {len(failed)} failures"
+        assert out.splitlines() == failed + [summary]
+        assert code == (2 if failed else 0)
         if lie:
             assert failed == [
                 f"FAIL line-digraph {format_params(na(20, *steps))}"

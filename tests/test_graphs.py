@@ -278,6 +278,20 @@ class TestExports:
         with pytest.raises(GraphError, match="order must be positive, got 0"):
             from_json('{"order":0,"arcs":[]}')
 
+    @pytest.mark.parametrize("text", ["null", "3", '"abc"', "[1,2]"])
+    def test_payload_that_is_no_object(self, text):
+        with pytest.raises(GraphError) as exc:
+            from_json(text)
+        assert str(exc.value) == ('malformed digraph JSON: the payload must be an '
+                                  'object with "order" and "arcs"')
+
+    @pytest.mark.parametrize("text,key", [('{"arcs":[[0]]}', "order"),
+                                          ('{"order":1}', "arcs"), ("{}", "order")])
+    def test_missing_key_is_named(self, text, key):
+        with pytest.raises(GraphError) as exc:
+            from_json(text)
+        assert str(exc.value) == f'malformed digraph JSON: missing key "{key}"'
+
     @pytest.mark.parametrize("text", MALFORMED_TYPES)
     def test_json_types_checked(self, text):
         with pytest.raises(GraphError):

@@ -1,15 +1,18 @@
-"""Multiplier orbits and the search's orbit representatives.
+"""Orbits and the search's orbit representatives.
 
-Each family's ``orbit`` map lists the candidates whose digraphs are
-isomorphic to a candidate's under x -> ux (u a unit of Z_N) combined with
-translations.  ``search._run_search`` runs BFS once per orbit, on the
-member that comes first in enumeration order (least ``key``), which the
-family's ``weight`` test recognises and weighs by the orbit's size.  These
-tests check the maps against brute force, the representative tests against
-the orbits they list, and the search against ``plain_search_slice``, the
-same loop with one BFS per candidate.  The mod-4 Manhattan space is
-searched by gauge classes instead (``search._mod4_search``); its cases
-check those classes and that search the same way.
+Each family's ``orbit`` map lists, in key order, the candidates whose
+digraphs its maps make isomorphic to a candidate's: for DS and MH the
+maps x -> ux (u a unit of Z_N) combined with translations, for NA the
+gauge orbits of the (s, t) classes.  ``search._run_search`` runs BFS once
+per orbit, on the member that comes first in enumeration order (least
+``key``), which the family's ``representatives`` walk yields with the
+orbit's size; for DS and MH that walk is the least-lead generator and the
+``weight`` test.  These tests check the maps against brute force, the
+representatives against the orbits they list, and the search against
+``plain_search_slice``, the same loop with one BFS per candidate.  The
+mod-4 Manhattan space is searched by gauge classes instead
+(``search._mod4_search``); its cases check those classes and that search
+the same way.
 """
 
 import math
@@ -20,10 +23,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridnet import search
-from gridnet.families import FAMILIES, ManhattanDigraph, compile_params
+from gridnet.families import (
+    FAMILIES,
+    ManhattanDigraph,
+    NewAmsterdamDigraph,
+    compile_params,
+)
 from gridnet.graphs import bounded_diameter, diameter
 
-from oracles import gauge_class, in_mod4_space, plain_search_slice
+from oracles import gauge_class, in_mod4_space, na_gauge, plain_search_slice
 
 
 @lru_cache(maxsize=4)
@@ -102,7 +110,7 @@ def test_manhattan_orbit_property(quarter, raw):
 
 
 SEARCH_CASES = (
-    [("na", n, False) for n in range(4, 41, 2)]
+    [("na", n, False) for n in range(4, 61, 2)]
     + [("ds", n, False) for n in range(3, 61)]
     + [("mh", n, f) for n in (8, 12, 16) for f in (False, True)]
     + [("mh", n, True) for n in (20, 24, 28)]
@@ -155,6 +163,15 @@ def test_representative_is_the_key_least_orbit_member(family, n, mod4):
         assert reps == {s for s in candidates if s[0] == s[4] == s[2] == 3}
         assert {len(orbits[s]) for s in reps} == {(n // 4) ** 3}
         return
+    # The walk yields each orbit's key-least member once, in key order,
+    # with the orbit's size, and ``orbit`` lists the orbit in key order.
+    walk = list(fam.representatives(n))
+    assert [steps for steps, _ in walk] == sorted(reps, key=fam.key)
+    for steps, size in walk:
+        assert size == len(orbits[steps]), steps
+        assert list(fam.orbit(n, steps)) == sorted(orbits[steps], key=fam.key)
+    if family == "na":
+        return
     # The least-lead walk skips only candidates that are no representative,
     # and the weight test then tells the representatives apart.
     walked = list(fam.candidates(n, least_leads=True))
@@ -162,29 +179,56 @@ def test_representative_is_the_key_least_orbit_member(family, n, mod4):
     assert set(walked) <= set(candidates)
     assert reps <= set(walked)
     for steps in walked:
-        orbit = orbits[steps]
         weight = fam.weight(n, steps)
         assert (weight is not None) == (steps in reps), steps
         if weight is not None:
-            assert weight == len(orbit), steps
-            assert set(fam.orbit(n, steps)) == orbit, steps
+            assert weight == len(orbits[steps]), steps
 
 
 @pytest.mark.parametrize("family,n", [("ds", 60), ("na", 30), ("mh", 12)])
 def test_weights_count_orbits_with_nontrivial_stabilisers(family, n):
-    # The weight is the group's order over the representative's stabiliser:
-    # orbits of different sizes show stabilisers beyond the maps that fix
-    # every candidate, and the weights still add up to the candidate count.
+    # An orbit's size is the group's order over the representative's
+    # stabiliser: orbits of different sizes show stabilisers beyond the
+    # maps that fix every candidate, and the sizes still add up to the
+    # candidate count.
     fam = FAMILIES[family]
     candidates, orbits = space_orbits(family, n, False)
-    weights = {}
-    for steps in fam.candidates(n, least_leads=True):
-        weight = fam.weight(n, steps)
-        if weight is not None:
-            weights[steps] = weight
+    weights = dict(fam.representatives(n))
     assert weights == {min(o, key=fam.key): len(o) for o in orbits.values()}
     assert sum(weights.values()) == len(candidates)
     assert len(set(weights.values())) > 1
+
+
+@pytest.mark.parametrize("n", range(4, 41, 2))
+def test_na_gauge_orbits_partition_the_candidates(n):
+    # Each candidate lies in exactly one orbit, every orbit yields each
+    # member once and in key order, and the orbit of any member is its
+    # representative's.
+    na = NewAmsterdamDigraph
+    seen = []
+    for rep, size in na.representatives(n):
+        members = list(na.orbit(n, rep))
+        assert members == sorted(set(members)), rep
+        assert (members[0], len(members)) == (rep, size)
+        assert all(list(na.orbit(n, m)) == members for m in members[::7]), rep
+        seen += members
+    assert sorted(seen) == list(na.candidates(n))
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_na_gauge_is_an_isomorphism(n):
+    # The digraph of (alpha+e, beta+e, gamma-e, delta-e) is the original
+    # relabelled by v -> v+e on the odd vertices, for every even e.
+    na = NewAmsterdamDigraph
+    for steps in na.candidates(n):
+        rows = compile_params(na(n, *steps), strict=False).out_arcs
+        for e in range(0, n, 2):
+            relabel = [(v + e * (v % 2)) % n for v in range(n)]
+            image = [None] * n
+            for u, heads in enumerate(rows):
+                image[relabel[u]] = {relabel[v] for v in heads}
+            gauged = compile_params(na(n, *na_gauge(n, steps, e)), strict=False)
+            assert [set(h) for h in gauged.out_arcs] == image, (steps, e)
 
 
 def test_direct_search_counts_at_32():
@@ -208,7 +252,7 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "family,n,bfs_calls",
-    [("na", 60, 316), ("na", 78, 380), ("mh", 16, 256), ("mh", 12, 135),
+    [("na", 60, 48), ("na", 78, 23), ("mh", 16, 256), ("mh", 12, 135),
      ("ds", 200, 92)],
 )
 def test_one_bfs_per_orbit(kernel_calls, family, n, bfs_calls):
