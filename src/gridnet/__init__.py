@@ -2,7 +2,8 @@
 
 Construction, validation, Moore-like bounds, step-translation between the
 families, and exhaustive minimum-diameter search by a period BFS, with every
-reported diameter certified again by reach sets from every vertex.
+reported diameter certified again by reach sets from every vertex, one set
+per translation class of the step digraph.
 
 The exports and the submodules resolve on first access (PEP 562), so
 ``import gridnet``, and the package import that runs before

@@ -14,7 +14,8 @@ as the tuple ``(n, *steps)``, the steps canonical residues in 0..N-1
 (negative inputs reduce on entry).  The class body also holds the graph
 machinery: validator, step classes (the out-steps of residues
 0..period-1, on which the search runs the period BFS of
-graphs.bounded_diameter directly), candidate generator, enumeration key,
+graphs.bounded_diameter and certifies its witnesses by
+graphs.reach_diameter, both directly), candidate generator, enumeration key,
 orbit map and ``representatives``, the one walk over the orbits that the
 search and ``verify`` share: DS and MH multiplier orbits, NA gauge
 orbits.  Its Moore bound and theorem are in ``bounds.THEOREMS``.

@@ -8,8 +8,10 @@ is the search kernel: bit-parallel BFS on a step digraph given by its step
 classes, from one vertex per translation class, with an early exit at a
 limit; ``step_rows`` and ``line_classes`` give the rows and the line
 digraph of such a digraph.
-``diameter`` certifies a whole ``Digraph`` from every source at once by
-reach sets, without calling it.  The independent all-pairs distance oracle,
+``reach_diameter`` certifies a step digraph given by the same classes by
+reach sets from every vertex, one set per translation class, without
+calling it; ``diameter`` is its case of one class per vertex, for any
+``Digraph``.  The independent all-pairs distance oracle,
 the regularity and directed-cycle tests and the isomorphism test that the
 suite checks these against live in ``tests/oracles.py``.
 """
@@ -120,24 +122,57 @@ def bfs_profile(g: Digraph, source: int) -> DistanceProfile:
 def diameter(g: Digraph) -> Optional[int]:
     """Max eccentricity over all sources, or None when not strongly connected.
 
-    Every source at once, by reach sets: ``reach[u]`` is the bit set of the
-    vertices within k arcs of u, and one level ORs each vertex's set with
-    those of its out-neighbours.  The diameter is the first k at which every
-    set is full; a level that changes no set before that means some vertex
-    never reaches some other.  This costs D * (N + arcs) big-int ORs, and it
-    shares no code with ``bounded_diameter``, so it certifies what the
-    searches find by a second algorithm.
+    reach_diameter with every vertex its own class: row u's steps are
+    (v - u) mod N, so every rotation is by 0.
     """
-    n, rows = g.order, g.out_arcs
+    n = g.order
+    return reach_diameter(
+        [[(v - u) % n for v in heads] for u, heads in enumerate(g.out_arcs)], n
+    )
+
+
+def reach_diameter(classes: Sequence[Sequence[int]], n: int) -> Optional[int]:
+    """Diameter of the step digraph on Z_n with these classes, or None.
+
+    The digraph is bounded_diameter's: vertex i steps to i + x (mod n) for
+    each x in ``classes[i % p]``, where p = len(classes) divides n.  Shifting
+    by a multiple m of p is an automorphism (the digraph is a Z_{n/p}-lift
+    of one on Z_p), so the reach set of vertex c + m is that of c rotated
+    by m, and the p sets of the vertices 0..p-1 carry them all.
+    ``reach[r]`` is the bit set of the vertices within k arcs of r, and one
+    level ORs into it the set of each out-neighbour v = r + x: that of
+    c = v mod p, rotated by m = v - c when m is not 0.  The diameter is the
+    first k at which every set is full; a level that changes no set before
+    that means some vertex never reaches some other, and None is returned.
+    This costs D * (p + arcs out of 0..p-1) big-int ORs and shares no code
+    with ``bounded_diameter``, so it certifies what the searches find by a
+    second algorithm.
+    """
+    p = len(classes)
     full = (1 << n) - 1
-    reach = [1 << u for u in range(n)]
+    plain: list[list[int]] = [[] for _ in range(p)]  # r -> its out-neighbours v < p
+    turned: dict[int, list] = {}  # r -> (c, m) for each other out-neighbour
+    for r, steps in enumerate(classes):
+        for x in steps:
+            v = (r + x) % n
+            c = v % p
+            if v == c:
+                plain[r].append(c)
+            else:
+                turned.setdefault(r, []).append((c, v - c))
+    reach = [1 << r for r in range(p)]
     k = 0
-    while any(r != full for r in reach):
+    while any(s != full for s in reach):
         level = []
-        for r, heads in zip(reach, rows):
-            for v in heads:
-                r |= reach[v]
-            level.append(r)
+        for s, heads in zip(reach, plain):
+            for c in heads:
+                s |= reach[c]
+            level.append(s)
+        for r, heads in turned.items():
+            s = level[r]
+            for c, m in heads:
+                s |= reach[c] << m
+            level[r] = s & full | s >> n
         if level == reach:
             return None
         reach = level

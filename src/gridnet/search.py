@@ -15,9 +15,10 @@ walk yields them with their orbits' sizes, so every candidate is still
 counted without being visited.  ``_mod4_search`` walks the mod-4 Manhattan
 space, a_j = 3 and b_j = 1 (mod 4), by its (N/4)^2 gauge classes instead.
 Both walks feed one minimising loop, ``_minimise``.
-Only the reported witnesses are compiled into a ``Digraph``, and each is
-re-verified there by ``graphs.diameter``: reach sets from every vertex at
-once, an algorithm that shares no code with the search's period BFS.
+Each reported witness is re-verified by ``graphs.reach_diameter`` on the
+same classes: reach sets from every vertex, carried by one set per
+translation class, an algorithm that shares no code with the search's
+period BFS.
 
 A search is one pass over the representatives in this process.  The kept
 witnesses are the first ``WITNESS_CAP`` optima in enumeration order, taken
@@ -40,13 +41,13 @@ from .families import (
     FamilyParams,
     ManhattanDigraph,
     NewAmsterdamDigraph,
-    compile_params,
     family_diameter,
     format_params,
     line_diameter,
 )
-from .graphs import GridnetError, bounded_diameter, diameter
-from .graphs import line_digraph  # noqa: F401  (not called; perfbench/layers.py traces it)
+from .graphs import GridnetError, bounded_diameter, reach_diameter
+# Not called; perfbench/layers.py traces them.
+from .graphs import diameter, line_digraph  # noqa: F401
 
 WITNESS_CAP = 32
 DEFAULT_CAP_DS = 200
@@ -196,7 +197,7 @@ def _finish(
     fam = FAMILIES[family]
     witnesses = tuple(fam(n, *s) for s in sorted(optima))
     for w in witnesses:  # re-verify on insert
-        if diameter(compile_params(w, strict=False)) != best:
+        if reach_diameter(fam.classes(n, w.steps), n) != best:
             raise SearchError(f"witness {format_params(w)} fails re-verification")
     theorem = bounds.theorem_of(family)
     moore = bounds.THEOREMS[theorem].moore(best) if best is not None else None
@@ -247,7 +248,8 @@ def search_mh(
 
     Default mode runs search_na(n/2) and lifts the optimum through the
     line-digraph relation (min diameter + 1, witnesses the na_to_mh images
-    of the NA witnesses); _finish certifies every image by graphs.diameter.
+    of the NA witnesses); _finish certifies every image by
+    graphs.reach_diameter.
     Direct mode enumerates the Manhattan step space itself.  With
     ``mod4_filter`` it searches the subspace a_j = 3, b_j = 1 (mod 4)
     instead, one BFS per gauge class (_mod4_search); the filter names a

@@ -595,6 +595,34 @@ def test_unknown_verb_exit_64(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["gen", "-h"], ["search", "-h"], ["search", "na", "-h"],
+    ["search", "-h", "na"], ["verify", "4.2", "-h"], ["verify", "sandwich", "-h"],
+    ["search", "xx"], ["search", "na"], ["search", "na", "--n", "x"],
+    ["search", "--n", "5", "na"], ["search", "mh", "--n", "16", "--cap", "0"],
+    ["verify", "line-digraph", "--n-max", "2"], ["verify", "4.1", "--k-max", "1"],
+    ["-x", "search", "na", "--n", "5"], ["--", "bounds", "na", "--k", "1"],
+    ["bounds", "na", "--k", "1", "--json"], ["table", "mh", "--k-max", "1"],
+    ["derive", "na", "ds:12,1,5"], ["diameter"],
+], ids=" ".join)
+def test_parser_built_for_argv_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    # _build_parser(argv) leaves out the argument lists argv cannot reach;
+    # an empty argv builds them all.
+    from gridnet import cli
+
+    def outcome():
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    pruned = outcome()
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda _argv: build(()))
+    assert outcome() == pruned
+
+
 BAD_GRAPH = '{"order": 2, "arcs": [[5],[0]]}'
 
 # One input of each error kind: (error class, the call raising it, the CLI

@@ -103,7 +103,9 @@ class TestSearchNa:
 
     def test_certifier_does_not_share_the_search_kernel(self, monkeypatch):
         # A period-BFS kernel that reports one less than the truth must be
-        # caught by the re-verification, which may not call it.
+        # caught by the re-verification, which may not call it, in every
+        # search and every Manhattan mode.  Via NA the inner NA search
+        # reports the false minimum first.
         from gridnet import graphs
 
         real = graphs.bounded_diameter
@@ -114,8 +116,17 @@ class TestSearchNa:
 
         monkeypatch.setattr(graphs, "bounded_diameter", lying)
         monkeypatch.setattr(search, "bounded_diameter", lying)
-        with pytest.raises(SearchError, match="fails re-verification"):
-            search_na(24)
+        searches = {
+            "na": lambda: search_na(24),
+            "ds": lambda: search_ds(20),
+            "mh via NA": lambda: search_mh(24),
+            "mh direct": lambda: search_mh(12, direct=True),
+            "mh mod-4": lambda: search_mh(16, mod4_filter=True),
+        }
+        for mode, run in searches.items():
+            with pytest.raises(SearchError, match="fails re-verification"):
+                run()
+                pytest.fail(f"{mode}: the lying kernel's minimum was certified")
 
     def test_moore_lower_bound_holds(self):
         for n in range(4, 27, 2):
