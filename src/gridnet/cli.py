@@ -15,13 +15,21 @@ from typing import Iterator, Optional, Sequence
 # ``bounds``, ``search`` and ``json`` are imported by the verbs that use
 # them, so that the other verbs' processes do not compile them.
 from .constructions import check_diameter_sandwich, ds_to_mh, ds_to_na, na_to_mh
-from .families import FAMILIES, FamilyError, compile_params, format_params, parse_params
+from .families import (
+    FAMILIES,
+    FamilyError,
+    compile_params,
+    format_params,
+    parse_params,
+    require_valid,
+)
 from .graphs import (
     GridnetError,
     bounded_diameter,
     diameter,
     from_json,
     line_classes,
+    reach_diameter,
     to_dot,
     to_json,
 )
@@ -64,64 +72,34 @@ def _at_least(low: int):
     return integer
 
 
-_THEOREMS = ("4.1", "4.2", "4.3")
-
-
-def _build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The parser of every verb, with the arguments that ``argv`` can reach.
-
-    Every sub-parser is made with its help text.  But argparse hands the
-    rest of argv to the one sub-parser that it names, so when argv names a
-    verb only that verb gets its arguments, and when it names a search
-    family or a verify claim too, only that one: adding arguments is most
-    of the cost of building.  An argv that names none builds them all.
-    Help, usage and errors are the same either way.
-    """
-    verb = argv[0] if argv and argv[0] in _COMMANDS else None
-    leaves = {"search": FAMILIES, "verify": (*_THEOREMS, *_STRUCTURAL_CLAIMS)}
-    leaf = argv[1] if len(argv) > 1 and argv[1] in leaves.get(verb, ()) else None
-
-    def wanted(name: str, within: Optional[str] = None) -> bool:
-        """Whether verb ``name``, or leaf ``name`` of verb ``within``, gets
-        its arguments."""
-        if within is None:
-            return verb in (None, name)
-        return verb in (None, within) and leaf in (None, name)
-
+def _build_parser() -> _Parser:
     parser = _Parser(prog="gridnet", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="compile parameters and emit the digraph")
-    if wanted("gen"):
-        p.add_argument("params")
-        p.add_argument("--format", choices=("dot", "json"), default="dot")
-        p.add_argument("--loose", action="store_true",
-                       help="compile despite violations")
+    p.add_argument("params")
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.add_argument("--loose", action="store_true", help="compile despite violations")
 
     p = sub.add_parser("diameter", help="diameter of a parameter set or JSON file")
-    if wanted("diameter"):
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("params", nargs="?")
-        source.add_argument("--input", help="JSON adjacency file ('-' for stdin)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("params", nargs="?")
+    source.add_argument("--input", help="JSON adjacency file ('-' for stdin)")
 
     p = sub.add_parser("bounds", help="Moore-like bound and achievable range")
-    if wanted("bounds"):
-        p.add_argument("family", choices=tuple(FAMILIES))
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--json", action="store_true")
+    p.add_argument("family", choices=tuple(FAMILIES))
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("derive", help="step-translate parameters between families")
-    if wanted("derive"):
-        p.add_argument("target", choices=("na", "mh"))
-        p.add_argument("params")
+    p.add_argument("target", choices=("na", "mh"))
+    p.add_argument("params")
 
     families = sub.add_parser(
         "search", help="exhaustive minimum-diameter step search"
     ).add_subparsers(dest="family", required=True)
     for family in FAMILIES:
         p = families.add_parser(family)
-        if not wanted(family, "search"):
-            continue
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--cap", type=_at_least(1))
         p.add_argument("--workers", type=_at_least(1), help="accepted; has no effect")
@@ -133,23 +111,20 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     claims = sub.add_parser(
         "verify", help="certify a theorem or structural law by BFS"
     ).add_subparsers(dest="claim", required=True)
-    for theorem in _THEOREMS:
+    for theorem in ("4.1", "4.2", "4.3"):
         p = claims.add_parser(theorem)
-        if wanted(theorem, "verify"):
-            p.add_argument("--k-max", type=_at_least(1), default=3, help="default 3")
-            p.add_argument("--exhaustive", action="store_true")
-            p.add_argument("--csv", action="store_true")
+        p.add_argument("--k-max", type=_at_least(1), default=3, help="default 3")
+        p.add_argument("--exhaustive", action="store_true")
+        p.add_argument("--csv", action="store_true")
     for claim, (_, first, n_max) in _STRUCTURAL_CLAIMS.items():
-        p = claims.add_parser(claim)
-        if wanted(claim, "verify"):
-            p.add_argument("--n-max", type=_at_least(first), default=n_max,
-                           help=f"default {n_max}")
+        claims.add_parser(claim).add_argument(
+            "--n-max", type=_at_least(first), default=n_max, help=f"default {n_max}"
+        )
 
     p = sub.add_parser("table", help="order -> diameter tables for na/mh theorems")
-    if wanted("table"):
-        p.add_argument("family", choices=("na", "mh"))
-        p.add_argument("--k-max", type=_at_least(1), required=True)
-        p.add_argument("--csv", action="store_true")
+    p.add_argument("family", choices=("na", "mh"))
+    p.add_argument("--k-max", type=_at_least(1), required=True)
+    p.add_argument("--csv", action="store_true")
 
     return parser
 
@@ -170,16 +145,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
+    """A parameter record is measured by reach sets on its step classes,
+    with no Digraph built; a JSON digraph by graphs.diameter."""
     if args.input:
         if args.input == "-":
             text = sys.stdin.read()
         else:
             with open(args.input, encoding="utf-8") as f:
                 text = f.read()
-        g = from_json(text)
+        d = diameter(from_json(text))
     else:
-        g = compile_params(_parse(args.params))
-    d = diameter(g)
+        p = _parse(args.params)
+        require_valid(p)
+        d = reach_diameter(p.classes(p.n, p.steps), p.n)
     print("not strongly connected" if d is None else d)
     return EXIT_OK
 
@@ -388,8 +366,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.verb](args)
@@ -399,6 +376,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (GridnetError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:  # a valid record too large to build
+        print("error: out of memory", file=sys.stderr)
         return EXIT_VALIDATION
 
 

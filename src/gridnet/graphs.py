@@ -9,11 +9,12 @@ classes, from one vertex per translation class, with an early exit at a
 limit; ``step_rows`` and ``line_classes`` give the rows and the line
 digraph of such a digraph.
 ``reach_diameter`` certifies a step digraph given by the same classes by
-reach sets from every vertex, one set per translation class, without
-calling it; ``diameter`` is its case of one class per vertex, for any
-``Digraph``.  The independent all-pairs distance oracle,
-the regularity and directed-cycle tests and the isomorphism test that the
-suite checks these against live in ``tests/oracles.py``.
+reach sets from every vertex, one set per translation class and one level
+loop for every period, without calling it; ``diameter`` is its case of one
+class per vertex, for any ``Digraph``, such as one read as JSON.  The
+independent all-pairs distance oracle, the regularity and directed-cycle
+tests and the isomorphism test that the suite checks these against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ def reach_diameter(classes: Sequence[Sequence[int]], n: int) -> Optional[int]:
     by a multiple m of p is an automorphism (the digraph is a Z_{n/p}-lift
     of one on Z_p), so the reach set of vertex c + m is that of c rotated
     by m, and the p sets of the vertices 0..p-1 carry them all.
-    ``reach[r]`` is the bit set of the vertices within k arcs of r, and one
-    level ORs into it the set of each out-neighbour v = r + x: that of
-    c = v mod p, rotated by m = v - c when m is not 0.  The diameter is the
+    ``reach[r]`` is the bit set of the vertices within k arcs of r.  Each
+    out-neighbour v = r + x is the head (c, m), c = v mod p and m = v - c,
+    and one level ORs into ``reach[r]`` the set of c rotated by m: shifted
+    left by m, the carry past bit n folded back once.  The diameter is the
     first k at which every set is full; a level that changes no set before
     that means some vertex never reaches some other, and None is returned.
     This costs D * (p + arcs out of 0..p-1) big-int ORs and shares no code
@@ -150,29 +152,16 @@ def reach_diameter(classes: Sequence[Sequence[int]], n: int) -> Optional[int]:
     """
     p = len(classes)
     full = (1 << n) - 1
-    plain: list[list[int]] = [[] for _ in range(p)]  # r -> its out-neighbours v < p
-    turned: dict[int, list] = {}  # r -> (c, m) for each other out-neighbour
-    for r, steps in enumerate(classes):
-        for x in steps:
-            v = (r + x) % n
-            c = v % p
-            if v == c:
-                plain[r].append(c)
-            else:
-                turned.setdefault(r, []).append((c, v - c))
+    heads = [[(v % p, v - v % p) for v in ((r + x) % n for x in steps)]
+             for r, steps in enumerate(classes)]
     reach = [1 << r for r in range(p)]
     k = 0
     while any(s != full for s in reach):
         level = []
-        for s, heads in zip(reach, plain):
-            for c in heads:
-                s |= reach[c]
-            level.append(s)
-        for r, heads in turned.items():
-            s = level[r]
-            for c, m in heads:
+        for s, row in zip(reach, heads):
+            for c, m in row:
                 s |= reach[c] << m
-            level[r] = s & full | s >> n
+            level.append(s & full | s >> n)
         if level == reach:
             return None
         reach = level

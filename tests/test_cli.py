@@ -19,7 +19,7 @@ from gridnet.families import (
     format_params,
     parse_params,
 )
-from gridnet.graphs import GraphError, GridnetError, from_json, to_dot, to_json
+from gridnet.graphs import GraphError, GridnetError, diameter, from_json, to_dot, to_json
 from gridnet.search import SearchError, search_na
 
 from oracles import line_digraph_checks_per_candidate, sandwich_checks_per_candidate
@@ -151,6 +151,34 @@ class TestDiameter:
         assert out == ""
         assert err.startswith("error: argument --input: not allowed with argument params")
         assert "usage: gridnet diameter" in err
+
+    def test_params_measured_on_step_classes(self, capsys, monkeypatch):
+        # A record is measured on its step classes alone, with no per-vertex
+        # rows (step_rows) and no Digraph built: every candidate of these
+        # orders prints the diameter of its compiled digraph, and an invalid
+        # record its validation error.
+        from gridnet import cli, families, graphs
+
+        orders = {"ds": range(4, 31), "na": range(4, 31, 2), "mh": (8, 12)}
+        records = [FAMILIES[tag](n, *steps) for tag, ns in orders.items()
+                   for n in ns for steps in FAMILIES[tag].candidates(n)]
+        expected = "".join(
+            f"{'not strongly connected' if d is None else d}\n"
+            for d in map(diameter, map(compile_params, records))
+        )
+
+        def no_rows(*args):
+            raise AssertionError("per-vertex rows built")
+
+        parser = cli._build_parser()  # one build for the ten thousand calls
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+        monkeypatch.setattr(families, "step_rows", no_rows)
+        monkeypatch.setattr(graphs, "Digraph", no_rows)
+        codes = {main(["diameter", format_params(p)]) for p in records}
+        assert (codes, *capsys.readouterr()) == ({0}, expected, "")
+        assert run(capsys, "diameter", "na:10,1,1,3,5") == (
+            1, "", "error: alpha = beta (mod N)\n"
+        )
 
 
 class TestBounds:
@@ -595,34 +623,6 @@ def test_unknown_verb_exit_64(capsys):
     assert "usage" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["-h"], ["gen", "-h"], ["search", "-h"], ["search", "na", "-h"],
-    ["search", "-h", "na"], ["verify", "4.2", "-h"], ["verify", "sandwich", "-h"],
-    ["search", "xx"], ["search", "na"], ["search", "na", "--n", "x"],
-    ["search", "--n", "5", "na"], ["search", "mh", "--n", "16", "--cap", "0"],
-    ["verify", "line-digraph", "--n-max", "2"], ["verify", "4.1", "--k-max", "1"],
-    ["-x", "search", "na", "--n", "5"], ["--", "bounds", "na", "--k", "1"],
-    ["bounds", "na", "--k", "1", "--json"], ["table", "mh", "--k-max", "1"],
-    ["derive", "na", "ds:12,1,5"], ["diameter"],
-], ids=" ".join)
-def test_parser_built_for_argv_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    # _build_parser(argv) leaves out the argument lists argv cannot reach;
-    # an empty argv builds them all.
-    from gridnet import cli
-
-    def outcome():
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help
-            code = exc.code
-        return (code, *capsys.readouterr())
-
-    pruned = outcome()
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda _argv: build(()))
-    assert outcome() == pruned
-
-
 BAD_GRAPH = '{"order": 2, "arcs": [[5],[0]]}'
 
 # One input of each error kind: (error class, the call raising it, the CLI
@@ -642,6 +642,18 @@ ERROR_INPUTS = [
      ["diameter", "--input", "missing-graph.json"], "",
      "[Errno 2] No such file or directory: 'missing-graph.json'"),
 ]
+
+
+def test_out_of_memory_exits_1_with_one_error_line(capsys, monkeypatch):
+    # A valid record too large to build, such as ds:30000001,1,2 under a
+    # small address-space limit, ends in one line and not a traceback.
+    from gridnet import cli
+
+    def too_large(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compile_params", too_large)
+    assert run(capsys, "gen", "ds:30000001,1,2") == (1, "", "error: out of memory\n")
 
 
 class TestOneErrorBase:
