@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 # ``bounds``, ``search`` and ``json`` are imported by the verbs that use
 # them, so that the other verbs' processes do not compile them.
@@ -116,9 +116,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--k-max", type=_at_least(1), default=3, help="default 3")
         p.add_argument("--exhaustive", action="store_true")
         p.add_argument("--csv", action="store_true")
-    for claim, (_, first, n_max) in _STRUCTURAL_CLAIMS.items():
+    for claim, (_, _, n_max) in _STRUCTURAL_CLAIMS.items():
         claims.add_parser(claim).add_argument(
-            "--n-max", type=_at_least(first), default=n_max, help=f"default {n_max}"
+            "--n-max", type=_at_least(4), default=n_max, help=f"default {n_max}"
         )
 
     p = sub.add_parser("table", help="order -> diameter tables for na/mh theorems")
@@ -229,66 +229,30 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _sandwich_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
-    """Two checks per DS candidate; one sandwich per multiplier orbit.
-
-    D(G), D_NA and D_MH are the same on a whole orbit.  Its maps (x -> ux
-    for a unit u, the fold of a step s to N-s, and the swap of a and b)
-    are DS isomorphisms.  ds_to_na(a, b) has the NA gauge class
-    (s, t) = (a, -b) mod N, on which they act as u and as dihedral maps of
-    (s, t), all NA isomorphisms.  And na_to_mh(X) is isomorphic to L(X),
-    so isomorphic NA digraphs give isomorphic MH ones (README).  So a
-    representative counts as its orbit's size in checks, and a failing one
-    is checked again member by member; the FAIL lines of an order are
-    printed in enumeration order.
-    """
-    ds = FAMILIES["ds"]
-    for n in range(first, n_max + 1):
-        checks = 0
-        failing: set[tuple[int, ...]] = set()
-        for steps, size in ds.representatives(n):
-            r = check_diameter_sandwich(ds(n, *steps))
-            checks += len(r.checks) * size
-            if not r.passed:
-                failing.update(ds.orbit(n, steps))
-        reports = [check_diameter_sandwich(ds(n, *steps))
-                   for steps in sorted(failing, key=ds.key)]
-        yield checks, [
-            f"FAIL {kind} {format_params(r.ds)}: k={r.k} "
-            f"derived={derived} not in [{low},{high}]"
-            for r in reports
-            for kind, derived, low, high in r.checks
-            if not low <= derived <= high
-        ]
+def _sandwich_check(p) -> tuple[int, list[str]]:
+    """Two checks of one DS graph: its derived D_NA and D_MH by k = D(G)."""
+    r = check_diameter_sandwich(p)
+    return len(r.checks), [
+        f"FAIL {kind} {format_params(p)}: k={r.k} "
+        f"derived={derived} not in [{low},{high}]"
+        for kind, derived, low, high in r.checks
+        if not low <= derived <= high
+    ]
 
 
-def _line_digraph_checks(first: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
-    """One check per 2-regular, strongly connected NA candidate; BFS per orbit.
-
-    Every map of a gauge orbit is an isomorphism of NA digraphs, and so of
-    their line digraphs: gamma != delta (2-regularity), strong connectivity,
-    D and D(L) hold on the whole orbit when they hold on its
-    representative.  So a representative counts as its orbit's size in
-    checks, and a failing one fails every member, reported in enumeration
-    order.
-    """
-    na = FAMILIES["na"]
-    for n in range(first, n_max + 1, 2):
-        checks = 0
-        failing: set[tuple[int, ...]] = set()
-        for steps, size in na.representatives(n):
-            if steps[2] == steps[3]:
-                continue
-            classes = na.classes(n, steps)
-            d = bounded_diameter(classes, n, None)
-            if d is None:
-                continue
-            checks += size
-            line, order = line_classes(classes, n)
-            if bounded_diameter(line, order, None) != d + 1:
-                failing.update(na.orbit(n, steps))
-        yield checks, [f"FAIL line-digraph {format_params(na(n, *steps))}"
-                       for steps in sorted(failing, key=na.key)]
+def _line_digraph_check(p) -> tuple[int, list[str]]:
+    """One check of a 2-regular (gamma != delta), strongly connected NA
+    digraph: D(L) = D + 1, both by bounded_diameter on its classes."""
+    if p.gamma == p.delta:
+        return 0, []
+    classes = p.classes(p.n, p.steps)
+    d = bounded_diameter(classes, p.n, None)
+    if d is None:
+        return 0, []
+    line, order = line_classes(classes, p.n)
+    if bounded_diameter(line, order, None) == d + 1:
+        return 1, []
+    return 1, [f"FAIL line-digraph {format_params(p)}"]
 
 
 def _print_rows(rows, csv: bool) -> None:
@@ -313,23 +277,22 @@ def _print_rows(rows, csv: bool) -> None:
             )
 
 
-# Structural claim -> (its checks, first order checked, default --n-max).
-# The first order, ds:4,1,2's and the least NA order, is the least --n-max.
-# The checks yield (count, FAIL lines) pairs, one per order: a batch of
-# checks and, in enumeration order, the FAIL lines of those that failed.
-# Both walk FamilyParams.representatives, check once per orbit and count
-# the orbit's members, and expand a failing orbit member by member.
+# Structural claim -> (family tag, per-record check, default --n-max).
+# FamilyParams.orbit_checks runs the check once per orbit at each order
+# from 4, ds:4,1,2's and the least NA order, in steps of the period.
 _STRUCTURAL_CLAIMS = {
-    "sandwich": (_sandwich_checks, 4, 40),
-    "line-digraph": (_line_digraph_checks, 4, 24),
+    "sandwich": ("ds", _sandwich_check, 40),
+    "line-digraph": ("na", _line_digraph_check, 24),
 }
 
 
 def _cmd_verify(args) -> int:
     if args.claim in _STRUCTURAL_CLAIMS:
-        checks, first, _ = _STRUCTURAL_CLAIMS[args.claim]
+        tag, check, _ = _STRUCTURAL_CLAIMS[args.claim]
+        fam = FAMILIES[tag]
         rows = failures = 0
-        for count, failed in checks(first, args.n_max):
+        for n in range(4, args.n_max + 1, fam.period):
+            count, failed = fam.orbit_checks(n, check)
             rows += count
             failures += len(failed)
             for line in failed:

@@ -6,9 +6,10 @@ families.require_valid first.  The tests check every map against the
 condition systems themselves (``tests/oracles.py``).  The chain DS -> NA ->
 MH is written once: ds_to_mh is the composition.  check_diameter_sandwich
 derives the chain of one DS graph and bounds both derived diameters;
-``verify sandwich`` calls it once per DS multiplier orbit, on which all
-three diameters are constant (README: the NA gauge class of ds_to_na(a, b)
-is (a, -b), and na_to_mh(X) is isomorphic to the line digraph of X).
+``verify sandwich`` calls it through families.FamilyParams.orbit_checks,
+once per DS multiplier orbit, on which all three diameters are constant
+(README: the NA gauge class of ds_to_na(a, b) is (a, -b), and na_to_mh(X)
+is isomorphic to the line digraph of X).
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ graphs.bounded_diameter and certifies its witnesses by
 graphs.reach_diameter, both directly), candidate generator, enumeration key,
 orbit map and ``representatives``, the one walk over the orbits that the
 search and ``verify`` share: DS and MH multiplier orbits, NA gauge
-orbits.  Its Moore bound and theorem are in ``bounds.THEOREMS``.
+orbits, on which ``orbit_checks`` runs a structural ``verify`` claim.
+Its Moore bound and theorem are in ``bounds.THEOREMS``.
 ``FAMILIES`` maps each tag to its class; callers look the class up by tag,
 or call a record's own methods, instead of branching on the family.  Only
 compilation builds per-vertex rows, from the classes by graphs.step_rows,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import ClassVar, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
     Digraph,
@@ -75,7 +76,8 @@ class FamilyParams(tuple):
     maps make isomorphic to that of ``steps``, each once and in key order;
     from any member it yields the whole orbit, the member included.
     ``representatives(n)`` yields each orbit's key-least member with the
-    orbit's size, in key order; the search runs one BFS per representative.
+    orbit's size, in key order; the search runs one BFS per representative,
+    and ``orbit_checks`` one check.
 
     DS and MH orbits are multiplier orbits: the images under x -> ux (u a
     unit of Z_N), combined with translations, walked by the ``weight``
@@ -128,6 +130,35 @@ class FamilyParams(tuple):
             size = weight(n, steps)
             if size is not None:
                 yield steps, size
+
+    @classmethod
+    def orbit_checks(
+        cls, n: int, check: Callable[[FamilyParams], tuple[int, list[str]]]
+    ) -> tuple[int, list[str]]:
+        """(checks, FAIL lines) of ``check`` over the candidates of order n.
+
+        ``check(p)`` returns the number of checks p makes and the FAIL lines
+        of those that fail.  It runs on each orbit's representative, which
+        counts as the orbit's size times that number: sound when every
+        orbit map is an isomorphism of the digraphs the check measures.
+        Isomorphic NA digraphs have isomorphic line digraphs, so gamma !=
+        delta, strong connectivity, D and D(L) hold on a whole gauge orbit.
+        The DS maps (x -> ux, the fold of a step s to N-s, the swap of a and
+        b) act on ds_to_na(a, b)'s gauge class (s, t) = (a, -b) mod N as u
+        and as dihedral maps of (s, t), all NA isomorphisms, and na_to_mh(X)
+        is isomorphic to L(X) (README).  A failing orbit is checked again
+        member by member, in key order: its FAIL lines are those of one
+        check per candidate, in enumeration order.
+        """
+        checks = 0
+        failing: set[tuple[int, ...]] = set()
+        for steps, size in cls.representatives(n):
+            count, failed = check(cls(n, *steps))
+            checks += count * size
+            if failed:
+                failing.update(cls.orbit(n, steps))
+        return checks, [line for steps in sorted(failing, key=cls.key)
+                        for line in check(cls(n, *steps))[1]]
 
 
 def _leads(

@@ -123,13 +123,16 @@ def bfs_profile(g: Digraph, source: int) -> DistanceProfile:
 def diameter(g: Digraph) -> Optional[int]:
     """Max eccentricity over all sources, or None when not strongly connected.
 
-    reach_diameter with every vertex its own class: row u's steps are
-    (v - u) mod N, so every rotation is by 0.
+    reach_diameter with every vertex its own class (_vertex_classes), so
+    every rotation is by 0.
     """
+    return reach_diameter(_vertex_classes(g), g.order)
+
+
+def _vertex_classes(g: Digraph) -> list[list[int]]:
+    """g as a step digraph of period N: row u's steps are (v - u) mod N."""
     n = g.order
-    return reach_diameter(
-        [[(v - u) % n for v in heads] for u, heads in enumerate(g.out_arcs)], n
-    )
+    return [[(v - u) % n for v in heads] for u, heads in enumerate(g.out_arcs)]
 
 
 def reach_diameter(classes: Sequence[Sequence[int]], n: int) -> Optional[int]:
@@ -263,15 +266,12 @@ def line_classes(
 
 def line_digraph(g: Digraph) -> Digraph:
     """Line digraph: one vertex per arc of g, numbered by (tail, out-list
-    position).  Arc u -> v leads to every arc out of v."""
+    position).  Arc u -> v leads to every arc out of v.  It is the step
+    digraph of line_classes of g's classes of period N, as in diameter."""
     if g.arc_count == 0:
         raise GraphError("line digraph of an arcless digraph is undefined")
-    succ = []
-    total = 0
-    for heads in g.out_arcs:
-        succ.append(tuple(range(total, total + len(heads))))
-        total += len(heads)
-    return Digraph(total, tuple(succ[v] for heads in g.out_arcs for v in heads))
+    line, order = line_classes(_vertex_classes(g), g.order)
+    return Digraph(order, tuple(step_rows(line, order)))
 
 
 def to_dot(g: Digraph) -> str:

@@ -81,7 +81,7 @@ class SearchResult(NamedTuple):
     witnesses: tuple[FamilyParams, ...]
     witness_total: int
     candidates_examined: int
-    moore_bound_for_min: Optional[int]
+    moore_bound_for_min: Optional[int]  # None: no minimum, or a bound below n
     meets_theorem_prediction: str  # "yes" | "no" | "not-covered"
 
     def to_json_dict(self) -> dict:
@@ -201,6 +201,8 @@ def _finish(
             raise SearchError(f"witness {format_params(w)} fails re-verification")
     theorem = bounds.theorem_of(family)
     moore = bounds.THEOREMS[theorem].moore(best) if best is not None else None
+    if moore is not None and moore < n:
+        moore = None
     return SearchResult(
         family=family,
         n=n,

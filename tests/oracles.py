@@ -7,7 +7,9 @@ per candidate, through gridnet's generators, step classes and
 ``line_digraph_checks_per_candidate`` is ``verify line-digraph`` the same
 way: two BFS per candidate, through the same generator, classes and
 ``line_classes``; ``sandwich_checks_per_candidate`` is ``verify sandwich``
-with one ``check_diameter_sandwich`` per DS candidate.  The paper's
+with one ``check_diameter_sandwich`` per DS candidate.
+``line_digraph_by_arcs`` builds a line digraph arc by arc, without the
+line classes that ``graphs.line_digraph`` reads.  The paper's
 condition systems of the step translations, and the residues and gauge
 classes of the Manhattan mod-4 space, read only the parameter records.
 The summation forms of the Moore bounds, the arc-relaxation distance
@@ -162,6 +164,19 @@ def sandwich_checks_per_candidate(n, sandwich=check_diameter_sandwich):
             if not low <= derived <= high
         ]
     return checks, failed
+
+
+def line_digraph_by_arcs(g):
+    """The line digraph built arc by arc: one vertex per arc, numbered by
+    (tail, out-list position), and arc u -> v leads to every arc out of v."""
+    if g.arc_count == 0:
+        raise GraphError("line digraph of an arcless digraph is undefined")
+    succ = []
+    total = 0
+    for heads in g.out_arcs:
+        succ.append(tuple(range(total, total + len(heads))))
+        total += len(heads)
+    return Digraph(total, tuple(succ[v] for heads in g.out_arcs for v in heads))
 
 
 def check_na_conditions(ds: DoubleStepGraph, na: NewAmsterdamDigraph) -> list[str]:

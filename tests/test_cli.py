@@ -411,7 +411,7 @@ class TestVerify:
         checks, failed = 0, []
         for n in range(4, 41, 2):
             count, lines = line_digraph_checks_per_candidate(n, kernel)
-            assert list(cli._line_digraph_checks(n, n)) == [(count, lines)], n
+            assert na.orbit_checks(n, cli._line_digraph_check) == (count, lines), n
             checks += count
             failed += lines
         code, out, _ = run(capsys, "verify", "line-digraph", "--n-max", "40")
@@ -476,7 +476,7 @@ class TestVerify:
         checks, failed = 0, []
         for n in range(4, 41):
             count, lines = sandwich_checks_per_candidate(n, sandwich)
-            assert list(cli._sandwich_checks(n, n)) == [(count, lines)], n
+            assert ds.orbit_checks(n, cli._sandwich_check) == (count, lines), n
             checks += count
             failed += lines
         code, out, _ = run(capsys, "verify", "sandwich", "--n-max", "40")

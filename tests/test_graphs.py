@@ -14,7 +14,13 @@ from gridnet.graphs import (
     to_json,
 )
 
-from oracles import all_pairs_oracle, are_isomorphic, is_directed_cycle, is_regular
+from oracles import (
+    all_pairs_oracle,
+    are_isomorphic,
+    is_directed_cycle,
+    is_regular,
+    line_digraph_by_arcs,
+)
 
 
 def cycle(n):
@@ -160,6 +166,27 @@ class TestLineDigraph:
     def test_arcless_rejected(self):
         with pytest.raises(GraphError):
             line_digraph(Digraph.from_lists(1, [[]]))
+
+    def test_equals_the_arc_by_arc_construction(self):
+        # Random digraphs with loops, sinks and unreachable vertices, their
+        # out-lists unsorted so that the (tail, position) numbering shows.
+        rng = random.Random(31)
+        seen = {"arcless": 0, "loop": 0, "not strongly connected": 0}
+        for _ in range(300):
+            n = rng.randrange(1, 16)
+            rows = [rng.sample(range(n), rng.randrange(0, min(n, 4) + 1))
+                    for _ in range(n)]
+            g = Digraph.from_lists(n, rows)
+            if g.arc_count == 0:
+                seen["arcless"] += 1
+                for build in (line_digraph, line_digraph_by_arcs):
+                    with pytest.raises(GraphError):
+                        build(g)
+                continue
+            assert line_digraph(g) == line_digraph_by_arcs(g), rows
+            seen["loop"] += any(u in heads for u, heads in enumerate(rows))
+            seen["not strongly connected"] += diameter(g) is None
+        assert min(seen.values()) > 0, seen
 
     def test_regular_law_small_sweep(self):
         # delta-regular non-cycle g: |L(g)| = delta*|g|, D(L(g)) = D(g)+1

@@ -63,6 +63,16 @@ def test_every_image_is_an_isomorphic_candidate(family, orders):
                 assert diameters[image] == d, (n, steps, image)
 
 
+def gauge_class_of(family, n, steps):
+    """What ``orbit(n, steps)`` reads: the NA gauge class (s, t), the same
+    for the m/2 or m candidates that share it; DS and MH read all steps."""
+    if family != "na":
+        return steps
+    m = n // 2
+    alpha, _, gamma, delta = steps
+    return (alpha + gamma) // 2 % m, (alpha + delta) // 2 % m
+
+
 def assert_orbit_sound(family, n, steps):
     fam = FAMILIES[family]
     images = set(fam.orbit(n, steps))
@@ -72,9 +82,13 @@ def assert_orbit_sound(family, n, steps):
         return bounded_diameter(fam.classes(n, s), n, None)
 
     d = reduced_diameter(steps)
+    listed = set()
     for image in images:
         assert image in candidate_set(family, n), image
-        assert set(fam.orbit(n, image)) == images, image
+        cls = gauge_class_of(family, n, image)
+        if cls not in listed:
+            listed.add(cls)
+            assert set(fam.orbit(n, image)) == images, image
         assert reduced_diameter(image) == d, image
     assert_keys_distinct(family, list(images))
 

@@ -214,6 +214,15 @@ class TestSearchMh:
         with pytest.raises(SearchError, match="direct-mode cap 12"):
             search_mh(16, direct=True, cap=12)
 
+    def test_moore_bound_below_the_order_is_not_reported(self):
+        # search_mh(80, direct=True, cap=80) finds diameter 7 below
+        # moore_mh(7) = 72 < 80; one of its witnesses certifies at once.
+        witness = (1, 27, 11, 17, 11, 65, 57, 51)
+        r = search._finish("mh", 80, 7, [witness], 1, 1)
+        assert moore_mh(7) == 72
+        assert r.moore_bound_for_min is None
+        assert search._finish("mh", 72, 7, [], 0, 0).moore_bound_for_min == 72
+
     def test_via_na_default_cap_covers_theorem_43_sweep(self):
         # verify 4.3 --exhaustive runs search_mh up to order 8(k+1)^2+4
         assert DEFAULT_CAP_MH_VIA_NA >= 8 * 5 * 5 + 4
