@@ -7,26 +7,21 @@ to 0 mod N.  Manhattan digraphs live on Z_N with N a multiple of 4 and one
 odd step pair (a_j, b_j) per residue class mod 4.
 
 Each family is described once, by its parameter record class, a
-``FamilyParams`` subclass.  The class declares its tag, its translation
-period and its step fields; one constructor serves all three, admits only
-orders that are positive multiples of the period, and lays the record out
-as the tuple ``(n, *steps)``, the steps canonical residues in 0..N-1
-(negative inputs reduce on entry).  The class body also holds the graph
-machinery: validator, step classes (the out-steps of residues
-0..period-1, on which the search runs the period BFS of
-graphs.bounded_diameter and certifies its witnesses by
-graphs.reach_diameter, both directly), candidate generator, enumeration key,
-orbit map and ``representatives``, the one walk over the orbits that the
-search and ``verify`` share: DS and MH multiplier orbits, NA gauge
-orbits, on which ``orbit_checks`` runs a structural ``verify`` claim.
-Its Moore bound and theorem are in ``bounds.THEOREMS``.
+``FamilyParams`` subclass: tag, translation period, step fields,
+validator, step classes (the out-steps of residues 0..period-1, on which
+the search runs graphs.bounded_diameter and graphs.reach_diameter
+directly), candidate generator, enumeration key, orbit map and
+``representatives``, the one walk over the orbits that the search and
+``verify`` share.  DS and MH orbits are multiplier orbits.  NA orbits are
+gauge orbits, which ``gauge_orbits`` lists from the DS orbits of the
+quotient ring, for the NA walk and the mod-4 Manhattan search alike.
 ``FAMILIES`` maps each tag to its class; callers look the class up by tag,
 or call a record's own methods, instead of branching on the family.  Only
-compilation builds per-vertex rows, from the classes by graphs.step_rows,
-which merges coincident heads so the resulting Digraph never carries
-parallel arcs, even for degenerate step choices.  require_valid is the one
-validity gate: compile_params (when strict) and the step translations call
-it, and family_diameter and line_diameter never validate.
+compilation builds per-vertex rows, by graphs.step_rows, which merges
+coincident heads so that a Digraph never carries parallel arcs.
+require_valid is the one validity gate: compile_params (when strict) and
+the step translations call it, and family_diameter and line_diameter never
+validate.  Moore bounds and theorems are in ``bounds.THEOREMS``.
 """
 
 from __future__ import annotations
@@ -80,14 +75,10 @@ class FamilyParams(tuple):
     and ``orbit_checks`` one check.
 
     DS and MH orbits are multiplier orbits: the images under x -> ux (u a
-    unit of Z_N), combined with translations, walked by the ``weight``
-    test below.  NA orbits are the coarser gauge orbits of
-    ``_gauge_orbit``, walked by the class's own ``representatives``.
-
-    Each class describes one space, the valid step tuples of its family;
-    the mod-4 Manhattan subspace is searched apart, by gauge classes
-    (``search._mod4_search``).  The family's Moore bound and theorem are in
-    ``bounds.THEOREMS``.
+    unit of Z_N), combined with translations, found by the ``weight`` test
+    below.  NA orbits are the coarser gauge orbits of ``gauge_orbits``.
+    Each class describes one space, its family's valid step tuples; the
+    mod-4 Manhattan subspace is searched apart (``search._mod4_search``).
     """
 
     __slots__ = ()
@@ -143,12 +134,11 @@ class FamilyParams(tuple):
         orbit map is an isomorphism of the digraphs the check measures.
         Isomorphic NA digraphs have isomorphic line digraphs, so gamma !=
         delta, strong connectivity, D and D(L) hold on a whole gauge orbit.
-        The DS maps (x -> ux, the fold of a step s to N-s, the swap of a and
-        b) act on ds_to_na(a, b)'s gauge class (s, t) = (a, -b) mod N as u
-        and as dihedral maps of (s, t), all NA isomorphisms, and na_to_mh(X)
-        is isomorphic to L(X) (README).  A failing orbit is checked again
-        member by member, in key order: its FAIL lines are those of one
-        check per candidate, in enumeration order.
+        The DS maps act on ds_to_na(a, b)'s gauge class (a, -b) mod N as
+        NA gauge maps (``gauge_orbits``), and na_to_mh(X) is isomorphic to
+        L(X) (README).  A failing orbit is checked again member by member,
+        in key order: its FAIL lines are those of one check per candidate,
+        in enumeration order.
         """
         checks = 0
         failing: set[tuple[int, ...]] = set()
@@ -213,7 +203,7 @@ def _kept_pairs(
 
 @lru_cache(maxsize=8)
 def _units(n: int) -> tuple[int, ...]:
-    return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
+    return tuple(u for u in range(n) if math.gcd(u, n) == 1)
 
 
 @lru_cache(maxsize=16)
@@ -269,13 +259,9 @@ class DoubleStepGraph(FamilyParams, _DoubleStepFields):
 
     @staticmethod
     def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-        """x -> ux for each unit u: steps (ua, ub), each folded to min(s, N-s)."""
-        a, b = steps
-        images = set()
-        for u in _units(n):
-            x, y = u * a % n, u * b % n
-            x, y = min(x, n - x), min(y, n - y)
-            images.add((x, y) if x < y else (y, x))
+        """The pairs of ``_gauge_orbit(n, a, b)``, steps folded to min(s, N-s)."""
+        images = {tuple(sorted((min(x, n - x), min(y, n - y))))
+                  for x, y in _gauge_orbit(n, *steps)}
         return iter(sorted(images))
 
     @staticmethod
@@ -368,22 +354,19 @@ class NewAmsterdamDigraph(FamilyParams, _NewAmsterdamFields):
     def representatives(n: int) -> Iterator[tuple[tuple[int, int, int, int], int]]:
         """Yield (steps, orbit size) for each gauge orbit's key-least member.
 
-        Every class has one ordered tuple with alpha = 1 < beta, so each
-        orbit's key-least member is its first candidate with alpha = 1.  A
-        tuple with gamma > delta follows its swap, whose class is in its orbit.
+        Each class (s, t) of ``gauge_orbits(N/2)`` with s + t != 0 holds one
+        ordered tuple with alpha = 1 < beta.  The least of them is the
+        key-least member: it has gamma <= delta, as class (t, s) holds its swap.
         """
         m = n // 2
-        seen: set[tuple[int, int]] = set()
-        for beta in range(3, n, 2):
-            for gamma in range(1, n, 2):
-                delta = (-(1 + beta + gamma)) % n
-                cls = ((1 + gamma) // 2 % m, (1 + delta) // 2 % m)
-                if cls in seen:
-                    continue
-                orbit = _gauge_orbit(m, *cls)
-                seen |= orbit
-                per_candidate = 2 if gamma == delta else 4
-                yield (1, beta, gamma, delta), len(orbit) * m // per_candidate
+        reps = []
+        for orbit in gauge_orbits(m):
+            tuples = [(1, (1 - 2 * (s + t)) % n, (2 * s - 1) % n, (2 * t - 1) % n)
+                      for s, t in orbit if (s + t) % m]
+            if tuples:
+                rep = min(tuples)
+                reps.append((rep, len(tuples) * m // (2 if rep[2] == rep[3] else 4)))
+        return iter(sorted(reps))
 
 
 def _gauge_orbit(m: int, s: int, t: int) -> frozenset[tuple[int, int]]:
@@ -395,14 +378,32 @@ def _gauge_orbit(m: int, s: int, t: int) -> frozenset[tuple[int, int]]:
     (alpha, alpha-2s-2t, 2s-alpha, 2t-alpha) for odd alpha, is isomorphic.
     A candidate is 4 of them, or 2 when gamma = delta (s = t).  Units of
     Z_m scale (s, t); gamma <-> delta, alpha <-> beta and x -> x+1 map it
-    to (t, s), (-t, -s) and (s, -t).  Images with s + t = 0 (alpha = beta)
-    are dropped: the shift makes them of gamma = delta.
+    to (t, s), (-t, -s) and (s, -t).  The orbit is whole: NA drops its
+    classes with s + t = 0 (alpha = beta), the mod-4 search keeps them.
     """
     images = set()
     for u in _units(m):
         x, y = u * s % m, u * t % m
         images.update(((x, y), (y, x), (x, -y % m), (-y % m, x)))
-    return frozenset((x, y) for x, y in images if (x + y) % m)
+    return frozenset(images)
+
+
+def gauge_orbits(m: int) -> Iterator[frozenset[tuple[int, int]]]:
+    """Yield each gauge orbit of the classes Z_m^2 once (``_gauge_orbit``).
+
+    Its maps, the units and the signed permutations of (s, t), form the DS
+    multiplier group on the step pairs {+-a, +-b} of Z_m.  So the classes
+    with s, t != 0, s != +-t and gcd(m, s, t) = 1 have the orbits of (a, -b)
+    for (a, b) in ``DoubleStepGraph.representatives(m)``.  A class of gcd g
+    is g times a class of Z_{m/g} of gcd 1: such a class, or one in the
+    orbit of (0, 1) or of (1, 1), which are one orbit at m/g = 1.
+    """
+    for g in [g for g in range(1, m + 1) if m % g == 0]:
+        q = m // g
+        seeds = [(a, -b) for (a, b), _ in DoubleStepGraph.representatives(q)]
+        seeds += [(0, 1), (1, 1)] if q > 1 else [(0, 0)]
+        for s, t in seeds:
+            yield _gauge_orbit(m, g * s % m, g * t % m)
 
 
 class _ManhattanFields(NamedTuple):
@@ -426,7 +427,7 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         """The Manhattan conditions violated; empty when valid.
 
         The residues a_j = 3, b_j = 1 (mod 4) are no condition here: they
-        define the mod-4 subspace, which search_mh searches by gauge classes.
+        define the mod-4 subspace, which search_mh searches by gauge orbits.
         """
         errors: list[str] = []
         n = self.n

@@ -1,24 +1,19 @@
 """Exhaustive minimum-diameter search over step parameters.
 
-For a family and order, enumerate every valid step choice and take the
-minimum diameter; this is the independent oracle behind the optimality and
-non-attainability claims.  The family's record class in ``FAMILIES``
-supplies the candidates, and its theorem in ``bounds.THEOREMS`` the Moore
-bound and the prediction.  Each candidate is evaluated straight from its
-step arithmetic: the class's step classes give the out-steps of each residue
-mod the period, and one bit-parallel BFS runs on them from one vertex per
-translation class (0 for DS, 0-1 for NA, 0-3 for MH) at once, with no
-per-vertex rows.  Candidates that the family's maps make isomorphic form
-an orbit, and BFS runs once per orbit, on its representative: the member
-that comes first in enumeration order.  The class's ``representatives``
-walk yields them with their orbits' sizes, so every candidate is still
-counted without being visited.  ``_mod4_search`` walks the mod-4 Manhattan
-space, a_j = 3 and b_j = 1 (mod 4), by its (N/4)^2 gauge classes instead.
-Both walks feed one minimising loop, ``_minimise``.
-Each reported witness is re-verified by ``graphs.reach_diameter`` on the
-same classes: reach sets from every vertex, carried by one set per
-translation class, an algorithm that shares no code with the search's
-period BFS.
+For a family and order, take the minimum diameter over every valid step
+choice: the independent oracle behind the optimality and non-attainability
+claims.  The family's record class in ``FAMILIES`` supplies the candidates,
+and its theorem in ``bounds.THEOREMS`` the Moore bound and the prediction.
+Candidates that the family's maps make isomorphic form an orbit.  BFS runs
+once per orbit, on its representative, the member first in enumeration
+order, which the class's ``representatives`` walk yields with the orbit's
+size; ``_mod4_search`` walks the mod-4 Manhattan space, a_j = 3 and b_j = 1
+(mod 4), over NA's gauge orbits (``families.gauge_orbits``).  Both walks
+feed ``_minimise``, whose BFS is graphs.bounded_diameter on the step
+classes: the out-steps of each residue mod the period, searched from one
+vertex per translation class at once, with no per-vertex rows.  Each
+reported witness is re-verified by ``graphs.reach_diameter`` on the same
+classes, an algorithm that shares no code with that BFS.
 
 A search is one pass over the representatives in this process.  The kept
 witnesses are the first ``WITNESS_CAP`` optima in enumeration order, taken
@@ -29,6 +24,7 @@ callers and has no effect.
 from __future__ import annotations
 
 from functools import partial
+from heapq import merge
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -43,6 +39,7 @@ from .families import (
     NewAmsterdamDigraph,
     family_diameter,
     format_params,
+    gauge_orbits,
     line_diameter,
 )
 from .graphs import GridnetError, bounded_diameter, reach_diameter
@@ -155,28 +152,31 @@ def _run_search(
 
 
 def _mod4_search(n: int) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """``_minimise`` over the mod-4 Manhattan space, one BFS per gauge class.
+    """``_minimise`` over the mod-4 Manhattan space, one BFS per gauge orbit.
 
-    The space, a_j = 3 and b_j = 1 (mod 4), has (N/4)^5 candidates: its free
-    steps (a0, a2, a1, b0, b1) take N/4 values each.  Relabelling residue r
-    by v -> v + g_r, each g_r = 0 (mod 4), is an isomorphism that adds
-    (x, y, z, x+y+z, -x) to them, where x = g3 - g0, y = g1 - g2 and
-    z = g2 - g3.  So the space splits into (N/4)^2 classes of (N/4)^3, and
-    each class has one member at each (a0, a2, a1): the walk takes the
-    key-least one, at (3, 3, 3), and ``members`` lists them in key order.
+    The space, a_j = 3 and b_j = 1 (mod 4), has (N/4)^5 candidates, one at
+    each value of the free steps (a0, a2, a1, b0, b1).  Relabelling residue
+    r by v -> v + g_r, each g_r = 0 (mod 4), is an isomorphism (README), and
+    its invariants (s, t) = ((a0+a2+a1-b0)/4, (b1+a0)/4) mod N/4 name
+    (N/4)^2 classes, each with one member at each (a0, a2, a1).  Class
+    (s, t) is the line digraph of NA class (s, t) of order N/2, so the walk
+    takes each orbit of ``gauge_orbits(N/4)``, s + t = 0 included, at its
+    key-least member, and ``members`` merges its classes in key order.
     """
-    ones = range(1, n, 4)
-    size = (n // 4) ** 3
-    walk = (((3, b0, 3, b1, 3, (6 - b0) % n, -9 % n, (-6 - b1) % n), size)
-            for b0 in ones for b1 in ones)
+    m = n // 4
 
-    def members(rep: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def class_members(s: int, t: int) -> Iterator[tuple[int, ...]]:
         for a0, a2, a1 in product(range(3, n, 4), repeat=3):
-            s = a0 + a2
-            b0, b1 = (rep[1] + s + a1 - 9) % n, (rep[3] + 3 - a0) % n
-            yield (a0, b0, a1, b1, a2, (s - b0) % n, (-s - a1) % n, (-s - b1) % n)
+            c = a0 + a2
+            b0, b1 = (c + a1 - 4 * s) % n, (4 * t - a0) % n
+            yield (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
 
-    return _minimise(ManhattanDigraph, n, walk, members)
+    def members(orbit: Iterable[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+        return merge(*(class_members(s, t) for s, t in orbit), key=ManhattanDigraph.key)
+
+    orbits = {next(members(orbit)): orbit for orbit in gauge_orbits(m)}
+    walk = ((rep, len(orbit) * m**3) for rep, orbit in sorted(orbits.items()))
+    return _minimise(ManhattanDigraph, n, walk, lambda rep: members(orbits[rep]))
 
 
 def _prediction(theorem: str, n: int, min_d: Optional[int]) -> str:
@@ -251,16 +251,15 @@ def search_mh(
     Default mode runs search_na(n/2) and lifts the optimum through the
     line-digraph relation (min diameter + 1, witnesses the na_to_mh images
     of the NA witnesses); _finish certifies every image by
-    graphs.reach_diameter.
-    Direct mode enumerates the Manhattan step space itself.  With
-    ``mod4_filter`` it searches the subspace a_j = 3, b_j = 1 (mod 4)
-    instead, one BFS per gauge class (_mod4_search); the filter names a
-    direct space, so it implies direct mode.  ``cap`` bounds n in every
-    mode.  It defaults to DEFAULT_CAP_MH in direct mode and to
+    graphs.reach_diameter.  Direct mode enumerates the Manhattan step space
+    itself.  With ``mod4_filter`` it searches the subspace a_j = 3, b_j = 1
+    (mod 4) instead, one BFS per gauge orbit (_mod4_search); the filter
+    names a direct space, so it implies direct mode.  ``cap`` bounds n in
+    every mode.  It defaults to DEFAULT_CAP_MH in direct mode and to
     DEFAULT_CAP_MH_VIA_NA via NA and with ``mod4_filter``: every mod-4
     class is the line digraph of an NA digraph of order n/2, so that
-    search answers the via-NA question and shares its cap.
-    ``workers`` is accepted and ignored.
+    search answers the via-NA question and shares its cap.  ``workers`` is
+    accepted and ignored.
     """
     if n < 8 or n % FAMILIES["mh"].period:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")

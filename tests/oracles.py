@@ -1,7 +1,7 @@
 """Test-only reference implementations.
 
 ``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
-is the search loop without orbit representatives or gauge classes: one BFS
+is the search loop without orbit representatives or gauge orbits: one BFS
 per candidate, through gridnet's generators, step classes and
 ``bounded_diameter``.
 ``line_digraph_checks_per_candidate`` is ``verify line-digraph`` the same
@@ -10,8 +10,9 @@ way: two BFS per candidate, through the same generator, classes and
 with one ``check_diameter_sandwich`` per DS candidate.
 ``line_digraph_by_arcs`` builds a line digraph arc by arc, without the
 line classes that ``graphs.line_digraph`` reads.  The paper's
-condition systems of the step translations, and the residues and gauge
-classes of the Manhattan mod-4 space, read only the parameter records.
+condition systems of the step translations, and the residues, gauge
+classes and class labels of the Manhattan mod-4 space, read only the
+parameter records; ``gauge_closure`` finds an NA gauge orbit by search.
 The summation forms of the Moore bounds, the arc-relaxation distance
 oracle, the degree tests and the isomorphism test use only gridnet's error
 types, ``Digraph`` accessors and, for the directed-cycle test and the
@@ -21,6 +22,7 @@ Import from test modules as ``from oracles import ...``; pytest puts the
 ``tests`` directory on ``sys.path`` for them.
 """
 
+import math
 from collections import Counter, deque
 from itertools import product
 from typing import Optional
@@ -93,7 +95,7 @@ def plain_search_slice(family, n, in_space=None):
     """``search._run_search`` without orbit representatives: BFS on every candidate.
 
     ``in_space``, when given, keeps only the candidates it accepts; with
-    ``in_mod4_space`` this is ``search._mod4_search`` without gauge classes.
+    ``in_mod4_space`` this is ``search._mod4_search`` without gauge orbits.
     """
     fam = FAMILIES[family]
     candidates = fam.candidates(n)
@@ -274,6 +276,30 @@ def gauge_class(n: int, steps: tuple[int, ...]) -> frozenset:
     return frozenset(
         gauge(n, steps, (0, *g)) for g in product(range(0, n, 4), repeat=3)
     )
+
+
+def mod4_na_class(n: int, steps: tuple[int, ...]) -> tuple[int, int]:
+    """The label (s, t) = ((a0+a2+a1-b0)/4, (b1+a0)/4) mod N/4 of mod-4
+    Manhattan steps: ``gauge`` keeps both sums, so it names the gauge class,
+    and class (s, t) is the line digraph of NA gauge class (s, t) of order
+    N/2 (README)."""
+    a0, b0, a1, b1, a2 = steps[:5]
+    return (a0 + a2 + a1 - b0) % n // 4, (b1 + a0) % n // 4
+
+
+def gauge_closure(m: int, s: int, t: int) -> frozenset:
+    """The NA gauge classes of Z_m^2 reachable from (s, t) by x -> ux for the
+    units u of Z_m, (s, t) -> (t, s) and (s, t) -> (s, -t), found by search."""
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    start = (s % m, t % m)
+    reached, todo = {start}, [start]
+    while todo:
+        x, y = todo.pop()
+        for image in [(u * x % m, u * y % m) for u in units] + [(y, x), (x, -y % m)]:
+            if image not in reached:
+                reached.add(image)
+                todo.append(image)
+    return frozenset(reached)
 
 
 def moore_ds_sum(k: int) -> int:

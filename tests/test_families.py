@@ -16,10 +16,11 @@ from gridnet.families import (
     compile_na,
     compile_params,
     format_params,
+    gauge_orbits,
     parse_params,
 )
 from gridnet.graphs import diameter
-from oracles import gauge, gauge_class, in_mod4_space
+from oracles import are_isomorphic, gauge, gauge_class, in_mod4_space, mod4_na_class
 
 
 class TestValidateDs:
@@ -278,7 +279,10 @@ class TestRegistry:
 
 class TestMod4GaugeClasses:
     """Relabelling residue r by v -> v + g_r, each g_r = 0 (mod 4), keeps
-    the mod-4 space; search_mh(mod4_filter=True) runs one BFS per class."""
+    the mod-4 space and splits it into gauge classes, which
+    ``mod4_na_class`` labels by the NA gauge classes (s, t) of Z_{N/4}^2.
+    search_mh(mod4_filter=True) runs one BFS per orbit of
+    ``gauge_orbits(N/4)``, whose classes must then be isomorphic."""
 
     def test_every_candidate_lies_in_one_class_of_full_size(self):
         mh = FAMILIES["mh"]
@@ -293,6 +297,23 @@ class TestMod4GaugeClasses:
             distinct = set(classes.values())
             assert sum(map(len, distinct)) == len(space) == (n // 4) ** 5, n
             assert {len(cls) for cls in distinct} == {(n // 4) ** 3}, n
+            # Each class has one label, and the labels are all of Z_{N/4}^2.
+            labels = [{mod4_na_class(n, s) for s in cls} for cls in distinct]
+            assert {len(label) for label in labels} == {1}, n
+            assert len(set().union(*labels)) == len(distinct) == (n // 4) ** 2, n
+
+    def test_every_class_of_an_orbit_is_isomorphic_to_its_representative(self):
+        # A class's key-least member is at a0 = a2 = a1 = 3; the orbit's
+        # representative is the least of these.
+        mh = FAMILIES["mh"]
+        for n in range(8, 25, 4):
+            least = {mod4_na_class(n, s): s for s in mh.candidates(n)
+                     if in_mod4_space(s) and s[0] == s[4] == s[2] == 3}
+            for orbit in gauge_orbits(n // 4):
+                rep = compile_params(ManhattanDigraph(n, *min(least[c] for c in orbit)))
+                for cls in orbit:
+                    member = compile_params(ManhattanDigraph(n, *least[cls]))
+                    assert are_isomorphic(member, rep), (n, cls)
 
     def test_each_member_is_its_representative_relabelled(self):
         for n in (8, 12, 16):

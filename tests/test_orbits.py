@@ -3,20 +3,22 @@
 Each family's ``orbit`` map lists, in key order, the candidates whose
 digraphs its maps make isomorphic to a candidate's: for DS and MH the
 maps x -> ux (u a unit of Z_N) combined with translations, for NA the
-gauge orbits of the (s, t) classes.  ``search._run_search`` runs BFS once
-per orbit, on the member that comes first in enumeration order (least
+gauge orbits of the (s, t) classes, which ``families.gauge_orbits`` lists
+from the DS orbits of Z_{N/2}.  ``search._run_search`` runs BFS once per
+orbit, on the member that comes first in enumeration order (least
 ``key``), which the family's ``representatives`` walk yields with the
 orbit's size; for DS and MH that walk is the least-lead generator and the
 ``weight`` test.  These tests check the maps against brute force, the
-representatives against the orbits they list, and the search against
-``plain_search_slice``, the same loop with one BFS per candidate.  The
-mod-4 Manhattan space is searched by gauge classes instead
-(``search._mod4_search``); its cases check those classes and that search
-the same way.
+representatives against the orbits they list, the orbit sizes against
+closed-form counts, and the search against ``plain_search_slice``, the
+same loop with one BFS per candidate.  The mod-4 Manhattan space is
+searched over the same gauge orbits, of Z_{N/4} (``search._mod4_search``);
+its cases check that walk and that search the same way, with the orbits
+found by ``oracles.gauge_closure``.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,10 +30,17 @@ from gridnet.families import (
     ManhattanDigraph,
     NewAmsterdamDigraph,
     compile_params,
+    gauge_orbits,
 )
 from gridnet.graphs import bounded_diameter, diameter
 
-from oracles import gauge_class, in_mod4_space, na_gauge, plain_search_slice
+from oracles import (
+    gauge_closure,
+    in_mod4_space,
+    mod4_na_class,
+    na_gauge,
+    plain_search_slice,
+)
 
 
 @lru_cache(maxsize=4)
@@ -139,8 +148,7 @@ def test_memo_matches_one_bfs_per_candidate(family, n, mod4):
         assert search._run_search(family, n) == plain_search_slice(family, n)
 
 
-# (family, order, mod4) spaces small enough to list every orbit; in the
-# mod-4 space the orbits are the gauge classes.
+# (family, order, mod4) spaces small enough to list every orbit.
 SPACES = (
     [("ds", n, False) for n in range(3, 41)]
     + [("na", n, False) for n in range(4, 31, 2)]
@@ -150,19 +158,45 @@ SPACES = (
 
 
 def space_orbits(family, n, mod4):
-    """Each candidate of the space with its orbit: set(orbit) within the space."""
+    """Each candidate of the space with its orbit: set(orbit) within the space.
+
+    A mod-4 orbit is the union of the gauge classes (``mod4_na_class``)
+    that ``gauge_closure`` reaches from one of them.
+    """
     fam = FAMILIES[family]
     candidates = list(fam.candidates(n))
+    orbits = {}
     if mod4:
         candidates = [s for s in candidates if in_mod4_space(s)]
+        by_class = {}
+        for steps in candidates:
+            by_class.setdefault(mod4_na_class(n, steps), []).append(steps)
+        for cls in by_class:
+            orbit = frozenset(steps for image in gauge_closure(n // 4, *cls)
+                              for steps in by_class[image])
+            orbits.update(dict.fromkeys(orbit, orbit))
+        return candidates, orbits
     in_space = frozenset(candidates)
-    orbits = {}
     for steps in candidates:
         if steps not in orbits:
-            images = gauge_class(n, steps) if mod4 else fam.orbit(n, steps)
-            orbit = frozenset(images) & in_space
+            orbit = frozenset(fam.orbit(n, steps)) & in_space
             orbits.update(dict.fromkeys(orbit, orbit))
     return candidates, orbits
+
+
+def mod4_walk(n):
+    """The walk, listed, and the members map that ``search._mod4_search(n)``
+    hands to ``_minimise``, which a stand-in records without running BFS."""
+    handed = []
+
+    def record(fam, order, walk, members):
+        handed.extend((list(walk), members))
+        return None, [], 0, 0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_minimise", record)
+        search._mod4_search(n)
+    return handed
 
 
 @pytest.mark.parametrize("family,n,mod4", SPACES)
@@ -171,20 +205,19 @@ def test_representative_is_the_key_least_orbit_member(family, n, mod4):
     candidates, orbits = space_orbits(family, n, mod4)
     assert sorted(candidates, key=fam.key) == candidates
     reps = {s for s in candidates if s == min(orbits[s], key=fam.key)}
-    if mod4:
-        # search._mod4_search runs BFS on a0 = a2 = a1 = 3, once per class,
-        # and weighs it by the class size (N/4)^3.
-        assert reps == {s for s in candidates if s[0] == s[4] == s[2] == 3}
-        assert {len(orbits[s]) for s in reps} == {(n // 4) ** 3}
-        return
     # The walk yields each orbit's key-least member once, in key order,
-    # with the orbit's size, and ``orbit`` lists the orbit in key order.
-    walk = list(fam.representatives(n))
+    # with the orbit's size, and the members map lists the orbit in key
+    # order: ``orbit`` for the family's walk; for the mod-4 walk, which
+    # runs BFS once per orbit of gauge classes, the merge of its classes.
+    if mod4:
+        walk, members = mod4_walk(n)
+    else:
+        walk, members = list(fam.representatives(n)), partial(fam.orbit, n)
     assert [steps for steps, _ in walk] == sorted(reps, key=fam.key)
     for steps, size in walk:
         assert size == len(orbits[steps]), steps
-        assert list(fam.orbit(n, steps)) == sorted(orbits[steps], key=fam.key)
-    if family == "na":
+        assert list(members(steps)) == sorted(orbits[steps], key=fam.key)
+    if family == "na" or mod4:
         return
     # The least-lead walk skips only candidates that are no representative,
     # and the weight test then tells the representatives apart.
@@ -227,6 +260,42 @@ def test_na_gauge_orbits_partition_the_candidates(n):
         assert all(list(na.orbit(n, m)) == members for m in members[::7]), rep
         seen += members
     assert sorted(seen) == list(na.candidates(n))
+
+
+def test_gauge_orbits_partition_the_classes():
+    # Every class of Z_m^2 lies in exactly one listed orbit, and up to
+    # m = 60 each listed orbit is the one that the gauge maps reach.
+    for m in range(1, 151):
+        orbits = list(gauge_orbits(m))
+        classes = [cls for orbit in orbits for cls in orbit]
+        assert len(classes) == len(set(classes)) == m * m, m
+        if m <= 60:
+            for orbit in orbits:
+                assert orbit == gauge_closure(m, *min(orbit)), (m, min(orbit))
+
+
+def na_candidate_count(n):
+    """The NA candidates of order N = 2M: C(M,2)(M+1)/2 for odd M, and
+    C(M,2)M/2 + C(M,2) - M^2/4 for even M."""
+    m = n // 2
+    pairs = m * (m - 1) // 2
+    if m % 2:
+        return pairs * (m + 1) // 2
+    return pairs * m // 2 + pairs - m * m // 4
+
+
+def test_na_orbit_sizes_sum_to_the_closed_form():
+    for n in range(4, 61, 2):
+        assert na_candidate_count(n) == sum(1 for _ in NewAmsterdamDigraph.candidates(n))
+    for n in range(4, 401, 2):
+        sizes = [size for _, size in NewAmsterdamDigraph.representatives(n)]
+        assert sum(sizes) == na_candidate_count(n), n
+
+
+def test_mod4_orbit_sizes_sum_to_the_space():
+    for n in range(8, 241, 4):
+        walk, _ = mod4_walk(n)
+        assert sum(size for _, size in walk) == (n // 4) ** 5, n
 
 
 @pytest.mark.parametrize("n", range(4, 17, 2))
@@ -274,25 +343,33 @@ def test_one_bfs_per_orbit(kernel_calls, family, n, bfs_calls):
     assert len(kernel_calls) == bfs_calls
 
 
-@pytest.mark.parametrize("n,bfs_calls", [(8, 4), (64, 256), (108, 729)])
-def test_mod4_search_runs_one_bfs_per_gauge_class(kernel_calls, n, bfs_calls):
+@pytest.mark.parametrize("n,bfs_calls", [(8, 3), (64, 19), (108, 17), (240, 116)])
+def test_mod4_search_runs_one_bfs_per_gauge_orbit(kernel_calls, n, bfs_calls):
     assert search._mod4_search(n)[3] == (n // 4) ** 5
-    assert len(kernel_calls) == bfs_calls == (n // 4) ** 2
+    assert len(kernel_calls) == bfs_calls
 
 
 def test_mod4_witnesses_run_past_the_first_digits(monkeypatch):
     # Real optima fill the 32 witnesses at a0 = 3 from N = 12 to 64.  Under
-    # a kernel that makes one class optimal, its 32 key-least members have
-    # a0 = 3 and 7, so every gauge shift of the witness rule is exercised.
-    n = 16
-    rep = ManhattanDigraph(n, 3, 5, 3, 9, 3, 1, -9, -15)  # (b0, b1) = (5, 9)
-    optimal = ManhattanDigraph.classes(n, rep.steps)
+    # a kernel that makes one whole orbit optimal, the witnesses are its 32
+    # key-least members.  At N = 8 the orbit of class (0, 1) has two classes
+    # and 16 members, at a0 = 3 and 7, so every gauge shift of the member
+    # rule is exercised; at N = 16 the four classes of (1, 1) are merged
+    # past the 32nd member.
+    mh = ManhattanDigraph
+    for n, cls, leads in ((8, (0, 1), {3, 7}), (16, (1, 1), {3})):
+        m = n // 4
+        na_classes = gauge_closure(m, *cls)
+        orbit = sorted((s for s in mh.candidates(n)
+                        if in_mod4_space(s) and mod4_na_class(n, s) in na_classes),
+                       key=mh.key)
+        assert len(orbit) == len(na_classes) * m**3
+        assert {steps[0] for steps in orbit[:32]} == leads
+        optimal = mh.classes(n, orbit[0])
 
-    def kernel(classes, order, limit):
-        d = 1 if classes == optimal else 2
-        return None if limit is not None and d > limit else d
+        def kernel(classes, order, limit):
+            d = 1 if classes == optimal else 2
+            return None if limit is not None and d > limit else d
 
-    monkeypatch.setattr(search, "bounded_diameter", kernel)
-    first = sorted(gauge_class(n, rep.steps), key=ManhattanDigraph.key)[:32]
-    assert {steps[0] for steps in first} == {3, 7}
-    assert search._mod4_search(n) == (1, first, 4**3, 4**5)
+        monkeypatch.setattr(search, "bounded_diameter", kernel)
+        assert search._mod4_search(n) == (1, orbit[:32], len(orbit), m**5), n

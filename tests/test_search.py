@@ -185,8 +185,9 @@ class TestSearchMh:
 
     def test_mod4_minimum_is_the_via_na_minimum(self):
         # Every mod-4 class is the line digraph of an NA digraph of order
-        # N/2 (test_constructions), and D(L(G)) = D(G) + 1.
-        for n in range(8, 65, 4):
+        # N/2 (test_constructions), and D(L(G)) = D(G) + 1.  Checked at
+        # every order up to the shared cap, 240.
+        for n in range(8, DEFAULT_CAP_MH_VIA_NA + 1, 4):
             assert (search_mh(n, mod4_filter=True).min_diameter
                     == search_mh(n).min_diameter), n
 
