@@ -10,11 +10,11 @@ Each family is described once, by its parameter record class, a
 ``FamilyParams`` subclass: tag, translation period, step fields,
 validator, step classes (the out-steps of residues 0..period-1, on which
 the search runs graphs.bounded_diameter and graphs.reach_diameter
-directly), candidate generator, enumeration key, orbit map and
-``representatives``, the one walk over the orbits that the search and
-``verify`` share.  DS and MH orbits are multiplier orbits.  NA orbits are
-gauge orbits, which ``gauge_orbits`` lists from the DS orbits of the
-quotient ring, for the NA walk and the mod-4 Manhattan search alike.
+directly), enumeration key, orbit map and ``representatives``, the one
+walk over the orbits that the search and ``verify`` share.  DS and MH
+orbits are multiplier orbits.  NA orbits are gauge orbits, which
+``gauge_orbits`` lists from the DS orbits of the quotient ring, for the NA
+walk and the mod-4 Manhattan search alike.
 ``FAMILIES`` maps each tag to its class; callers look the class up by tag,
 or call a record's own methods, instead of branching on the family.  Only
 compilation builds per-vertex rows, by graphs.step_rows, which merges
@@ -63,22 +63,25 @@ class FamilyParams(tuple):
     Vertices 0..period-1 represent every translation class: their
     eccentricities give the diameter, which graphs.bounded_diameter finds
     from the classes alone, with no per-vertex rows.
-    ``candidates(n)`` yields every valid step tuple of order n once, up to
-    the family's symmetry, in increasing ``key`` order.
-    ``key(steps)`` is the enumeration key: the steps the generator chooses,
-    in its nesting order, so that sorting by key is enumeration order.
+    The candidates of order n are the family's valid step tuples in the
+    record's canonical order (DS a < b <= N/2, NA alpha < beta and gamma <=
+    delta).  ``key(steps)`` is the enumeration key: the steps that force
+    the others, in the order the walk nests its loops, so that sorting by
+    key is walk order.
     ``orbit(n, steps)`` yields the candidates whose digraphs the family's
     maps make isomorphic to that of ``steps``, each once and in key order;
     from any member it yields the whole orbit, the member included.
     ``representatives(n)`` yields each orbit's key-least member with the
     orbit's size, in key order; the search runs one BFS per representative,
-    and ``orbit_checks`` one check.
+    and ``orbit_checks`` one check.  No other walk lists the candidates.
 
     DS and MH orbits are multiplier orbits: the images under x -> ux (u a
-    unit of Z_N), combined with translations, found by the ``weight`` test
-    below.  NA orbits are the coarser gauge orbits of ``gauge_orbits``.
-    Each class describes one space, its family's valid step tuples; the
-    mod-4 Manhattan subspace is searched apart (``search._mod4_search``).
+    unit of Z_N), combined with translations.  Their walks skip the leading
+    steps that a map lowers (``_leads``, ``_kept_pairs``) and test each
+    remaining candidate on the maps that keep its leading steps.  NA
+    orbits are the coarser gauge orbits of ``gauge_orbits``.  Each class
+    describes one space, its family's valid step tuples; the mod-4
+    Manhattan subspace is searched apart (``search._mod4_search``).
     """
 
     __slots__ = ()
@@ -101,26 +104,6 @@ class FamilyParams(tuple):
     @property
     def steps(self) -> tuple[int, ...]:
         return self[1:]
-
-    @classmethod
-    def representatives(cls, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Yield (steps, orbit size) for each multiplier orbit's key-least member.
-
-        ``candidates(n, least_leads=True)`` skips candidates whose leading
-        step some map lowers (and, for MH, whose second key digit a map
-        keeping the lead lowers).  ``weight(n, steps)`` is the orbit's size
-        if ``steps`` is its key-least member, else None.  Only the maps that
-        keep the least leading step can give an image of smaller key: those
-        with ux = lead for the step x that the map moves to the lead.  The
-        test walks these maps and returns None at the first image of
-        smaller key; otherwise it returns the orbit's size
-        (orbit-stabiliser): the number of maps over the number that fix it.
-        """
-        weight = cls.weight
-        for steps in cls.candidates(n, least_leads=True):
-            size = weight(n, steps)
-            if size is not None:
-                yield steps, size
 
     @classmethod
     def orbit_checks(
@@ -151,23 +134,15 @@ class FamilyParams(tuple):
                         for line in check(cls(n, *steps))[1]]
 
 
-def _leads(
-    n: int, values: Sequence[int], least_leads: bool
-) -> Iterator[tuple[int, list[bool]]]:
+def _leads(n: int, values: Sequence[int]) -> Iterator[tuple[int, list[bool]]]:
     """Yield each lead value with ``ok``: which steps may go with it.
 
-    Without ``least_leads`` every value leads and every step is ok.  With
-    it, a lead is kept only if it is the least of ``values`` sharing its
-    gcd with N, and ok[x] holds when the least value sharing gcd(x, N) is
-    no smaller than the lead.  The family's maps can put a step x into the
+    A lead is kept only if it is the least of ``values`` sharing its gcd
+    with N, and ok[x] holds when the least value sharing gcd(x, N) is no
+    smaller than the lead.  The family's maps can put a step x into the
     lead as exactly the values sharing gcd(x, N), so these are the
     candidates whose leading step no map makes smaller.
     """
-    if not least_leads:
-        ok = [True] * n
-        for v in values:
-            yield v, ok
-        return
     least: dict[int, int] = {}
     for v in values:
         least.setdefault(math.gcd(v, n), v)
@@ -189,8 +164,8 @@ def _kept_pairs(
 
     Both steps must pass ``ok``, and a unit u sending either step to the
     lead (listed in ``solutions``) must not scale the other below a2: the
-    map of ManhattanDigraph.weight that moves classes j, j + 2 to 0, 2
-    would give a smaller key.
+    map that moves classes j, j + 2 to 0, 2 would give a smaller key
+    (``ManhattanDigraph.representatives``).
     """
     kept = []
     for x in values:
@@ -202,17 +177,17 @@ def _kept_pairs(
 
 
 @lru_cache(maxsize=8)
-def _units(n: int) -> tuple[int, ...]:
-    return tuple(u for u in range(n) if math.gcd(u, n) == 1)
+def _units(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (u, u^-1) of the units u of Z_N, in increasing u."""
+    return tuple((u, pow(u, -1, n)) for u in range(n) if math.gcd(u, n) == 1)
 
 
-@lru_cache(maxsize=16)
-def _solutions(n: int, lead: int) -> tuple[tuple[int, ...], ...]:
+def _solutions(n: int, lead: int) -> list[tuple[int, ...]]:
     """Entry x lists the units u with ux = lead (mod N); one x per unit."""
-    found: list[list[int]] = [[] for _ in range(n)]
-    for u in _units(n):
-        found[lead * pow(u, -1, n) % n].append(u)
-    return tuple(map(tuple, found))
+    found: list[tuple[int, ...]] = [()] * n
+    for u, inverse in _units(n):
+        found[lead * inverse % n] += (u,)
+    return found
 
 
 class _DoubleStepFields(NamedTuple):
@@ -249,15 +224,6 @@ class DoubleStepGraph(FamilyParams, _DoubleStepFields):
         return ((a, -a % n, b, -b % n),)
 
     @staticmethod
-    def candidates(n: int, least_leads: bool = False) -> Iterator[tuple[int, int]]:
-        """Unordered valid step pairs 1 <= a < b <= N//2 (so a + b < N: a != -b)."""
-        half = range(1, n // 2 + 1)
-        for a, ok in _leads(n, half, least_leads):
-            for b in range(a + 1, n // 2 + 1):
-                if ok[b] and math.gcd(n, a, b) == 1:
-                    yield (a, b)
-
-    @staticmethod
     def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         """The pairs of ``_gauge_orbit(n, a, b)``, steps folded to min(s, N-s)."""
         images = {tuple(sorted((min(x, n - x), min(y, n - y))))
@@ -269,20 +235,42 @@ class DoubleStepGraph(FamilyParams, _DoubleStepFields):
         return steps
 
     @staticmethod
-    def weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
-        """Maps keep the lead when u.a or u.b is +-a; fold the other step."""
-        a, b = steps
-        fixed = 0
-        for lead in (a, n - a):
-            solutions = _solutions(n, lead)
-            for x, y in ((a, b), (b, a)):
-                for u in solutions[x]:
-                    image = u * y % n
-                    image = min(image, n - image)
-                    if image < b:
-                        return None
-                    fixed += image == b
-        return len(_units(n)) // fixed
+    def representatives(n: int) -> Iterator[tuple[tuple[int, int], int]]:
+        """Yield ((a, b), orbit size) for each multiplier orbit's key-least
+        member, in key order.
+
+        The candidates are the pairs 1 <= a < b <= N/2 (so a + b < N: a !=
+        -b) with gcd(N, a, b) = 1, a a least lead (``_leads``).  Only the
+        maps that keep the lead can lower the key: those with u.x = +-a for
+        x = a or b.  Each folds the other step to min(uy, N - uy); the pair
+        is no representative if one falls below b.  Otherwise the orbit's
+        size is the number of units over the number of these maps that fix
+        b (orbit-stabiliser).  u.x = -a is u.(N - x) = a, so one
+        ``_solutions`` table serves both signs, made once per lead that has
+        a candidate.
+        """
+        half = n // 2
+        units = len(_units(n))
+        for a, ok in _leads(n, range(1, half + 1)):
+            solutions = None
+            for b in range(a + 1, half + 1):
+                if not ok[b] or math.gcd(n, a, b) != 1:
+                    continue
+                if solutions is None:
+                    solutions = _solutions(n, a)
+                fixed = 0
+                for x, y in ((b, a), (n - b, a), (a, b), (n - a, b)):
+                    for u in solutions[x]:
+                        image = u * y % n
+                        image = min(image, n - image)
+                        if image < b:
+                            break
+                        fixed += image == b
+                    else:
+                        continue
+                    break  # an image below b: not the orbit's least pair
+                else:
+                    yield (a, b), units // fixed
 
 
 class _NewAmsterdamFields(NamedTuple):
@@ -316,17 +304,6 @@ class NewAmsterdamDigraph(FamilyParams, _NewAmsterdamFields):
     def classes(n: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Even vertices step by alpha, beta; odd ones by gamma, delta."""
         return (steps[0:2], steps[2:4])
-
-    @staticmethod
-    def candidates(n: int) -> Iterator[tuple[int, int, int, int]]:
-        """Odd alpha < beta; odd gamma <= delta with delta forced by the step sum."""
-        odds = range(1, n, 2)
-        for alpha in odds:
-            for beta in range(alpha + 2, n, 2):
-                for gamma in odds:
-                    delta = (-(alpha + beta + gamma)) % n
-                    if gamma <= delta:
-                        yield (alpha, beta, gamma, delta)
 
     @staticmethod
     def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
@@ -382,7 +359,7 @@ def _gauge_orbit(m: int, s: int, t: int) -> frozenset[tuple[int, int]]:
     classes with s + t = 0 (alpha = beta), the mod-4 search keeps them.
     """
     images = set()
-    for u in _units(m):
+    for u, _ in _units(m):
         x, y = u * s % m, u * t % m
         images.update(((x, y), (y, x), (x, -y % m), (-y % m, x)))
     return frozenset(images)
@@ -460,37 +437,6 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         return (steps[0:2], steps[6:8], steps[4:6], steps[2:4])
 
     @staticmethod
-    def candidates(
-        n: int, least_leads: bool = False
-    ) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
-        """Free odd a0,a1,a2,b0,b1; a3,b2,b3 forced by the sum conditions.
-
-        Yields (a0,b0,a1,b1,a2,b2,a3,b3).  The odd classes' pairs (a1, a3)
-        and (b1, b3) both sum to -s = -(a0+a2), so they range over one list.
-
-        With ``least_leads`` the step pairs of classes j and j + 2, (a0, a2),
-        (a1, a3), (b0, b2) and (b1, b3), must also keep a2, the second key
-        digit, from falling under the maps that keep the lead (_kept_pairs).
-        """
-        odds = range(1, n, 2)
-        for a0, ok in _leads(n, odds, least_leads):
-            # Without least_leads no map is tried, so every pair is kept.
-            solutions = _solutions(n, a0) if least_leads else ((),) * n
-            for a2 in odds:
-                s = (a0 + a2) % n
-                if not _kept_pairs(n, (a0,), s, a2, ok, solutions):
-                    continue
-                odd_pairs = _kept_pairs(n, odds, -s, a2, ok, solutions)
-                b02 = _kept_pairs(n, odds, s, a2, ok, solutions)
-                for a1, a3 in odd_pairs:
-                    for b0, b2 in b02:
-                        if b0 == a0:
-                            continue
-                        for b1, b3 in odd_pairs:
-                            if b1 != a1:
-                                yield (a0, b0, a1, b1, a2, b2, a3, b3)
-
-    @staticmethod
     def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """x -> ux + t for each unit u and t = 0..3, and the a/b swaps.
 
@@ -501,7 +447,7 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         """
         by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
         images = set()
-        for u in _units(n):
+        for u, _ in _units(n):
             for t in range(4):
                 classes: list = [None] * 4
                 for r, (x, y) in enumerate(by_residue):
@@ -518,34 +464,71 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         return steps[0], steps[4], steps[2], steps[1], steps[3]
 
     @staticmethod
-    def weight(n: int, steps: tuple[int, ...]) -> Optional[int]:
-        """Maps keep the lead when they send the class j holding x to class 0.
+    def representatives(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield (steps, orbit size) for each orbit's key-least member, in key order.
 
-        With t = uj (mod 4) class j + i goes to class ui, so classes j, j + 2,
-        j + u and j - u become 0, 2, 1 and 3.  If x is b_j the even classes
-        swap; the odd classes may swap either way.
+        The candidates have free odd a0, a2, a1, b0, b1 (the key, in loop
+        order) and a3, b2, b3 forced by the sum conditions: the odd classes'
+        pairs (a1, a3) and (b1, b3) both sum to -s = -(a0+a2), so they range
+        over one list, and (b0, b2) sums to s.  a0 is a least lead
+        (``_leads``), and the step pairs of classes j and j + 2 must keep a2
+        from falling under the maps that keep the lead (``_kept_pairs``).
+
+        Only the maps that keep a0 and a2 can lower the rest of the key.
+        Map (u, j, even) sends class j to 0 and scales by a unit u with
+        u.x = a0 for x = a_j (even = 0) or b_j (even = 1).  Classes j + 2,
+        j + u and j - u go to 2, 1 and 3, the even classes swap a and b
+        when x is b_j, and the odd classes may swap either way, so the
+        least image of (a1, b0, b1) is (min(p, q), u.x', max(p, q)): x' is
+        x's other step and (p, q) is class j + u's pair, both scaled by u.
+        The map keeps a2 when u scales x's partner in class j + 2 to a2.
+        These units are listed once per kept pair and orientation, and a
+        candidate is tested only on the maps its own four pairs carry.  It
+        is its orbit's key-least member when no image is below (a1, b0,
+        b1), and the orbit's size is 16 phi(N) (units, 4 shifts, 2 swaps
+        each) over the number of images equal to it (orbit-stabiliser).
+        The identity fixes every candidate, and its odd swap gives (b1, b0,
+        a1): the walk counts the one and takes b1 > a1 as its loop bound.
         """
-        pairs = (steps[0:2], steps[2:4], steps[4:6], steps[6:8])
-        lead, a2, a1, b0, b1 = ManhattanDigraph.key(steps)
-        solutions = _solutions(n, lead)
-        fixed = 0
-        for j in range(4):
-            for even in (0, 1):
-                lead_pair, pair2 = pairs[j], pairs[(j + 2) % 4]
-                for u in solutions[lead_pair[even]]:
-                    image_a2 = u * pair2[even] % n
-                    if image_a2 != a2:
-                        if image_a2 < a2:
-                            return None
-                        continue
-                    pair1 = pairs[(j + u) % 4]
-                    image_b0 = u * lead_pair[1 - even] % n
-                    for odd in (0, 1):
-                        image = (u * pair1[odd] % n, image_b0, u * pair1[1 - odd] % n)
-                        if image < (a1, b0, b1):
-                            return None
-                        fixed += image == (a1, b0, b1)
-        return 16 * len(_units(n)) // fixed
+        odds = range(1, n, 2)
+        group = 16 * len(_units(n))
+        for a0, ok in _leads(n, odds):
+            solutions = _solutions(n, a0)
+            for a2 in odds:
+                s = (a0 + a2) % n
+                if not _kept_pairs(n, (a0,), s, a2, ok, solutions):
+                    continue
+                odd_pairs = _kept_pairs(n, odds, -s, a2, ok, solutions)
+                b02 = _kept_pairs(n, odds, s, a2, ok, solutions)
+                even_keeps, odd_keeps = (
+                    {x: [u for u in solutions[x] if u * y % n == a2]
+                     for pair in pairs for x, y in (pair, pair[::-1])}
+                    for pairs in (b02, odd_pairs))
+                keeps = (even_keeps, odd_keeps) * 2
+                # The maps (u, j, even) that each step carries, by loop level.
+                b_maps = [[(u, j, 1) for j, x in ((1, b1), (3, b3))
+                           for u in odd_keeps[x]] for b1, b3 in odd_pairs]
+                for i, (a1, a3) in enumerate(odd_pairs):
+                    a_maps = [(u, j, 0) for j, x in enumerate((a0, a1, a2, a3))
+                              for u in keeps[j][x] if (u, j) != (1, 0)]
+                    for b0, b2 in b02:
+                        if b0 == a0:
+                            continue
+                        ab_maps = a_maps + [(u, j, 1) for j, x in ((0, b0), (2, b2))
+                                            for u in even_keeps[x]]
+                        for (b1, b3), maps in zip(odd_pairs[i + 1:], b_maps[i + 1:]):
+                            pairs = ((a0, b0), (a1, b1), (a2, b2), (a3, b3))
+                            key = (a1, b0, b1)
+                            fixed = 1  # the identity
+                            for u, j, even in ab_maps + maps:
+                                p, q = pairs[(j + u) % 4]
+                                p, q = u * p % n, u * q % n
+                                image = (min(p, q), u * pairs[j][1 - even] % n, max(p, q))
+                                if image < key:
+                                    break
+                                fixed += image == key
+                            else:
+                                yield (a0, b0, a1, b1, a2, b2, a3, b3), group // fixed
 
 
 FAMILIES: dict[str, type[FamilyParams]] = {

@@ -2,12 +2,13 @@
 
 For a family and order, take the minimum diameter over every valid step
 choice: the independent oracle behind the optimality and non-attainability
-claims.  The family's record class in ``FAMILIES`` supplies the candidates,
-and its theorem in ``bounds.THEOREMS`` the Moore bound and the prediction.
-Candidates that the family's maps make isomorphic form an orbit.  BFS runs
-once per orbit, on its representative, the member first in enumeration
-order, which the class's ``representatives`` walk yields with the orbit's
-size; ``_mod4_search`` walks the mod-4 Manhattan space, a_j = 3 and b_j = 1
+claims.  The family's record class in ``FAMILIES`` supplies the walk over
+its candidates' orbits and the orbit map, and its theorem in
+``bounds.THEOREMS`` the Moore bound and the prediction.  Candidates that the
+family's maps make isomorphic form an orbit.  BFS runs once per orbit, on
+its representative, the member first in enumeration order, which the
+class's ``representatives`` walk yields with the orbit's size;
+``_mod4_search`` walks the mod-4 Manhattan space, a_j = 3 and b_j = 1
 (mod 4), over NA's gauge orbits (``families.gauge_orbits``).  Both walks
 feed ``_minimise``, whose BFS is graphs.bounded_diameter on the step
 classes: the out-steps of each residue mod the period, searched from one

@@ -1,11 +1,12 @@
 """Test-only reference implementations.
 
-``brute_na_minimum`` shares no code with ``gridnet``.  ``plain_search_slice``
-is the search loop without orbit representatives or gauge orbits: one BFS
-per candidate, through gridnet's generators, step classes and
-``bounded_diameter``.
+``brute_na_minimum`` shares no code with ``gridnet``.  ``all_candidates``
+lists a family's candidates by their keys, with none of the orbit walks'
+loops.  ``plain_search_slice`` is the search loop without orbit
+representatives or gauge orbits: one BFS per candidate, through
+``all_candidates``, gridnet's step classes and ``bounded_diameter``.
 ``line_digraph_checks_per_candidate`` is ``verify line-digraph`` the same
-way: two BFS per candidate, through the same generator, classes and
+way: two BFS per candidate, through the same enumeration, classes and
 ``line_classes``; ``sandwich_checks_per_candidate`` is ``verify sandwich``
 with one ``check_diameter_sandwich`` per DS candidate.
 ``line_digraph_by_arcs`` builds a line digraph arc by arc, without the
@@ -91,6 +92,34 @@ def brute_na_minimum(n):
     return best
 
 
+def all_candidates(fam, n):
+    """Every candidate of family class ``fam`` at order n once, in key order.
+
+    The key's steps run over their ranges in lexicographic order, the
+    other steps follow from them, and the tuples that break the family's
+    conditions or the record's canonical order are dropped.  DS: 1 <= a <
+    b <= N/2 with gcd(N, a, b) = 1.  NA: odd alpha < beta and odd gamma,
+    delta = -(alpha+beta+gamma), kept when gamma <= delta.  MH: odd a0, a2,
+    a1, b0, b1 with b0 != a0 and b1 != a1, and b2, a3, b3 from the sums.
+    """
+    odds = range(1, n, 2)
+    if fam.tag == "ds":
+        half = range(1, n // 2 + 1)
+        for a, b in product(half, repeat=2):
+            if a < b and math.gcd(n, a, b) == 1:
+                yield (a, b)
+    elif fam.tag == "na":
+        for alpha, beta, gamma in product(odds, repeat=3):
+            delta = -(alpha + beta + gamma) % n
+            if alpha < beta and gamma <= delta:
+                yield (alpha, beta, gamma, delta)
+    else:
+        for a0, a2, a1, b0, b1 in product(odds, repeat=5):
+            if b0 != a0 and b1 != a1:
+                s = a0 + a2
+                yield (a0, b0, a1, b1, a2, (s - b0) % n, (-s - a1) % n, (-s - b1) % n)
+
+
 def plain_search_slice(family, n, in_space=None):
     """``search._run_search`` without orbit representatives: BFS on every candidate.
 
@@ -98,7 +127,7 @@ def plain_search_slice(family, n, in_space=None):
     ``in_mod4_space`` this is ``search._mod4_search`` without gauge orbits.
     """
     fam = FAMILIES[family]
-    candidates = fam.candidates(n)
+    candidates = all_candidates(fam, n)
     if in_space is not None:
         candidates = filter(in_space, candidates)
     best = None
@@ -131,7 +160,7 @@ def line_digraph_checks_per_candidate(n, kernel=bounded_diameter):
     na = NewAmsterdamDigraph
     checks = 0
     failed = []
-    for steps in na.candidates(n):
+    for steps in all_candidates(na, n):
         classes = na.classes(n, steps)
         line, order = line_classes(classes, n)
         if order != 2 * n:
@@ -155,7 +184,7 @@ def sandwich_checks_per_candidate(n, sandwich=check_diameter_sandwich):
     ds = DoubleStepGraph
     checks = 0
     failed = []
-    for steps in ds.candidates(n):
+    for steps in all_candidates(ds, n):
         p = ds(n, *steps)
         r = sandwich(p)
         checks += len(r.checks)

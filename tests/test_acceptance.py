@@ -27,6 +27,7 @@ from gridnet.search import (
 )
 
 from oracles import (
+    all_candidates,
     all_pairs_oracle,
     brute_na_minimum,
     is_directed_cycle,
@@ -106,7 +107,7 @@ def test_criterion_06_line_digraph_law():
     with criterion(6, "line digraph doubles order, adds 1 to diameter", 60):
         checked = 0
         for n in range(4, 25, 2):
-            for steps in FAMILIES["na"].candidates(n):
+            for steps in all_candidates(FAMILIES["na"], n):
                 g = compile_na(NewAmsterdamDigraph(n, *steps), strict=False)
                 d = diameter(g)
                 if d is None or is_regular(g) != 2 or is_directed_cycle(g):

@@ -18,6 +18,7 @@ from gridnet.families import (
 )
 from gridnet.graphs import Digraph, diameter, line_digraph
 from oracles import (
+    all_candidates,
     are_isomorphic,
     check_mh_conditions,
     check_na_conditions,
@@ -199,7 +200,7 @@ class TestDiameterSandwich:
                 for steps in members:
                     r = check_diameter_sandwich(ds(n, *steps))
                     assert r[1:] == want, r
-            assert covered == set(ds.candidates(n)), n
+            assert covered == set(all_candidates(ds, n)), n
 
     def test_mh_matches_line_digraph_diameter(self):
         for p in valid_ds_instances(20):
@@ -215,7 +216,7 @@ class TestDiameterSandwich:
 def two_regular_na_candidates(n_max):
     na = FAMILIES["na"]
     for n in range(4, n_max + 1, 2):
-        for steps in na.candidates(n):
+        for steps in all_candidates(na, n):
             p = na(n, *steps)
             if is_regular(compile_params(p, strict=False)) == 2:
                 yield p

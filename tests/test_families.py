@@ -20,7 +20,14 @@ from gridnet.families import (
     parse_params,
 )
 from gridnet.graphs import diameter
-from oracles import are_isomorphic, gauge, gauge_class, in_mod4_space, mod4_na_class
+from oracles import (
+    all_candidates,
+    are_isomorphic,
+    gauge,
+    gauge_class,
+    in_mod4_space,
+    mod4_na_class,
+)
 
 
 class TestValidateDs:
@@ -222,10 +229,10 @@ class TestParamText:
             parse_params(bad)
 
 
-# Each generator's symmetry: the canonical representative it yields for a
-# step tuple.  DS steps are unordered and signed (a < b <= N/2 under +-); the
-# two NA out-pairs are unordered (alpha < beta, gamma <= delta).  MH uses no
-# symmetry reduction: its generator yields every valid tuple.
+# Each family's candidate form (``oracles.all_candidates``): the canonical
+# representative of a step tuple.  DS steps are unordered and signed (a < b
+# <= N/2 under +-); the two NA out-pairs are unordered (alpha < beta, gamma
+# <= delta).  MH uses no symmetry reduction: every valid tuple is one.
 CANONICAL = {
     "ds": lambda n, s: tuple(sorted(min(x, n - x) for x in s)),
     "na": lambda n, s: (*sorted(s[:2]), *sorted(s[2:])),
@@ -268,7 +275,7 @@ class TestRegistry:
         family = FAMILIES[tag]
         for n in orders:
             values = range(1, n, 2) if odd_only else range(n)
-            generated = list(family.candidates(n))
+            generated = list(all_candidates(family, n))
             assert len(generated) == len(set(generated)), n
             assert set(generated) == brute_force_classes(family, n, values), n
 
@@ -287,7 +294,7 @@ class TestMod4GaugeClasses:
     def test_every_candidate_lies_in_one_class_of_full_size(self):
         mh = FAMILIES["mh"]
         for n in range(8, 33, 4):
-            space = [s for s in mh.candidates(n) if in_mod4_space(s)]
+            space = [s for s in all_candidates(mh, n) if in_mod4_space(s)]
             classes = {}
             for steps in space:
                 if steps not in classes:
@@ -307,7 +314,7 @@ class TestMod4GaugeClasses:
         # representative is the least of these.
         mh = FAMILIES["mh"]
         for n in range(8, 25, 4):
-            least = {mod4_na_class(n, s): s for s in mh.candidates(n)
+            least = {mod4_na_class(n, s): s for s in all_candidates(mh, n)
                      if in_mod4_space(s) and s[0] == s[4] == s[2] == 3}
             for orbit in gauge_orbits(n // 4):
                 rep = compile_params(ManhattanDigraph(n, *min(least[c] for c in orbit)))

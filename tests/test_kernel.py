@@ -30,7 +30,7 @@ from gridnet.graphs import (
     line_digraph,
     step_rows,
 )
-from oracles import is_regular
+from oracles import all_candidates, is_regular
 
 def assert_kernel_matches(family, n, steps):
     params = FAMILIES[family](n, *steps)
@@ -81,7 +81,7 @@ def test_family_diameter_measures_invalid_params(params):
 )
 def test_every_small_candidate(family, orders):
     for n in orders:
-        for steps in FAMILIES[family].candidates(n):
+        for steps in all_candidates(FAMILIES[family], n):
             assert_kernel_matches(family, n, steps)
 
 
@@ -95,7 +95,7 @@ def test_every_small_candidate(family, orders):
 )
 def test_line_diameter_every_small_candidate(family, orders):
     for n in orders:
-        for steps in FAMILIES[family].candidates(n):
+        for steps in all_candidates(FAMILIES[family], n):
             assert_line_kernel_matches(family, n, steps)
 
 
@@ -105,7 +105,7 @@ def test_line_digraph_filter_on_classes():
     # vertices then have two out-arcs and the even ones two in-arcs.
     na = FAMILIES["na"]
     for n in range(4, 31, 2):
-        for steps in na.candidates(n):
+        for steps in all_candidates(na, n):
             _, order = line_classes(na.classes(n, steps), n)
             two_regular = is_regular(compile_params(na(n, *steps), strict=False)) == 2
             assert (order == 2 * n) == two_regular == (steps[2] != steps[3])

@@ -7,14 +7,16 @@ gauge orbits of the (s, t) classes, which ``families.gauge_orbits`` lists
 from the DS orbits of Z_{N/2}.  ``search._run_search`` runs BFS once per
 orbit, on the member that comes first in enumeration order (least
 ``key``), which the family's ``representatives`` walk yields with the
-orbit's size; for DS and MH that walk is the least-lead generator and the
-``weight`` test.  These tests check the maps against brute force, the
-representatives against the orbits they list, the orbit sizes against
-closed-form counts, and the search against ``plain_search_slice``, the
-same loop with one BFS per candidate.  The mod-4 Manhattan space is
-searched over the same gauge orbits, of Z_{N/4} (``search._mod4_search``);
-its cases check that walk and that search the same way, with the orbits
-found by ``oracles.gauge_closure``.
+orbit's size; for DS and MH that walk skips the leads that some map
+lowers and tests each remaining candidate on the maps that keep its
+leading steps.  These tests check the maps against brute force, the
+representatives against the orbits they list (over the candidates of
+``oracles.all_candidates``, which shares no loop with the walks), the
+orbit sizes against closed-form counts, and the search against
+``plain_search_slice``, the same loop with one BFS per candidate.  The
+mod-4 Manhattan space is searched over the same gauge orbits, of Z_{N/4}
+(``search._mod4_search``); its cases check that walk and that search the
+same way, with the orbits found by ``oracles.gauge_closure``.
 """
 
 import math
@@ -35,6 +37,7 @@ from gridnet.families import (
 from gridnet.graphs import bounded_diameter, diameter
 
 from oracles import (
+    all_candidates,
     gauge_closure,
     in_mod4_space,
     mod4_na_class,
@@ -45,7 +48,7 @@ from oracles import (
 
 @lru_cache(maxsize=4)
 def candidate_set(family, n):
-    return frozenset(FAMILIES[family].candidates(n))
+    return frozenset(all_candidates(FAMILIES[family], n))
 
 
 def assert_keys_distinct(family, steps_list):
@@ -62,7 +65,7 @@ def test_every_image_is_an_isomorphic_candidate(family, orders):
     for n in orders:
         diameters = {
             steps: diameter(compile_params(fam(n, *steps), strict=False))
-            for steps in fam.candidates(n)
+            for steps in all_candidates(fam, n)
         }
         assert_keys_distinct(family, list(diameters))
         for steps, d in diameters.items():
@@ -152,7 +155,7 @@ def test_memo_matches_one_bfs_per_candidate(family, n, mod4):
 SPACES = (
     [("ds", n, False) for n in range(3, 41)]
     + [("na", n, False) for n in range(4, 31, 2)]
-    + [("mh", n, False) for n in (8, 12, 16)]
+    + [("mh", n, False) for n in (8, 12, 16, 20, 24)]
     + [("mh", n, True) for n in (8, 12, 16)]
 )
 
@@ -164,7 +167,7 @@ def space_orbits(family, n, mod4):
     that ``gauge_closure`` reaches from one of them.
     """
     fam = FAMILIES[family]
-    candidates = list(fam.candidates(n))
+    candidates = list(all_candidates(fam, n))
     orbits = {}
     if mod4:
         candidates = [s for s in candidates if in_mod4_space(s)]
@@ -204,7 +207,7 @@ def test_representative_is_the_key_least_orbit_member(family, n, mod4):
     fam = FAMILIES[family]
     candidates, orbits = space_orbits(family, n, mod4)
     assert sorted(candidates, key=fam.key) == candidates
-    reps = {s for s in candidates if s == min(orbits[s], key=fam.key)}
+    reps = {min(orbit, key=fam.key) for orbit in set(orbits.values())}
     # The walk yields each orbit's key-least member once, in key order,
     # with the orbit's size, and the members map lists the orbit in key
     # order: ``orbit`` for the family's walk; for the mod-4 walk, which
@@ -217,19 +220,6 @@ def test_representative_is_the_key_least_orbit_member(family, n, mod4):
     for steps, size in walk:
         assert size == len(orbits[steps]), steps
         assert list(members(steps)) == sorted(orbits[steps], key=fam.key)
-    if family == "na" or mod4:
-        return
-    # The least-lead walk skips only candidates that are no representative,
-    # and the weight test then tells the representatives apart.
-    walked = list(fam.candidates(n, least_leads=True))
-    assert sorted(walked, key=fam.key) == walked
-    assert set(walked) <= set(candidates)
-    assert reps <= set(walked)
-    for steps in walked:
-        weight = fam.weight(n, steps)
-        assert (weight is not None) == (steps in reps), steps
-        if weight is not None:
-            assert weight == len(orbits[steps]), steps
 
 
 @pytest.mark.parametrize("family,n", [("ds", 60), ("na", 30), ("mh", 12)])
@@ -259,7 +249,7 @@ def test_na_gauge_orbits_partition_the_candidates(n):
         assert (members[0], len(members)) == (rep, size)
         assert all(list(na.orbit(n, m)) == members for m in members[::7]), rep
         seen += members
-    assert sorted(seen) == list(na.candidates(n))
+    assert sorted(seen) == list(all_candidates(na, n))
 
 
 def test_gauge_orbits_partition_the_classes():
@@ -286,7 +276,7 @@ def na_candidate_count(n):
 
 def test_na_orbit_sizes_sum_to_the_closed_form():
     for n in range(4, 61, 2):
-        assert na_candidate_count(n) == sum(1 for _ in NewAmsterdamDigraph.candidates(n))
+        assert na_candidate_count(n) == sum(1 for _ in all_candidates(NewAmsterdamDigraph, n))
     for n in range(4, 401, 2):
         sizes = [size for _, size in NewAmsterdamDigraph.representatives(n)]
         assert sum(sizes) == na_candidate_count(n), n
@@ -303,7 +293,7 @@ def test_na_gauge_is_an_isomorphism(n):
     # The digraph of (alpha+e, beta+e, gamma-e, delta-e) is the original
     # relabelled by v -> v+e on the odd vertices, for every even e.
     na = NewAmsterdamDigraph
-    for steps in na.candidates(n):
+    for steps in all_candidates(na, n):
         rows = compile_params(na(n, *steps), strict=False).out_arcs
         for e in range(0, n, 2):
             relabel = [(v + e * (v % 2)) % n for v in range(n)]
@@ -360,7 +350,7 @@ def test_mod4_witnesses_run_past_the_first_digits(monkeypatch):
     for n, cls, leads in ((8, (0, 1), {3, 7}), (16, (1, 1), {3})):
         m = n // 4
         na_classes = gauge_closure(m, *cls)
-        orbit = sorted((s for s in mh.candidates(n)
+        orbit = sorted((s for s in all_candidates(mh, n)
                         if in_mod4_space(s) and mod4_na_class(n, s) in na_classes),
                        key=mh.key)
         assert len(orbit) == len(na_classes) * m**3

@@ -22,7 +22,7 @@ from gridnet.graphs import (
     reach_diameter,
 )
 
-from oracles import all_pairs_oracle
+from oracles import all_candidates, all_pairs_oracle
 
 ORDERS = [
     ("ds", range(3, 21)),
@@ -39,7 +39,7 @@ def oracle_diameter(g):
 def candidates(family, orders):
     fam = FAMILIES[family]
     for n in orders:
-        for steps in fam.candidates(n):
+        for steps in all_candidates(fam, n):
             yield fam(n, *steps)
 
 
