@@ -105,7 +105,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--workers", type=_at_least(1), help="accepted; has no effect")
         if family == "mh":
             p.add_argument("--direct", action="store_true")
-            p.add_argument("--mod4-filter", action="store_true", help="implies --direct")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     claims = sub.add_parser(
@@ -210,7 +209,7 @@ def _cmd_search(args) -> int:
     search = getattr(search_mod, "search_" + args.family)
     kwargs = {} if args.cap is None else {"cap": args.cap}
     if args.family == "mh":
-        kwargs.update(direct=args.direct, mod4_filter=args.mod4_filter)
+        kwargs.update(direct=args.direct)
     payload = search(args.n, workers=args.workers, **kwargs).to_json_dict()
     if args.format == "json":
         import json

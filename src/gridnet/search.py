@@ -9,12 +9,14 @@ family's maps make isomorphic form an orbit.  BFS runs once per orbit, on
 its representative, the member first in enumeration order, which the
 class's ``representatives`` walk yields with the orbit's size;
 ``_mod4_search`` walks the mod-4 Manhattan space, a_j = 3 and b_j = 1
-(mod 4), over NA's gauge orbits (``families.gauge_orbits``).  Both walks
-feed ``_minimise``, whose BFS is graphs.bounded_diameter on the step
-classes: the out-steps of each residue mod the period, searched from one
-vertex per translation class at once, with no per-vertex rows.  Each
-reported witness is re-verified by ``graphs.reach_diameter`` on the same
-classes, an algorithm that shares no code with that BFS.
+(mod 4), over NA's gauge orbits (``families.gauge_orbits``): the space of
+``search_mh``'s default mode, where its direct mode walks the Manhattan
+class's own representatives.  Both walks feed ``_minimise``, whose BFS is
+graphs.bounded_diameter on the step classes: the out-steps of each
+residue mod the period, searched from one vertex per translation class at
+once, with no per-vertex rows.  Each reported witness is re-verified by
+``graphs.reach_diameter`` on the same classes, an algorithm that shares no
+code with that BFS.
 
 A search is one pass over the representatives in this process.  The kept
 witnesses are the first ``WITNESS_CAP`` optima in enumeration order, taken
@@ -51,8 +53,9 @@ WITNESS_CAP = 32
 DEFAULT_CAP_DS = 200
 DEFAULT_CAP_NA = 120
 DEFAULT_CAP_MH = 64
-# search_mh via NA searches order N/2, so it shares the NA cap.
-DEFAULT_CAP_MH_VIA_NA = 2 * DEFAULT_CAP_NA
+# Each mod-4 Manhattan class is the line digraph of an NA digraph of order
+# N/2, so the mod-4 search takes twice the NA cap.
+DEFAULT_CAP_MH_MOD4 = 2 * DEFAULT_CAP_NA
 
 
 class SearchError(GridnetError):
@@ -161,21 +164,27 @@ def _mod4_search(n: int) -> tuple[Optional[int], list[tuple[int, ...]], int, int
     its invariants (s, t) = ((a0+a2+a1-b0)/4, (b1+a0)/4) mod N/4 name
     (N/4)^2 classes, each with one member at each (a0, a2, a1).  Class
     (s, t) is the line digraph of NA class (s, t) of order N/2, so the walk
-    takes each orbit of ``gauge_orbits(N/4)``, s + t = 0 included, at its
-    key-least member, and ``members`` merges its classes in key order.
+    takes each orbit of ``gauge_orbits(N/4)``, s + t = 0 included.  A
+    class's key-least member has a0 = a2 = a1 = 3, so the orbit's
+    representative is the least of those members over its classes;
+    ``members`` merges its classes in key order for the witnesses.
     """
     m = n // 4
 
+    def member(a0: int, a2: int, a1: int, s: int, t: int) -> tuple[int, ...]:
+        c = a0 + a2
+        b0, b1 = (c + a1 - 4 * s) % n, (4 * t - a0) % n
+        return (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
+
     def class_members(s: int, t: int) -> Iterator[tuple[int, ...]]:
         for a0, a2, a1 in product(range(3, n, 4), repeat=3):
-            c = a0 + a2
-            b0, b1 = (c + a1 - 4 * s) % n, (4 * t - a0) % n
-            yield (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
+            yield member(a0, a2, a1, s, t)
 
     def members(orbit: Iterable[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
         return merge(*(class_members(s, t) for s, t in orbit), key=ManhattanDigraph.key)
 
-    orbits = {next(members(orbit)): orbit for orbit in gauge_orbits(m)}
+    orbits = {min(member(3, 3, 3, s, t) for s, t in orbit): orbit
+              for orbit in gauge_orbits(m)}
     walk = ((rep, len(orbit) * m**3) for rep, orbit in sorted(orbits.items()))
     return _minimise(ManhattanDigraph, n, walk, lambda rep: members(orbits[rep]))
 
@@ -245,44 +254,28 @@ def search_mh(
     cap: Optional[int] = None,
     workers: Optional[int] = None,
     direct: bool = False,
-    mod4_filter: bool = False,
 ) -> SearchResult:
     """Minimum diameter over Manhattan digraphs of order n.
 
-    Default mode runs search_na(n/2) and lifts the optimum through the
-    line-digraph relation (min diameter + 1, witnesses the na_to_mh images
-    of the NA witnesses); _finish certifies every image by
-    graphs.reach_diameter.  Direct mode enumerates the Manhattan step space
-    itself.  With ``mod4_filter`` it searches the subspace a_j = 3, b_j = 1
-    (mod 4) instead, one BFS per gauge orbit (_mod4_search); the filter
-    names a direct space, so it implies direct mode.  ``cap`` bounds n in
-    every mode.  It defaults to DEFAULT_CAP_MH in direct mode and to
-    DEFAULT_CAP_MH_VIA_NA via NA and with ``mod4_filter``: every mod-4
-    class is the line digraph of an NA digraph of order n/2, so that
-    search answers the via-NA question and shares its cap.  ``workers`` is
-    accepted and ignored.
+    Default mode searches the mod-4 space a_j = 3, b_j = 1 (mod 4), one BFS
+    per gauge orbit (_mod4_search).  Every class of it is the line digraph
+    of an NA-type digraph of order n/2 (alpha = beta allowed), so its cap
+    DEFAULT_CAP_MH_MOD4 is twice the NA cap; up to that cap its minimum is
+    search_na(n/2)'s plus one.  Direct mode enumerates the whole Manhattan
+    step space, up to DEFAULT_CAP_MH.  Both report the counts of the space
+    they search.  ``cap`` bounds n in either mode; ``workers`` is accepted
+    and ignored.
     """
     if n < 8 or n % FAMILIES["mh"].period:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
-    if mod4_filter:
-        mode, default = "mod-4", DEFAULT_CAP_MH_VIA_NA
-    elif direct:
+    if direct:
         mode, default = "direct-mode", DEFAULT_CAP_MH
     else:
-        mode, default = "via-NA", DEFAULT_CAP_MH_VIA_NA
+        mode, default = "mod-4", DEFAULT_CAP_MH_MOD4
     cap = default if cap is None else cap
     if n > cap:
         raise SearchError(f"order {n} exceeds {mode} cap {cap}")
-    if mod4_filter:
-        return _finish("mh", n, *_mod4_search(n))
-    if direct:
-        return _finish("mh", n, *_run_search("mh", n))
-
-    # The two-way cycle (1, -1, 1, -1) is an NA candidate: a minimum exists.
-    inner = search_na(n // 2, cap=n // 2)
-    mapped = [na_to_mh(w).steps for w in inner.witnesses]
-    return _finish("mh", n, inner.min_diameter + 1, mapped, len(mapped),
-                   inner.candidates_examined)
+    return _finish("mh", n, *(_run_search("mh", n) if direct else _mod4_search(n)))
 
 
 class SweepRow(NamedTuple):

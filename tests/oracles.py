@@ -267,8 +267,8 @@ def check_mh_conditions(na: NewAmsterdamDigraph, mh: ManhattanDigraph) -> list[s
 
 def in_mod4_space(steps: tuple[int, ...]) -> bool:
     """Whether Manhattan steps (a0, b0, ..., a3, b3), N a multiple of 4,
-    have a_j = 3 and b_j = 1 (mod 4): the space that
-    ``search_mh(mod4_filter=True)`` searches."""
+    have a_j = 3 and b_j = 1 (mod 4): the space that ``search_mh``
+    searches by default."""
     a0, b0, a1, b1, a2, b2, a3, b3 = steps
     return (a0 % 4 == a1 % 4 == a2 % 4 == a3 % 4 == 3
             and b0 % 4 == b1 % 4 == b2 % 4 == b3 % 4 == 1)

@@ -265,11 +265,12 @@ class TestSearch:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            # --direct and --mod4-filter are options of search mh alone.
-            (("ds", "--n", "13", "--direct", "--mod4-filter"),
-             "unrecognized arguments: --direct --mod4-filter"),
-            (("na", "--n", "10", "--direct", "--mod4-filter"),
-             "unrecognized arguments: --direct --mod4-filter"),
+            # --direct is an option of search mh alone, which has no
+            # --mod4-filter: its default mode searches the mod-4 space.
+            (("ds", "--n", "13", "--direct"), "unrecognized arguments: --direct"),
+            (("na", "--n", "10", "--direct"), "unrecognized arguments: --direct"),
+            (("mh", "--mod4-filter", "--n", "16"),
+             "unrecognized arguments: --mod4-filter"),
             (("ds", "--n", "13", "--workers", "-3"),
              "argument --workers: must be at least 1, got -3"),
             (("na", "--n", "10", "--workers", "0"),
@@ -283,8 +284,8 @@ class TestSearch:
             (("na", "--n", "10", "--cap", "-1"),
              "argument --cap: must be at least 1, got -1"),
         ],
-        ids=["ds", "na", "ds-workers-3", "na-workers0", "mh-direct-workers0",
-             "na-workers-two", "cap0", "cap-1"],
+        ids=["ds", "na", "mh-mod4-filter", "ds-workers-3", "na-workers0",
+             "mh-direct-workers0", "na-workers-two", "cap0", "cap-1"],
     )
     def test_options_that_do_not_apply_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "search", *argv)
@@ -292,25 +293,16 @@ class TestSearch:
         assert out == ""
         assert err.startswith(f"error: {message}\nusage: gridnet search {argv[0]} ")
 
-    def test_mod4_filter_implies_direct(self, capsys):
-        # The filter names a direct-mode space, so it selects direct mode.
-        filtered = run(capsys, "search", "mh", "--mod4-filter", "--n", "16")
-        direct = run(capsys, "search", "mh", "--direct", "--mod4-filter", "--n", "16")
-        assert filtered == direct
-        assert filtered[0] == 0
-        assert "candidates_examined       1024" in filtered[1]
-
-    def test_mod4_filter_takes_the_via_na_cap(self, capsys):
+    def test_mh_takes_the_mod4_cap(self, capsys):
         # Every mod-4 class is the line digraph of an NA digraph of order
-        # N/2, so the mod-4 search answers the via-NA question and shares
-        # its default cap, 240.
-        code, out, _ = run(capsys, "search", "mh", "--mod4-filter", "--n", "68")
+        # N/2, so the default mod-4 search takes twice the NA cap, 240.
+        code, out, _ = run(capsys, "search", "mh", "--n", "68")
         assert code == 0
         assert "min_diameter              8" in out
-        code, out, err = run(capsys, "search", "mh", "--mod4-filter", "--n", "244")
+        assert "candidates_examined       1419857" in out
+        code, out, err = run(capsys, "search", "mh", "--n", "244")
         assert (code, out, err) == (1, "", "error: order 244 exceeds mod-4 cap 240\n")
-        code, out, _ = run(capsys, "search", "mh", "--mod4-filter", "--n", "244",
-                           "--cap", "244")
+        code, out, _ = run(capsys, "search", "mh", "--n", "244", "--cap", "244")
         assert code == 0
         assert "min_diameter              12" in out
 

@@ -75,7 +75,7 @@ class TestValidateNa:
 class TestValidateMh:
     def test_canonical_20_vertex_steps(self):
         # Valid although a0 = 1, not 3 (mod 4): the residues only define
-        # the mod-4 space that search_mh(mod4_filter=True) searches.
+        # the mod-4 space that search_mh searches by default.
         assert not ManhattanDigraph(20, 1, 7, -3, 7, 1, -5, 1, -9).validate()
 
     def test_even_step_hard_violation(self):
@@ -288,7 +288,7 @@ class TestMod4GaugeClasses:
     """Relabelling residue r by v -> v + g_r, each g_r = 0 (mod 4), keeps
     the mod-4 space and splits it into gauge classes, which
     ``mod4_na_class`` labels by the NA gauge classes (s, t) of Z_{N/4}^2.
-    search_mh(mod4_filter=True) runs one BFS per orbit of
+    search_mh's default mode runs one BFS per orbit of
     ``gauge_orbits(N/4)``, whose classes must then be isomorphic."""
 
     def test_every_candidate_lies_in_one_class_of_full_size(self):

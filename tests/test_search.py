@@ -8,7 +8,6 @@ import pytest
 
 from gridnet import search
 from gridnet.bounds import case_orders, missing_order, moore_ds, moore_mh, moore_na
-from gridnet.constructions import na_to_mh
 from gridnet.families import (
     FamilyError,
     ManhattanDigraph,
@@ -19,7 +18,7 @@ from gridnet.families import (
 from gridnet.graphs import diameter
 from gridnet.search import (
     DEFAULT_CAP_MH,
-    DEFAULT_CAP_MH_VIA_NA,
+    DEFAULT_CAP_MH_MOD4,
     SearchError,
     search_ds,
     search_mh,
@@ -104,8 +103,7 @@ class TestSearchNa:
     def test_certifier_does_not_share_the_search_kernel(self, monkeypatch):
         # A period-BFS kernel that reports one less than the truth must be
         # caught by the re-verification, which may not call it, in every
-        # search and every Manhattan mode.  Via NA the inner NA search
-        # reports the false minimum first.
+        # search and in both Manhattan modes.
         from gridnet import graphs
 
         real = graphs.bounded_diameter
@@ -119,9 +117,8 @@ class TestSearchNa:
         searches = {
             "na": lambda: search_na(24),
             "ds": lambda: search_ds(20),
-            "mh via NA": lambda: search_mh(24),
+            "mh mod-4": lambda: search_mh(16),
             "mh direct": lambda: search_mh(12, direct=True),
-            "mh mod-4": lambda: search_mh(16, mod4_filter=True),
         }
         for mode, run in searches.items():
             with pytest.raises(SearchError, match="fails re-verification"):
@@ -146,25 +143,26 @@ class TestSearchMh:
         assert r.meets_theorem_prediction == "yes"
 
     def test_n28_via_na(self):
-        # the Manhattan exceptional order at k=1: lifted NA minimum 5 + 1
+        # the Manhattan exceptional order at k=1: NA minimum 5 at order 14,
+        # plus 1 for the line digraph
         assert search_mh(28).min_diameter == 6
 
     def test_n28_attained_at_diameter_5_by_odd_steps_only(self):
         # The missing order 28 has diameter 5 (the least, as moore_mh(4) is
         # 20) with odd steps that break the mod-4 condition; steps meeting
-        # it give 6, as the lift of NA witnesses does.
+        # it give 6, the line digraphs of NA order 14.
         p = parse_params("mh:28,1,3,1,9,1,27,25,17")
         assert not p.validate() and not in_mod4_space(p.steps)
         g = compile_params(p, strict=False)
         assert diameter(g) == 5
         assert max(max(row) for row in all_pairs_oracle(g)) == 5
         assert moore_mh(4) == 20 < 28
-        assert search_mh(28, direct=True, mod4_filter=True).min_diameter == 6
+        assert search_mh(28).min_diameter == 6
 
     def test_direct_agrees_with_via_na_n20(self):
         direct = search_mh(20, direct=True, workers=4)
-        via = search_mh(20)
-        assert direct.min_diameter == via.min_diameter == 4
+        mod4 = search_mh(20)
+        assert direct.min_diameter == mod4.min_diameter == 4
         for w in direct.witnesses:
             assert diameter(compile_params(w, strict=False)) == 4
 
@@ -173,39 +171,24 @@ class TestSearchMh:
             search_mh(12, direct=True).min_diameter == search_mh(12).min_diameter
         )
 
-    def test_via_na_witnesses_are_the_lifted_na_witnesses(self):
-        for n in range(8, 65, 4):
-            inner = search_na(n // 2)
-            lifted = sorted(na_to_mh(w).steps for w in inner.witnesses)
-            r = search_mh(n)
-            assert [w.steps for w in r.witnesses] == lifted, n
-            assert r.witness_total == len(lifted), n
-            assert r.min_diameter == inner.min_diameter + 1, n
-            assert r.candidates_examined == inner.candidates_examined, n
-
-    def test_mod4_minimum_is_the_via_na_minimum(self):
-        # Every mod-4 class is the line digraph of an NA digraph of order
-        # N/2 (test_constructions), and D(L(G)) = D(G) + 1.  Checked at
-        # every order up to the shared cap, 240.
-        for n in range(8, DEFAULT_CAP_MH_VIA_NA + 1, 4):
-            assert (search_mh(n, mod4_filter=True).min_diameter
-                    == search_mh(n).min_diameter), n
-
-    def test_mod4_filter_implies_direct(self):
-        # The filter names a direct-mode space, so it selects direct mode.
-        assert search_mh(16, mod4_filter=True) == search_mh(
-            16, direct=True, mod4_filter=True
-        )
+    def test_mod4_minimum_is_the_na_minimum_plus_one(self):
+        # Every mod-4 class is the line digraph of an NA-type digraph of
+        # order N/2 (test_constructions), and D(L(G)) = D(G) + 1.  The two
+        # walks are independent: NA drops the s + t = 0 classes, mod-4 keeps
+        # them.  Checked at every order up to the mod-4 cap, 240.
+        for n in range(8, DEFAULT_CAP_MH_MOD4 + 1, 4):
+            assert (search_mh(n).min_diameter
+                    == search_na(n // 2).min_diameter + 1), n
 
     def test_bad_order_rejected(self):
         with pytest.raises(SearchError):
             search_mh(18)
 
     def test_via_na_honours_cap(self):
-        with pytest.raises(SearchError, match="cap 24"):
+        with pytest.raises(SearchError, match="mod-4 cap 24"):
             search_mh(28, cap=24)
         with pytest.raises(SearchError):
-            search_mh(DEFAULT_CAP_MH_VIA_NA + 4)
+            search_mh(DEFAULT_CAP_MH_MOD4 + 4)
 
     def test_direct_honours_cap(self):
         # Order 64, the default cap, takes about 3.5 s; CI pins its answer.
@@ -226,7 +209,7 @@ class TestSearchMh:
 
     def test_via_na_default_cap_covers_theorem_43_sweep(self):
         # verify 4.3 --exhaustive runs search_mh up to order 8(k+1)^2+4
-        assert DEFAULT_CAP_MH_VIA_NA >= 8 * 5 * 5 + 4
+        assert DEFAULT_CAP_MH_MOD4 >= 8 * 5 * 5 + 4
 
 
 class TestSearchResult:
