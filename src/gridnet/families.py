@@ -14,7 +14,7 @@ directly), enumeration key, orbit map and ``representatives``, the one
 walk over the orbits that the search and ``verify`` share.  DS and MH
 orbits are multiplier orbits.  NA orbits are gauge orbits, which
 ``gauge_orbits`` lists from the DS orbits of the quotient ring, for the NA
-walk and the mod-4 Manhattan search alike.
+walk and for ``Mod4ManhattanDigraph``, the mod-4 Manhattan space's.
 ``FAMILIES`` maps each tag to its class; callers look the class up by tag,
 or call a record's own methods, instead of branching on the family.  Only
 compilation builds per-vertex rows, by graphs.step_rows, which merges
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from heapq import merge
+from itertools import product
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
@@ -80,8 +82,8 @@ class FamilyParams(tuple):
     steps that a map lowers (``_leads``, ``_kept_pairs``) and test each
     remaining candidate on the maps that keep its leading steps.  NA
     orbits are the coarser gauge orbits of ``gauge_orbits``.  Each class
-    describes one space, its family's valid step tuples; the mod-4
-    Manhattan subspace is searched apart (``search._mod4_search``).
+    describes one space: its family's valid step tuples, or for
+    ``Mod4ManhattanDigraph`` the mod-4 Manhattan subspace.
     """
 
     __slots__ = ()
@@ -355,8 +357,8 @@ def _gauge_orbit(m: int, s: int, t: int) -> frozenset[tuple[int, int]]:
     (alpha, alpha-2s-2t, 2s-alpha, 2t-alpha) for odd alpha, is isomorphic.
     A candidate is 4 of them, or 2 when gamma = delta (s = t).  Units of
     Z_m scale (s, t); gamma <-> delta, alpha <-> beta and x -> x+1 map it
-    to (t, s), (-t, -s) and (s, -t).  The orbit is whole: NA drops its
-    classes with s + t = 0 (alpha = beta), the mod-4 search keeps them.
+    to (t, s), (-t, -s) and (s, -t).  The orbit is whole: NA drops its classes
+    with s + t = 0 (alpha = beta), ``Mod4ManhattanDigraph`` keeps them.
     """
     images = set()
     for u, _ in _units(m):
@@ -404,7 +406,7 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         """The Manhattan conditions violated; empty when valid.
 
         The residues a_j = 3, b_j = 1 (mod 4) are no condition here: they
-        define the mod-4 subspace, which search_mh searches by gauge orbits.
+        define the subspace that ``Mod4ManhattanDigraph`` walks.
         """
         errors: list[str] = []
         n = self.n
@@ -529,6 +531,54 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
                                 fixed += image == key
                             else:
                                 yield (a0, b0, a1, b1, a2, b2, a3, b3), group // fixed
+
+
+def _mod4_members(n: int, s: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Mod-4 Manhattan class (s, t)'s members in key order, by (a0, a2, a1)."""
+    for a0, a2, a1 in product(range(3, n, 4), repeat=3):
+        c = a0 + a2
+        b0, b1 = (c + a1 - 4 * s) % n, (4 * t - a0) % n
+        yield (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
+
+
+class Mod4ManhattanDigraph(ManhattanDigraph):
+    """The mod-4 Manhattan space, a_j = 3 and b_j = 1 (mod 4), by gauge orbits.
+
+    The space has (N/4)^5 candidates, one at each value of the free steps
+    (a0, a2, a1, b0, b1).  Relabelling residue r by v -> v + g_r, each
+    g_r = 0 (mod 4), is an isomorphism (README), and its invariants
+    (s, t) = ((a0+a2+a1-b0)/4, (b1+a0)/4) mod N/4 name (N/4)^2 classes.
+    Class (s, t) is the line digraph of NA class (s, t) of order N/2, so
+    the orbits are those of ``gauge_orbits(N/4)``, s + t = 0 included.
+    The class is in neither ``FAMILIES`` nor the package's exports: the
+    search reports its optima as ``ManhattanDigraph`` records.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The members of the classes of steps' gauge orbit, merged in key order."""
+        a0, b0, a1, b1, a2 = steps[:5]
+        classes = _gauge_orbit(n // 4, (a0 + a2 + a1 - b0) % n // 4, (b1 + a0) % n // 4)
+        return merge(*(_mod4_members(n, s, t) for s, t in classes),
+                     key=ManhattanDigraph.key)
+
+    @staticmethod
+    def representatives(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield (steps, orbit size) for each gauge orbit's key-least member.
+
+        A class's key-least member has a0 = a2 = a1 = 3, b0 = (9 - 4s) mod N
+        and b1 = (4t - 3) mod N, which force the rest; the orbit's is that of
+        its least class by (b0, b1).  Each class has (N/4)^3 members.
+        """
+        m = n // 4
+        reps = []
+        for orbit in gauge_orbits(m):
+            b0, b1 = min(((9 - 4 * s) % n, (4 * t - 3) % n) for s, t in orbit)
+            reps.append(((3, b0, 3, b1, 3, (6 - b0) % n, -9 % n, (-6 - b1) % n),
+                         len(orbit) * m**3))
+        return iter(sorted(reps))
 
 
 FAMILIES: dict[str, type[FamilyParams]] = {

@@ -2,21 +2,20 @@
 
 For a family and order, take the minimum diameter over every valid step
 choice: the independent oracle behind the optimality and non-attainability
-claims.  The family's record class in ``FAMILIES`` supplies the walk over
-its candidates' orbits and the orbit map, and its theorem in
+claims.  A record class of ``families`` supplies the walk over its
+candidates' orbits and the orbit map, and its family's theorem in
 ``bounds.THEOREMS`` the Moore bound and the prediction.  Candidates that the
-family's maps make isomorphic form an orbit.  BFS runs once per orbit, on
-its representative, the member first in enumeration order, which the
-class's ``representatives`` walk yields with the orbit's size;
-``_mod4_search`` walks the mod-4 Manhattan space, a_j = 3 and b_j = 1
-(mod 4), over NA's gauge orbits (``families.gauge_orbits``): the space of
-``search_mh``'s default mode, where its direct mode walks the Manhattan
-class's own representatives.  Both walks feed ``_minimise``, whose BFS is
-graphs.bounded_diameter on the step classes: the out-steps of each
-residue mod the period, searched from one vertex per translation class at
-once, with no per-vertex rows.  Each reported witness is re-verified by
-``graphs.reach_diameter`` on the same classes, an algorithm that shares no
-code with that BFS.
+class's maps make isomorphic form an orbit.  ``_minimise`` runs BFS once
+per orbit, on its representative, the member first in enumeration order,
+which the class's ``representatives`` walk yields with the orbit's size.
+Every search is ``_minimise`` over one class: the family's own in
+``FAMILIES``, or for ``search_mh``'s default mode
+``families.Mod4ManhattanDigraph``, the mod-4 space a_j = 3 and b_j = 1
+(mod 4) by NA's gauge orbits.  Its BFS is graphs.bounded_diameter on the
+step classes: the out-steps of each residue mod the period, searched from
+one vertex per translation class at once, with no per-vertex rows.  Each
+reported witness is re-verified by ``graphs.reach_diameter`` on the same
+classes, an algorithm that shares no code with that BFS.
 
 A search is one pass over the representatives in this process.  The kept
 witnesses are the first ``WITNESS_CAP`` optima in enumeration order, taken
@@ -26,10 +25,8 @@ callers and has no effect.
 
 from __future__ import annotations
 
-from functools import partial
-from heapq import merge
-from itertools import islice, product
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from itertools import islice
+from typing import NamedTuple, Optional
 
 from . import bounds
 from .constructions import na_to_mh
@@ -39,10 +36,10 @@ from .families import (
     FamilyError,
     FamilyParams,
     ManhattanDigraph,
+    Mod4ManhattanDigraph,
     NewAmsterdamDigraph,
     family_diameter,
     format_params,
-    gauge_orbits,
     line_diameter,
 )
 from .graphs import GridnetError, bounded_diameter, reach_diameter
@@ -91,30 +88,27 @@ class SearchResult(NamedTuple):
 
 
 def _minimise(
-    fam: type[FamilyParams],
-    n: int,
-    walk: Iterable[tuple[tuple[int, ...], int]],
-    members: Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]],
+    fam: type[FamilyParams], n: int
 ) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """Minimise over the orbits of ``walk``: (best, optima, n_optima, examined).
+    """Minimise over the orbits of ``fam``: (best, optima, n_optima, examined).
 
-    ``walk`` yields each orbit's key-least member with the orbit's size, in
-    key order, so the representatives meet the running minimum ``best`` as
-    the orbits' first members would.  One BFS per orbit, on ``fam.classes``
-    of its representative, counts the size as that many candidates examined
-    and, when it attains ``best``, as that many optima: every member has
-    the same diameter, and BFS with the limit ``best`` returns None exactly
-    when it exceeds the limit, which only falls.  ``optima`` are the first
-    WITNESS_CAP members, in key order, of the optimal orbits' ``members``.
+    ``fam.representatives(n)`` yields each orbit's key-least member with the
+    orbit's size, in key order, so the representatives meet the running
+    minimum ``best`` as the orbits' first members would.  One BFS per orbit,
+    on ``fam.classes`` of its representative, counts the size as that many
+    candidates examined and, when it attains ``best``, as that many optima:
+    every member has the same diameter, and BFS with the limit ``best``
+    returns None exactly when it exceeds the limit, which only falls.
+    ``optima`` are the first WITNESS_CAP members, in key order, of the
+    optimal orbits.
     """
-    classes_of = fam.classes
     best: Optional[int] = None
     optimal_reps: list[tuple[int, ...]] = []
     n_optima = 0
     examined = 0
-    for steps, size in walk:
+    for steps, size in fam.representatives(n):
         examined += size
-        d = bounded_diameter(classes_of(n, steps), n, best)
+        d = bounded_diameter(fam.classes(n, steps), n, best)
         if d is None:
             continue
         if best is None or d < best:
@@ -124,13 +118,11 @@ def _minimise(
         elif d == best:
             optimal_reps.append(steps)
             n_optima += size
-    return best, _first_members(fam.key, members, optimal_reps), n_optima, examined
+    return best, _first_members(fam, n, optimal_reps), n_optima, examined
 
 
 def _first_members(
-    key: Callable[[tuple[int, ...]], tuple[int, ...]],
-    members: Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]],
-    reps: list[tuple[int, ...]],
+    fam: type[FamilyParams], n: int, reps: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """The first WITNESS_CAP members of the orbits of ``reps``, in key order.
 
@@ -140,53 +132,11 @@ def _first_members(
     """
     first: list[tuple[int, ...]] = []
     for rep in reps:
-        if len(first) == WITNESS_CAP and key(first[-1]) < key(rep):
+        if len(first) == WITNESS_CAP and fam.key(first[-1]) < fam.key(rep):
             break
-        first = sorted([*first, *islice(members(rep), WITNESS_CAP)], key=key)
+        first = sorted([*first, *islice(fam.orbit(n, rep), WITNESS_CAP)], key=fam.key)
         del first[WITNESS_CAP:]
     return first
-
-
-def _run_search(
-    family: str, n: int
-) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """``_minimise`` over the family's ``representatives`` and ``orbit``s."""
-    fam = FAMILIES[family]
-    return _minimise(fam, n, fam.representatives(n), partial(fam.orbit, n))
-
-
-def _mod4_search(n: int) -> tuple[Optional[int], list[tuple[int, ...]], int, int]:
-    """``_minimise`` over the mod-4 Manhattan space, one BFS per gauge orbit.
-
-    The space, a_j = 3 and b_j = 1 (mod 4), has (N/4)^5 candidates, one at
-    each value of the free steps (a0, a2, a1, b0, b1).  Relabelling residue
-    r by v -> v + g_r, each g_r = 0 (mod 4), is an isomorphism (README), and
-    its invariants (s, t) = ((a0+a2+a1-b0)/4, (b1+a0)/4) mod N/4 name
-    (N/4)^2 classes, each with one member at each (a0, a2, a1).  Class
-    (s, t) is the line digraph of NA class (s, t) of order N/2, so the walk
-    takes each orbit of ``gauge_orbits(N/4)``, s + t = 0 included.  A
-    class's key-least member has a0 = a2 = a1 = 3, so the orbit's
-    representative is the least of those members over its classes;
-    ``members`` merges its classes in key order for the witnesses.
-    """
-    m = n // 4
-
-    def member(a0: int, a2: int, a1: int, s: int, t: int) -> tuple[int, ...]:
-        c = a0 + a2
-        b0, b1 = (c + a1 - 4 * s) % n, (4 * t - a0) % n
-        return (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
-
-    def class_members(s: int, t: int) -> Iterator[tuple[int, ...]]:
-        for a0, a2, a1 in product(range(3, n, 4), repeat=3):
-            yield member(a0, a2, a1, s, t)
-
-    def members(orbit: Iterable[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-        return merge(*(class_members(s, t) for s, t in orbit), key=ManhattanDigraph.key)
-
-    orbits = {min(member(3, 3, 3, s, t) for s, t in orbit): orbit
-              for orbit in gauge_orbits(m)}
-    walk = ((rep, len(orbit) * m**3) for rep, orbit in sorted(orbits.items()))
-    return _minimise(ManhattanDigraph, n, walk, lambda rep: members(orbits[rep]))
 
 
 def _prediction(theorem: str, n: int, min_d: Optional[int]) -> str:
@@ -231,7 +181,7 @@ def search_ds(
     """Minimum diameter over DS digraphs of order n; ``workers`` is ignored."""
     if n < 3:
         raise SearchError(f"order must be at least 3, got {n}")
-    return _search_capped("ds", n, cap)
+    return _search(DoubleStepGraph, n, cap)
 
 
 def search_na(
@@ -240,13 +190,15 @@ def search_na(
     """Minimum diameter over NA digraphs of order n; ``workers`` is ignored."""
     if n < 4 or n % FAMILIES["na"].period:
         raise SearchError(f"order must be an even integer >= 4, got {n}")
-    return _search_capped("na", n, cap)
+    return _search(NewAmsterdamDigraph, n, cap)
 
 
-def _search_capped(family: str, n: int, cap: int) -> SearchResult:
+def _search(
+    fam: type[FamilyParams], n: int, cap: int, cap_name: str = "cap"
+) -> SearchResult:
     if n > cap:
-        raise SearchError(f"order {n} exceeds cap {cap}")
-    return _finish(family, n, *_run_search(family, n))
+        raise SearchError(f"order {n} exceeds {cap_name} {cap}")
+    return _finish(fam.tag, n, *_minimise(fam, n))
 
 
 def search_mh(
@@ -258,24 +210,22 @@ def search_mh(
     """Minimum diameter over Manhattan digraphs of order n.
 
     Default mode searches the mod-4 space a_j = 3, b_j = 1 (mod 4), one BFS
-    per gauge orbit (_mod4_search).  Every class of it is the line digraph
-    of an NA-type digraph of order n/2 (alpha = beta allowed), so its cap
-    DEFAULT_CAP_MH_MOD4 is twice the NA cap; up to that cap its minimum is
-    search_na(n/2)'s plus one.  Direct mode enumerates the whole Manhattan
-    step space, up to DEFAULT_CAP_MH.  Both report the counts of the space
-    they search.  ``cap`` bounds n in either mode; ``workers`` is accepted
-    and ignored.
+    per gauge orbit of ``Mod4ManhattanDigraph``.  Every class of it is the
+    line digraph of an NA-type digraph of order n/2 (alpha = beta allowed),
+    so its cap DEFAULT_CAP_MH_MOD4 is twice the NA cap; up to that cap its
+    minimum is search_na(n/2)'s plus one.  Direct mode walks the whole
+    Manhattan step space by ``ManhattanDigraph``'s orbits, up to
+    DEFAULT_CAP_MH.  Both report the counts of the space they search, and
+    witnesses as ``mh`` records.  ``cap`` bounds n in either mode;
+    ``workers`` is accepted and ignored.
     """
     if n < 8 or n % FAMILIES["mh"].period:
         raise SearchError(f"order must be a multiple of 4 >= 8, got {n}")
     if direct:
-        mode, default = "direct-mode", DEFAULT_CAP_MH
+        fam, cap_name, default = ManhattanDigraph, "direct-mode cap", DEFAULT_CAP_MH
     else:
-        mode, default = "mod-4", DEFAULT_CAP_MH_MOD4
-    cap = default if cap is None else cap
-    if n > cap:
-        raise SearchError(f"order {n} exceeds {mode} cap {cap}")
-    return _finish("mh", n, *(_run_search("mh", n) if direct else _mod4_search(n)))
+        fam, cap_name, default = Mod4ManhattanDigraph, "mod-4 cap", DEFAULT_CAP_MH_MOD4
+    return _search(fam, n, default if cap is None else cap, cap_name)
 
 
 class SweepRow(NamedTuple):

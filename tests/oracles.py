@@ -121,10 +121,11 @@ def all_candidates(fam, n):
 
 
 def plain_search_slice(family, n, in_space=None):
-    """``search._run_search`` without orbit representatives: BFS on every candidate.
+    """``search._minimise`` without orbit representatives: BFS on every candidate.
 
     ``in_space``, when given, keeps only the candidates it accepts; with
-    ``in_mod4_space`` this is ``search._mod4_search`` without gauge orbits.
+    ``in_mod4_space`` this is ``_minimise`` over ``Mod4ManhattanDigraph``
+    without gauge orbits.
     """
     fam = FAMILIES[family]
     candidates = all_candidates(fam, n)

@@ -311,7 +311,7 @@ class TestSearch:
         assert code == 0
         assert "min_diameter              2" in out
 
-    def test_mh_via_na_cap_exceeded_exit_1(self, capsys):
+    def test_mh_mod4_cap_exceeded_exit_1(self, capsys):
         code, _, err = run(capsys, "search", "mh", "--n", "28", "--cap", "24")
         assert code == 1
         assert "cap 24" in err

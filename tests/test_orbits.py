@@ -4,9 +4,9 @@ Each family's ``orbit`` map lists, in key order, the candidates whose
 digraphs its maps make isomorphic to a candidate's: for DS and MH the
 maps x -> ux (u a unit of Z_N) combined with translations, for NA the
 gauge orbits of the (s, t) classes, which ``families.gauge_orbits`` lists
-from the DS orbits of Z_{N/2}.  ``search._run_search`` runs BFS once per
-orbit, on the member that comes first in enumeration order (least
-``key``), which the family's ``representatives`` walk yields with the
+from the DS orbits of Z_{N/2}.  ``search._minimise(cls, n)`` runs BFS once
+per orbit, on the member that comes first in enumeration order (least
+``key``), which the class's ``representatives`` walk yields with the
 orbit's size; for DS and MH that walk skips the leads that some map
 lowers and tests each remaining candidate on the maps that keep its
 leading steps.  These tests check the maps against brute force, the
@@ -14,13 +14,14 @@ representatives against the orbits they list (over the candidates of
 ``oracles.all_candidates``, which shares no loop with the walks), the
 orbit sizes against closed-form counts, and the search against
 ``plain_search_slice``, the same loop with one BFS per candidate.  The
-mod-4 Manhattan space is searched over the same gauge orbits, of Z_{N/4}
-(``search._mod4_search``); its cases check that walk and that search the
-same way, with the orbits found by ``oracles.gauge_closure``.
+mod-4 Manhattan space is walked over the same gauge orbits, of Z_{N/4}, by
+``families.Mod4ManhattanDigraph``; its cases check that walk, its orbits
+and its search the same way, with the orbits found by
+``oracles.gauge_closure``.
 """
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,7 @@ from gridnet import search
 from gridnet.families import (
     FAMILIES,
     ManhattanDigraph,
+    Mod4ManhattanDigraph,
     NewAmsterdamDigraph,
     compile_params,
     gauge_orbits,
@@ -143,12 +145,16 @@ SEARCH_CASES = (
 )
 
 
+def space_class(family, mod4):
+    """The record class that walks the space: the family's, or the mod-4 one."""
+    return Mod4ManhattanDigraph if mod4 else FAMILIES[family]
+
+
 @pytest.mark.parametrize("family,n,mod4", SEARCH_CASES)
 def test_memo_matches_one_bfs_per_candidate(family, n, mod4):
-    if mod4:
-        assert search._mod4_search(n) == plain_search_slice(family, n, in_mod4_space)
-    else:
-        assert search._run_search(family, n) == plain_search_slice(family, n)
+    in_space = in_mod4_space if mod4 else None
+    assert (search._minimise(space_class(family, mod4), n)
+            == plain_search_slice(family, n, in_space))
 
 
 # (family, order, mod4) spaces small enough to list every orbit.
@@ -187,39 +193,34 @@ def space_orbits(family, n, mod4):
     return candidates, orbits
 
 
-def mod4_walk(n):
-    """The walk, listed, and the members map that ``search._mod4_search(n)``
-    hands to ``_minimise``, which a stand-in records without running BFS."""
-    handed = []
-
-    def record(fam, order, walk, members):
-        handed.extend((list(walk), members))
-        return None, [], 0, 0
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_minimise", record)
-        search._mod4_search(n)
-    return handed
-
-
 @pytest.mark.parametrize("family,n,mod4", SPACES)
 def test_representative_is_the_key_least_orbit_member(family, n, mod4):
-    fam = FAMILIES[family]
+    fam = space_class(family, mod4)
     candidates, orbits = space_orbits(family, n, mod4)
     assert sorted(candidates, key=fam.key) == candidates
     reps = {min(orbit, key=fam.key) for orbit in set(orbits.values())}
     # The walk yields each orbit's key-least member once, in key order,
-    # with the orbit's size, and the members map lists the orbit in key
-    # order: ``orbit`` for the family's walk; for the mod-4 walk, which
-    # runs BFS once per orbit of gauge classes, the merge of its classes.
-    if mod4:
-        walk, members = mod4_walk(n)
-    else:
-        walk, members = list(fam.representatives(n)), partial(fam.orbit, n)
+    # with the orbit's size, and ``orbit`` lists the orbit in key order:
+    # for the mod-4 walk, which runs BFS once per orbit of gauge classes,
+    # the merge of its classes.
+    walk = list(fam.representatives(n))
     assert [steps for steps, _ in walk] == sorted(reps, key=fam.key)
     for steps, size in walk:
         assert size == len(orbits[steps]), steps
-        assert list(members(steps)) == sorted(orbits[steps], key=fam.key)
+        assert list(fam.orbit(n, steps)) == sorted(orbits[steps], key=fam.key)
+
+
+@pytest.mark.parametrize("n", (8, 12, 16))
+def test_mod4_orbit_from_any_member(n):
+    # From every member of the space, not only its representative, the
+    # orbit is the space's candidates in the classes that gauge_closure
+    # reaches from the member's class, in key order.
+    mh = Mod4ManhattanDigraph
+    candidates, orbits = space_orbits("mh", n, True)
+    expected = {orbit: sorted(orbit, key=mh.key) for orbit in set(orbits.values())}
+    assert len(candidates) == (n // 4) ** 5
+    for steps in candidates:
+        assert list(mh.orbit(n, steps)) == expected[orbits[steps]], steps
 
 
 @pytest.mark.parametrize("family,n", [("ds", 60), ("na", 30), ("mh", 12)])
@@ -284,7 +285,7 @@ def test_na_orbit_sizes_sum_to_the_closed_form():
 
 def test_mod4_orbit_sizes_sum_to_the_space():
     for n in range(8, 241, 4):
-        walk, _ = mod4_walk(n)
+        walk = Mod4ManhattanDigraph.representatives(n)
         assert sum(size for _, size in walk) == (n // 4) ** 5, n
 
 
@@ -329,13 +330,13 @@ def kernel_calls(monkeypatch):
      ("ds", 200, 92)],
 )
 def test_one_bfs_per_orbit(kernel_calls, family, n, bfs_calls):
-    search._run_search(family, n)
+    search._minimise(FAMILIES[family], n)
     assert len(kernel_calls) == bfs_calls
 
 
 @pytest.mark.parametrize("n,bfs_calls", [(8, 3), (64, 19), (108, 17), (240, 116)])
 def test_mod4_search_runs_one_bfs_per_gauge_orbit(kernel_calls, n, bfs_calls):
-    assert search._mod4_search(n)[3] == (n // 4) ** 5
+    assert search._minimise(Mod4ManhattanDigraph, n)[3] == (n // 4) ** 5
     assert len(kernel_calls) == bfs_calls
 
 
@@ -362,4 +363,5 @@ def test_mod4_witnesses_run_past_the_first_digits(monkeypatch):
             return None if limit is not None and d > limit else d
 
         monkeypatch.setattr(search, "bounded_diameter", kernel)
-        assert search._mod4_search(n) == (1, orbit[:32], len(orbit), m**5), n
+        assert (search._minimise(Mod4ManhattanDigraph, n)
+                == (1, orbit[:32], len(orbit), m**5)), n

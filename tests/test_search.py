@@ -136,16 +136,11 @@ class TestSearchNa:
 
 
 class TestSearchMh:
-    def test_n20_via_na(self):
+    def test_n20_mod4(self):
         r = search_mh(20)
         assert r.min_diameter == 4
         assert r.moore_bound_for_min == moore_mh(4) == 20
         assert r.meets_theorem_prediction == "yes"
-
-    def test_n28_via_na(self):
-        # the Manhattan exceptional order at k=1: NA minimum 5 at order 14,
-        # plus 1 for the line digraph
-        assert search_mh(28).min_diameter == 6
 
     def test_n28_attained_at_diameter_5_by_odd_steps_only(self):
         # The missing order 28 has diameter 5 (the least, as moore_mh(4) is
@@ -159,14 +154,14 @@ class TestSearchMh:
         assert moore_mh(4) == 20 < 28
         assert search_mh(28).min_diameter == 6
 
-    def test_direct_agrees_with_via_na_n20(self):
+    def test_direct_agrees_with_mod4_n20(self):
         direct = search_mh(20, direct=True, workers=4)
         mod4 = search_mh(20)
         assert direct.min_diameter == mod4.min_diameter == 4
         for w in direct.witnesses:
             assert diameter(compile_params(w, strict=False)) == 4
 
-    def test_direct_agrees_with_via_na_n12(self):
+    def test_direct_agrees_with_mod4_n12(self):
         assert (
             search_mh(12, direct=True).min_diameter == search_mh(12).min_diameter
         )
@@ -184,7 +179,7 @@ class TestSearchMh:
         with pytest.raises(SearchError):
             search_mh(18)
 
-    def test_via_na_honours_cap(self):
+    def test_mod4_honours_cap(self):
         with pytest.raises(SearchError, match="mod-4 cap 24"):
             search_mh(28, cap=24)
         with pytest.raises(SearchError):
@@ -207,7 +202,7 @@ class TestSearchMh:
         assert r.moore_bound_for_min is None
         assert search._finish("mh", 72, 7, [], 0, 0).moore_bound_for_min == 72
 
-    def test_via_na_default_cap_covers_theorem_43_sweep(self):
+    def test_mod4_default_cap_covers_theorem_43_sweep(self):
         # verify 4.3 --exhaustive runs search_mh up to order 8(k+1)^2+4
         assert DEFAULT_CAP_MH_MOD4 >= 8 * 5 * 5 + 4
 
