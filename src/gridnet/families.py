@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from heapq import merge
 from itertools import product
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
@@ -334,17 +333,20 @@ class NewAmsterdamDigraph(FamilyParams, _NewAmsterdamFields):
         """Yield (steps, orbit size) for each gauge orbit's key-least member.
 
         Each class (s, t) of ``gauge_orbits(N/2)`` with s + t != 0 holds one
-        ordered tuple with alpha = 1 < beta.  The least of them is the
-        key-least member: it has gamma <= delta, as class (t, s) holds its swap.
+        ordered tuple with alpha = 1 < beta, (beta, gamma) = (1 - 2s - 2t,
+        2s - 1) mod N.  The orbit's least (beta, gamma), as mod-4 takes its
+        least (b0, b1), gives the key-least member; it has gamma <= delta,
+        as class (t, s) holds its swap.
         """
         m = n // 2
         reps = []
         for orbit in gauge_orbits(m):
-            tuples = [(1, (1 - 2 * (s + t)) % n, (2 * s - 1) % n, (2 * t - 1) % n)
-                      for s, t in orbit if (s + t) % m]
-            if tuples:
-                rep = min(tuples)
-                reps.append((rep, len(tuples) * m // (2 if rep[2] == rep[3] else 4)))
+            pairs = [((1 - 2 * (s + t)) % n, (2 * s - 1) % n) for s, t in orbit if (s + t) % m]
+            if pairs:
+                beta, gamma = min(pairs)
+                delta = (-1 - beta - gamma) % n
+                reps.append(((1, beta, gamma, delta),
+                             len(pairs) * m // (2 if gamma == delta else 4)))
         return iter(sorted(reps))
 
 
@@ -533,14 +535,6 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
                                 yield (a0, b0, a1, b1, a2, b2, a3, b3), group // fixed
 
 
-def _mod4_members(n: int, s: int, t: int) -> Iterator[tuple[int, ...]]:
-    """Mod-4 Manhattan class (s, t)'s members in key order, by (a0, a2, a1)."""
-    for a0, a2, a1 in product(range(3, n, 4), repeat=3):
-        c = a0 + a2
-        b0, b1 = (c + a1 - 4 * s) % n, (4 * t - a0) % n
-        yield (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
-
-
 class Mod4ManhattanDigraph(ManhattanDigraph):
     """The mod-4 Manhattan space, a_j = 3 and b_j = 1 (mod 4), by gauge orbits.
 
@@ -558,11 +552,15 @@ class Mod4ManhattanDigraph(ManhattanDigraph):
 
     @staticmethod
     def orbit(n: int, steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        """The members of the classes of steps' gauge orbit, merged in key order."""
+        """The members of the classes of steps' gauge orbit, lead by lead: at
+        each (a0, a2, a1), class (s, t)'s has (b0, b1) = (a0+a2+a1-4s, 4t-a0)
+        mod N, so the least (b0, b1) comes first in key order."""
         a0, b0, a1, b1, a2 = steps[:5]
         classes = _gauge_orbit(n // 4, (a0 + a2 + a1 - b0) % n // 4, (b1 + a0) % n // 4)
-        return merge(*(_mod4_members(n, s, t) for s, t in classes),
-                     key=ManhattanDigraph.key)
+        for a0, a2, a1 in product(range(3, n, 4), repeat=3):
+            c = a0 + a2
+            for b0, b1 in sorted(((c + a1 - 4 * s) % n, (4 * t - a0) % n) for s, t in classes):
+                yield (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
 
     @staticmethod
     def representatives(n: int) -> Iterator[tuple[tuple[int, ...], int]]:

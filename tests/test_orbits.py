@@ -17,11 +17,14 @@ orbit sizes against closed-form counts, and the search against
 mod-4 Manhattan space is walked over the same gauge orbits, of Z_{N/4}, by
 ``families.Mod4ManhattanDigraph``; its cases check that walk, its orbits
 and its search the same way, with the orbits found by
-``oracles.gauge_closure``.
+``oracles.gauge_closure``.  Past the orders whose candidates can be
+listed, both gauge walks are checked against the classes of those orbits.
 """
 
 import math
 from functools import lru_cache
+from heapq import merge
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -202,7 +205,7 @@ def test_representative_is_the_key_least_orbit_member(family, n, mod4):
     # The walk yields each orbit's key-least member once, in key order,
     # with the orbit's size, and ``orbit`` lists the orbit in key order:
     # for the mod-4 walk, which runs BFS once per orbit of gauge classes,
-    # the merge of its classes.
+    # its classes' members lead by lead.
     walk = list(fam.representatives(n))
     assert [steps for steps, _ in walk] == sorted(reps, key=fam.key)
     for steps, size in walk:
@@ -221,6 +224,66 @@ def test_mod4_orbit_from_any_member(n):
     assert len(candidates) == (n // 4) ** 5
     for steps in candidates:
         assert list(mh.orbit(n, steps)) == expected[orbits[steps]], steps
+
+
+def closure_orbits(m):
+    """The gauge orbits of Z_m^2, partitioned by ``gauge_closure``."""
+    orbits, seen = [], set()
+    for cls in product(range(m), repeat=2):
+        if cls not in seen:
+            orbits.append(gauge_closure(m, *cls))
+            seen |= orbits[-1]
+    return orbits
+
+
+def mod4_member(n, s, t, a0, a2, a1):
+    """Mod-4 class (s, t)'s member at (a0, a2, a1), by the README's rule:
+    (s, t) = ((a0+a2+a1-b0)/4, (b1+a0)/4) mod N/4 and the sum conditions."""
+    c = a0 + a2
+    b0, b1 = (c + a1 - 4 * s) % n, (4 * t - a0) % n
+    return (a0, b0, a1, b1, a2, (c - b0) % n, (-c - a1) % n, (-c - b1) % n)
+
+
+def test_representatives_match_the_class_oracle():
+    # Past the orders whose candidates can be listed, each walk yields one
+    # representative per gauge orbit of Z_M^2: NA the least alpha = 1 tuple
+    # over the orbit's classes with s + t != 0, of size classes * M / 4, or
+    # M / 2 when gamma = delta; mod-4 the key-least member of its classes,
+    # at a0 = a2 = a1 = 3, of size classes * M^3.  The orbits of s = 0,
+    # s = t and s + t = 0 are among them.
+    mh = ManhattanDigraph
+    for m in range(2, 61):
+        orbits = closure_orbits(m)
+        n = 2 * m
+        na = []
+        for orbit in orbits:
+            tuples = [(1, (1 - 2 * (s + t)) % n, (2 * s - 1) % n, (2 * t - 1) % n)
+                      for s, t in orbit if (s + t) % m]
+            if tuples:
+                rep = min(tuples)
+                na.append((rep, len(tuples) * m // (2 if rep[2] == rep[3] else 4)))
+        assert list(NewAmsterdamDigraph.representatives(n)) == sorted(na), n
+        n = 4 * m
+        mod4 = [(min((mod4_member(n, s, t, 3, 3, 3) for s, t in orbit), key=mh.key),
+                 len(orbit) * m**3) for orbit in orbits]
+        assert list(Mod4ManhattanDigraph.representatives(n)) == sorted(mod4), n
+
+
+def test_mod4_orbit_prefixes_match_the_merged_classes():
+    # Every class has one member per lead (a0, a2, a1), so the first
+    # 2 * WITNESS_CAP members of an orbit lie among its classes' members at
+    # its first 2 * WITNESS_CAP leads, merged in key order.
+    mh = ManhattanDigraph
+    depth = 2 * search.WITNESS_CAP
+    for m in range(2, 31):
+        n = 4 * m
+        for rep, _ in Mod4ManhattanDigraph.representatives(n):
+            leads = list(islice(product(range(3, n, 4), repeat=3), depth))
+            classes = gauge_closure(m, *mod4_na_class(n, rep))
+            merged = merge(*([mod4_member(n, s, t, *lead) for lead in leads]
+                             for s, t in classes), key=mh.key)
+            assert (list(islice(Mod4ManhattanDigraph.orbit(n, rep), depth))
+                    == list(islice(merged, depth))), (n, rep)
 
 
 @pytest.mark.parametrize("family,n", [("ds", 60), ("na", 30), ("mh", 12)])
@@ -345,8 +408,8 @@ def test_mod4_witnesses_run_past_the_first_digits(monkeypatch):
     # a kernel that makes one whole orbit optimal, the witnesses are its 32
     # key-least members.  At N = 8 the orbit of class (0, 1) has two classes
     # and 16 members, at a0 = 3 and 7, so every gauge shift of the member
-    # rule is exercised; at N = 16 the four classes of (1, 1) are merged
-    # past the 32nd member.
+    # rule is exercised; at N = 16 the four classes of (1, 1) are listed
+    # lead by lead past the 32nd member.
     mh = ManhattanDigraph
     for n, cls, leads in ((8, (0, 1), {3, 7}), (16, (1, 1), {3})):
         m = n // 4
