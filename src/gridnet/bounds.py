@@ -1,8 +1,9 @@
 """Moore-like bounds, achievable-order ranges and theorem predictions.
 
-Each Moore bound is its closed form.  The tests cross-assert it against an
-independent summation form (``tests/oracles.py``) instead of trusting the
-algebra.
+The DS and NA Moore bounds are closed forms, and the MH one is NA's under
+the line-digraph map (order doubled, diameter plus one).  The tests
+cross-assert each against an independent summation form
+(``tests/oracles.py``) instead of trusting the algebra.
 
 ``THEOREMS`` states each family's Moore bound and its theorem's cases
 (4.1 DS, 4.2 NA, 4.3 MH) once, as data; ``Theorem.family`` alone says which
@@ -43,14 +44,11 @@ def moore_na(k: int) -> int:
 
 
 def moore_mh(k: int) -> int:
-    """Max order of a Manhattan digraph with diameter k.
-
-    2(k-1)^2 for odd k, 2[(k-1)^2 + 1] for even k.
-    """
+    """Max order of a Manhattan digraph with diameter k: the largest line
+    digraph of an NA digraph of diameter k - 1, 2 moore_na(k - 1)."""
     if k < 2:
         raise BoundsError(f"diameter must be at least 2, got {k}")
-    km1 = k - 1
-    return 2 * km1 * km1 if k % 2 == 1 else 2 * (km1 * km1 + 1)
+    return 2 * moore_na(k - 1)
 
 
 class Theorem(NamedTuple):
@@ -61,7 +59,10 @@ class Theorem(NamedTuple):
     d up to order last, and d None at the missing order.
     The paper's order ranges start at diameter ``least_range_d`` (None: no
     range).  At k = 0 the lambdas give the missing orders 6 (NA) and 12 (MH),
-    where case 1's first range starts, and the NA range 4..6 at d=2."""
+    where case 1's first range starts, and the NA range 4..6 at d=2.
+    4.3's bound and segments are 4.2's under the line-digraph map; its
+    ``first`` and ``least_range_d`` stay literal (NA case k starts at case
+    k - 1's last order, MH case k one period after twice it)."""
 
     family: str
     moore: Callable[[int], int]
@@ -79,10 +80,8 @@ THEOREMS = {
                               (4 * k * k + 4 * k + 6, None),
                               (4 * (k + 1) ** 2 + 2, 2 * k + 3)), 2),
     "4.3": Theorem("mh", moore_mh, lambda k: 8 * k * k + 8,
-                   lambda k: ((8 * k * k + 8 * k + 4, 2 * k + 2),
-                              (8 * k * k + 8 * k + 8, 2 * k + 3),
-                              (8 * k * k + 8 * k + 12, None),
-                              (8 * (k + 1) ** 2 + 4, 2 * k + 4)), 4),
+                   lambda k: tuple((2 * last, None if d is None else d + 1)
+                                   for last, d in THEOREMS["4.2"].segments(k)), 4),
 }
 
 

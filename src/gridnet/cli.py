@@ -24,7 +24,6 @@ from .families import (
     require_valid,
 )
 from .graphs import (
-    GridnetError,
     bounded_diameter,
     diameter,
     from_json,
@@ -170,16 +169,15 @@ def _cmd_bounds(args) -> int:
 
         print(json.dumps(report._asdict(), sort_keys=True))
         return EXIT_OK
-    print(f"family        {report.family}")
-    print(f"diameter      {report.k}")
-    print(f"moore bound   {report.moore_value}")
+    # Formatted whole, so that a value too long to print leaves stdout empty.
+    lines = [f"family        {report.family}", f"diameter      {report.k}",
+             f"moore bound   {report.moore_value}"]
     if report.range_low is not None:
-        print(f"order range   {report.range_low}..{report.range_high}")
+        lines.append(f"order range   {report.range_low}..{report.range_high}")
     if report.missing_order is not None:
-        print(
-            f"missing order {report.missing_order} "
-            "(not reached by the canonical steps)"
-        )
+        lines.append(f"missing order {report.missing_order} "
+                     "(not reached by the canonical steps)")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -197,10 +195,9 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
-# The scalar fields of a search result, in text and CSV column order.
-_SEARCH_FIELDS = ("family", "n", "min_diameter", "witness_total",
-                  "candidates_examined", "moore_bound_for_min",
-                  "meets_theorem_prediction")
+def _csv(cells) -> str:
+    """One CSV line; None is an empty cell."""
+    return ",".join("" if c is None else str(c) for c in cells)
 
 
 def _cmd_search(args) -> int:
@@ -211,17 +208,18 @@ def _cmd_search(args) -> int:
     if args.family == "mh":
         kwargs.update(direct=args.direct)
     payload = search(args.n, workers=args.workers, **kwargs).to_json_dict()
+    # The scalar fields, in the result's field order.
+    fields = [key for key in payload if key != "witnesses"]
     if args.format == "json":
         import json
 
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        print(",".join(_SEARCH_FIELDS + ("witnesses",)))
-        cells = ["" if payload[key] is None else str(payload[key])
-                 for key in _SEARCH_FIELDS]
-        print(",".join(cells + [";".join(payload["witnesses"])]))
+        print(_csv(fields + ["witnesses"]))
+        print(_csv([payload[key] for key in fields]
+                   + [";".join(payload["witnesses"])]))
     else:
-        for key in _SEARCH_FIELDS:
+        for key in fields:
             print(f"{key:<26}{payload[key]}")
         for w in payload["witnesses"]:
             print(f"  witness  {w}")
@@ -258,12 +256,7 @@ def _print_rows(rows, csv: bool) -> None:
     if csv:
         print("theorem,k,n,predicted,constructed,via_na,searched_min,pass")
         for r in rows:
-            print(
-                f"{r.theorem},{r.k},{r.n},{r.predicted},{r.constructed},"
-                f"{'' if r.via_na is None else r.via_na},"
-                f"{'' if r.searched_min is None else r.searched_min},"
-                f"{'pass' if r.passed else 'FAIL'}"
-            )
+            print(_csv((*r, "pass" if r.passed else "FAIL")))
     else:
         print(f"{'thm':<5}{'k':<4}{'N':<6}{'predicted':<11}{'actual':<8}"
               f"{'via-na':<8}{'result'}")
@@ -336,10 +329,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         sys.stderr.write(exc.usage or parser.format_usage())
         return EXIT_USAGE
-    except (GridnetError, UnicodeDecodeError, OSError) as exc:
+    # GridnetError, UnicodeDecodeError and str() of too long an int: ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MemoryError:  # a valid record too large to build
+    except (MemoryError, OverflowError):  # a valid record too large to build
         print("error: out of memory", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -449,7 +449,7 @@ class ManhattanDigraph(FamilyParams, _ManhattanFields):
         a and b in both even classes, or in both odd classes, keeps the sum
         conditions and the digraph itself.
         """
-        by_residue = [steps[2 * (-r % 4):][:2] for r in range(4)]
+        by_residue = ManhattanDigraph.classes(n, steps)
         images = set()
         for u, _ in _units(n):
             for t in range(4):

@@ -299,8 +299,8 @@ def from_json(text: str) -> Digraph:
     """Parse ``{"order": N, "arcs": [[heads of 0], [heads of 1], ...]}``.
 
     Order and heads must be JSON integers (not booleans) and every row a
-    list; anything else, nesting too deep to parse included, raises
-    GraphError, as do the Digraph checks.
+    list; anything else, nesting too deep or an integer too long to parse
+    included, raises GraphError, as do the Digraph checks.
     """
     import json
 
@@ -308,7 +308,7 @@ def from_json(text: str) -> Digraph:
         payload = json.loads(text)
         order = payload["order"]
         arcs = payload["arcs"]
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise GraphError(f"malformed digraph JSON: {exc}") from exc
     except KeyError as exc:  # a JSON object without the key
         missing = exc.args[0]

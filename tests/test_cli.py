@@ -257,6 +257,9 @@ class TestSearch:
         header, row = out.strip().splitlines()
         assert header.startswith("family,n,min_diameter")
         assert row.startswith("na,10,3,")
+        # No minimum, no bound and no witnesses are empty cells.
+        code, out, _ = run(capsys, "search", "ds", "--n", "3", "--format", "csv")
+        assert (code, out) == (0, f"{header}\nds,3,,0,0,,not-covered,\n")
 
     def test_cap_exceeded_exit_1(self, capsys):
         code, _, err = run(capsys, "search", "ds", "--n", "50", "--cap", "40")
@@ -650,6 +653,24 @@ def test_out_of_memory_exits_1_with_one_error_line(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "compile_params", too_large)
     assert run(capsys, "gen", "ds:30000001,1,2") == (1, "", "error: out of memory\n")
+
+
+# Integers past the interpreter's digit limit for str(), 4300 by default.
+DIGIT_LIMIT = "error: Exceeds the limit (4300 digits) for integer string conversion"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # 1 << N overflows before anything of order N is built.
+    (["diameter", "ds:100000000000000000000,1,2"], "error: out of memory\n"),
+    # A 4,400-digit Moore bound, and a 4,301-digit derived order.
+    (["bounds", "na", "--k", "9" * 2200], DIGIT_LIMIT),
+    (["bounds", "na", "--k", "9" * 2200, "--json"], DIGIT_LIMIT),
+    (["derive", "na", f"ds:{'9' * 4300},1,2"], DIGIT_LIMIT),
+], ids=["diameter-order-1e20", "bounds-text", "bounds-json", "derive-na"])
+def test_too_large_a_number_exits_1_with_one_error_line(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(error) and err.count("\n") == 1
 
 
 class TestOneErrorBase:

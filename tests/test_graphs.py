@@ -34,6 +34,8 @@ MALFORMED_TYPES = [
     '{"order":2,"arcs":[1,0]}',  # rows that are not lists
     '{"order":2,"arcs":{"0":[1]}}',  # arcs that is not a list
     '{"order":2,"arcs":[[true],[0]]}',  # bool head
+    # An order past the interpreter's digit limit for int(), 4300 by default.
+    pytest.param('{"order":' + "7" * 5000 + ',"arcs":[]}', id="5000-digit order"),
 ]
 MH20_STEPS = "mh:20,1,7,17,7,1,15,1,11"  # Manhattan digraph derived from NA10
 
